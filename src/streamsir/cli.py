@@ -41,6 +41,7 @@ import numpy as np
 
 from .baselines import DenseOnlineSIR
 from .batch import batch_lasso_sir, batch_sir
+from .eigen import STRATEGIES
 from .errors import ConfigurationError, DataError, StreamsirError
 from .pipeline import OnlineSparseSIR, SIRConfig, fit_online
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
@@ -462,8 +463,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_truncation_flags(sub, with_tracker_default="ccipca"):
-    sub.add_argument("--tracker", choices=("ccipca", "perturbation", "sgd", "ipca"),
-                     default=with_tracker_default)
+    sub.add_argument("--tracker", choices=STRATEGIES, default=with_tracker_default)
     sub.add_argument("--gamma", type=float, default=None,
                      help="coefficient learning rate (default: min(1e-3, 0.3/p))")
     sub.add_argument("--gravity", type=float, default=DEFAULT_GRAVITY,
@@ -526,8 +526,7 @@ def build_parser():
     sweep.add_argument("--d", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
-    sweep.add_argument("--tracker", choices=("ccipca", "perturbation", "sgd", "ipca"),
-                       default="ccipca")
+    sweep.add_argument("--tracker", choices=STRATEGIES, default="ccipca")
     sweep.add_argument("--gamma-grid", default="0.001")
     sweep.add_argument("--gravity-grid", default="0.0003")
     sweep.add_argument("--theta-grid", default="inf")

@@ -7,6 +7,9 @@ the perturbation strategy alone, the dense matrix):
 * ``ccipca``        covariance-free averaging of weighted samples, with
                     deflation between components.  O(pdH) per step, the
                     default and the only one that scales past p ~ 10^3.
+                    It needs only products of the factor with vectors,
+                    so the pipeline hands it a ``SliceFactor`` operator
+                    and the factor is never formed.
 * ``perturbation``  first-order eigenpair correction around the running
                     average of kernel matrices.  O(p^3 + p^2 d) per step;
                     kept as the accuracy yardstick at small p.
@@ -130,32 +133,43 @@ class EigenTracker:
 
     # -- strategy updates -----------------------------------------------------
 
-    def ccipca_step(self, factor: np.ndarray, t: int) -> None:
-        """Candid covariance-free update from the new p x H factor.
+    def ccipca_step(self, factor, t: int) -> None:
+        """Candid covariance-free update from the current p x H factor.
 
         Component j receives the weighted-average update
-        v <- t/(t+1) v + 1/(t+1) (1/H) W (W' v/|v|) on the j-times-deflated
-        factor W.  Matrix-vector products keep the cost at O(pdH).  A
-        component whose norm collapses below 1e-12 is re-seeded from the
-        largest remaining deflated column and counted in ``reinit_count``.
+        v <- t/(t+1) v + 1/(t+1) (1/H) W_j (W_j' v/|v|) on the j-times-deflated
+        factor W_j = P_{j-1}...P_0 W, with P_k = I - u_k u_k' for the unit
+        vectors u_k of the components before it.  The deflation is applied
+        to vectors, W_j g = P_{j-1}...P_0 (W g) and W_j' u = W' (P_0...P_{j-1} u),
+        so ``factor`` may be any object supporting ``w @ a``, ``w.T @ v`` and
+        ``np.asarray(w)``: an ndarray or a ``SliceFactor``.  Matrix-vector
+        products keep the cost at O(pdH).  A component whose norm collapses
+        below 1e-12 is re-seeded from the largest remaining deflated column
+        and counted in ``reinit_count``.
         """
-        w = np.asarray(factor, dtype=float)
-        n_slices = w.shape[1]
+        w = factor if hasattr(factor, "T") else np.asarray(factor, dtype=float)
         keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
+        units = []  # u_0, ..., u_{j-1}
         for j in range(self.n_directions):
             v = self.raw_vectors[:, j]
             norm = float(np.linalg.norm(v))
             if norm < _NORM_FLOOR:
-                v = self._reseed_from(w)
+                v = self._reseed_from(w, units)
                 norm = float(np.linalg.norm(v))
                 if norm < _NORM_FLOOR:
                     self.values[j] = 0.0
                     continue
-            unit = v / norm
-            v = keep * v + blend * (w @ (w.T @ unit)) / n_slices
+            a = v / norm
+            for u in reversed(units):
+                a = a - u * (u @ a)
+            g = w.T @ a
+            b = w @ g
+            for u in units:
+                b = b - u * (u @ b)
+            v = keep * v + blend * b / g.size
             norm = float(np.linalg.norm(v))
             if norm < _NORM_FLOOR:
-                v = self._reseed_from(w)
+                v = self._reseed_from(w, units)
                 norm = float(np.linalg.norm(v))
                 if norm < _NORM_FLOOR:
                     self.raw_vectors[:, j] = v
@@ -165,12 +179,14 @@ class EigenTracker:
             self.values[j] = norm
             unit = v / norm
             self.vectors[:, j] = unit
-            if j + 1 < self.n_directions:
-                w = w - np.outer(unit, unit @ w)
+            units.append(unit)
         self.step += 1
 
-    def _reseed_from(self, w: np.ndarray) -> np.ndarray:
+    def _reseed_from(self, factor, units) -> np.ndarray:
         self.reinit_count += 1
+        w = np.asarray(factor, dtype=float)
+        for u in units:
+            w = w - np.outer(u, u @ w)
         col = int(np.argmax(np.linalg.norm(w, axis=0)))
         return w[:, col].copy()
 
@@ -274,10 +290,11 @@ class EigenTracker:
         """Flip column signs so each vector has non-negative overlap with
         its counterpart in ``reference`` (the previous step's basis)."""
         overlap = np.einsum("ij,ij->j", reference, self.vectors)
-        flips = np.where(overlap < 0.0, -1.0, 1.0)
-        self.vectors = self.vectors * flips[None, :]
-        if self.raw_vectors is not None:
-            self.raw_vectors = self.raw_vectors * flips[None, :]
+        flipped = overlap < 0.0
+        if flipped.any():
+            self.vectors[:, flipped] *= -1.0
+            if self.raw_vectors is not None:
+                self.raw_vectors[:, flipped] *= -1.0
 
     def state_arrays(self) -> dict:
         out = {

@@ -7,6 +7,11 @@ the first t observations is recoverable from three running aggregates (count,
 covariate sum, covariate-by-slice sum), so a single pass over the stream is
 enough and each update costs O(pH).
 
+The factor itself, (cross_sum - mean counts^T) / t, is never needed whole
+by the streaming path: ``KernelTracker.factor`` hands out a ``SliceFactor``
+operator whose product with a vector costs one pass over ``cross_sum`` and
+no p x H temporary.
+
 Slice boundaries are frozen after warmup: cut points are empirical quantiles
 of the warmup responses and never move again.  Intervals are right-closed,
 (q_{h-1}, q_h].
@@ -101,6 +106,66 @@ class SliceGrid:
         return e
 
 
+class SliceFactor:
+    """The p x H slice factor W = (S - m c^T) / t as a linear operator.
+
+    S is the raw covariate-by-slice sum, m the covariate mean and c the
+    slice counts; with ``mean=None`` (the frozen centering) W is S / t.
+    ``W @ a`` and ``W.T @ v`` for vectors a (H,) and v (p,) cost one
+    matrix-vector product with S each and never form W; ``np.asarray(W)``
+    forms it.  The operator reads the tracker's arrays in place, so it is
+    valid until the tracker's next update.
+    """
+
+    __slots__ = ("sums", "mean", "counts", "t")
+
+    def __init__(self, sums: np.ndarray, mean, counts: np.ndarray, t: int):
+        self.sums = sums
+        self.mean = mean
+        self.counts = counts
+        self.t = t
+
+    def __matmul__(self, a):
+        out = self.sums @ a
+        if self.mean is not None:
+            out = out - self.mean * (self.counts @ a)
+        return out / self.t
+
+    @property
+    def T(self) -> "_TransposedFactor":
+        return _TransposedFactor(self)
+
+    def column(self, h: int) -> np.ndarray:
+        """Column h of W, (p,)."""
+        col = self.sums[:, h]
+        if self.mean is not None:
+            col = col - self.counts[h] * self.mean
+        return col / self.t
+
+    def __array__(self, dtype=None, copy=None):
+        w = self.sums
+        if self.mean is not None:
+            w = w - np.outer(self.mean, self.counts)
+        w = w / self.t
+        return w if dtype is None else w.astype(dtype, copy=False)
+
+
+class _TransposedFactor:
+    """W^T of a ``SliceFactor``; holds the factor, never the other way round."""
+
+    __slots__ = ("factor",)
+
+    def __init__(self, factor: SliceFactor):
+        self.factor = factor
+
+    def __matmul__(self, v):
+        w = self.factor
+        out = w.sums.T @ v
+        if w.mean is not None:
+            out = out - w.counts * (w.mean @ v)
+        return out / w.t
+
+
 class KernelTracker:
     """Running sufficient statistics for the slice kernel matrix.
 
@@ -111,7 +176,8 @@ class KernelTracker:
     * ``cross_sum``    sum of x e(y)^T where e is the one-hot slice
                        indicator (p, H).
 
-    ``slice_cov`` re-centers on demand: column h is
+    ``factor()`` (an operator) and ``slice_cov`` (the p x H array)
+    re-center on demand: column h is
     (cross_sum[:, h] - counts[h] * mean) / t, which equals the batch
     quantity (1/t) sum_i (x_i - mean_t) 1{y_i in slice h} exactly.  This is
     the default "exact" centering.  ``centering="frozen"`` additionally
@@ -148,17 +214,22 @@ class KernelTracker:
             raise DataError("covariates must be finite")
         return x
 
-    def update(self, x, y) -> None:
-        """Absorb one observation.  O(pH) time, no p x p allocation."""
+    def update(self, x, y) -> int:
+        """Absorb one observation and return its slice index.
+
+        Both inputs are validated before any state changes.  O(pH) time,
+        no p x p allocation.
+        """
         x = self._check_x(x)
         h = self.grid.slice_of(y)
         self.t += 1
-        self.x_sum = self.x_sum + x
+        self.x_sum += x
         self.cross_sum[:, h] += x
         self.grid.counts[h] += 1
         if self.frozen_sum is not None:
             # center at the mean as of this arrival; never re-centered
             self.frozen_sum[:, h] += x - self.x_sum / self.t
+        return h
 
     def replay(self, X, y) -> None:
         """Absorb a batch row by row (order does not affect the aggregates)."""
@@ -177,6 +248,15 @@ class KernelTracker:
             return np.zeros(self.n_features)
         return self.x_sum / self.t
 
+    def factor(self) -> SliceFactor:
+        """The centered slice cross-covariance as an operator (see
+        ``SliceFactor``); costs one O(p) mean, never a p x H array."""
+        if self.t == 0:
+            raise EmptyStateError("slice statistics requested before any observation")
+        if self.frozen_sum is not None:
+            return SliceFactor(self.frozen_sum, None, self.grid.counts, self.t)
+        return SliceFactor(self.cross_sum, self.mean, self.grid.counts, self.t)
+
     @property
     def slice_cov(self) -> np.ndarray:
         """Centered slice cross-covariance, p x H.
@@ -184,11 +264,7 @@ class KernelTracker:
         Column h is the sample covariance between x and the indicator of
         slice h (up to the t/(t-1) convention; we divide by t).
         """
-        if self.t == 0:
-            raise EmptyStateError("slice statistics requested before any observation")
-        if self.frozen_sum is not None:
-            return self.frozen_sum / self.t
-        return (self.cross_sum - np.outer(self.mean, self.grid.counts)) / self.t
+        return np.asarray(self.factor())
 
     def kernel_matrix(self) -> np.ndarray:
         """Dense p x p slice kernel: (1/H) sum_h c_h c_h^T, exactly symmetric."""

@@ -2,17 +2,19 @@
 
 One ``observe(x, y)`` call runs the full update chain:
 
-1. slice-kernel statistics absorb the observation,
-2. the eigen-tracker advances on the new factor (signs stabilized against
-   the previous step so downstream targets never flip),
+1. slice-kernel statistics absorb the observation (x and y are validated
+   here, before any stage changes, and the slice index is found once),
+2. the eigen-tracker takes one step on the updated slice statistics (signs
+   stabilized against the previous step so downstream targets never flip),
 3. a d-vector artificial response is formed from the observation's slice,
 4. the truncated-gradient stage takes one step toward regressing that
    response on x.
 
 The sparse coefficient matrix of step 4 is the direction estimate.  Nothing
 in the chain stores a p x p matrix unless the perturbation tracker is
-selected, so the default configuration streams comfortably at p in the
-thousands.
+selected, and the default ccipca tracker sees the p x H slice factor only
+as an operator, so no p x H temporary is built per observation either and
+the default configuration streams comfortably at p in the thousands.
 """
 
 from __future__ import annotations
@@ -161,25 +163,30 @@ class OnlineSparseSIR:
         return self.kernel.n_features
 
     def observe(self, x, y) -> "OnlineSparseSIR":
-        """Absorb one observation and advance every stage once."""
-        self.kernel.update(x, y)
+        """Absorb one observation and advance every stage once.
+
+        Invalid x or y raises ``DataError`` and leaves the model unchanged.
+        """
+        h = self.kernel.update(x, y)
+        y = float(y)
         t_prev = self.kernel.t - 1
-        factor = self.kernel.slice_cov
+        factor = self.kernel.factor()
         previous = self.eigen.vectors.copy()
         strategy = self.config.tracker
         if strategy == "ccipca":
             self.eigen.ccipca_step(factor, t_prev)
         elif strategy == "sgd":
-            self.eigen.sgd_step(factor, t_prev)
+            self.eigen.sgd_step(self.kernel.slice_cov, t_prev)
         elif strategy == "perturbation":
             self.eigen.perturbation_step(self.kernel.kernel_matrix(), t_prev)
         else:  # ipca
             means = self._slice_means()
-            k = self.eigen.ipca_step(factor, float(y), means)
-            self.slice_y_sum[k] += float(y)
+            k = self.eigen.ipca_step(self.kernel.slice_cov, y, means)
+            self.slice_y_sum[k] += y
             self.slice_y_count[k] += 1
         self.eigen.align_signs(previous)
-        response = self._response_from(factor, float(y), self.kernel.t)
+        response, dead = self._response_from(factor, h)
+        self.degenerate_responses += dead
         self.coef.update(x, response)
         return self
 
@@ -191,29 +198,27 @@ class OnlineSparseSIR:
                 np.nan,
             )
 
-    def _response_from(self, factor: np.ndarray, y: float, t: int) -> np.ndarray:
+    def _response_from(self, factor, h: int) -> tuple[np.ndarray, int]:
+        """Target for slice ``h`` and the number of its coordinates zeroed
+        at the eigenvalue floor."""
         # The extra 1/t anneals the target: its direction is fixed by the
         # slice statistics while its scale decays, so the coefficient stage
         # settles instead of rattling around a constant-variance floor.
-        h = self.kernel.grid.slice_of(y)
-        proj = factor[:, h] @ self.eigen.vectors  # (d,)
+        proj = factor.column(h) @ self.eigen.vectors  # (d,)
         floor = self.config.eigenvalue_floor
         lams = self.eigen.values
         clamped = np.maximum(lams, floor)
-        response = proj / (t * self.kernel.grid.n_slices * clamped)
+        response = proj / (self.kernel.t * self.kernel.grid.n_slices * clamped)
         dead = lams <= floor
-        if np.any(dead):
-            response = np.where(dead, 0.0, response)
-            self.degenerate_responses += int(dead.sum())
-        return response
+        if not dead.any():
+            return response, 0
+        return np.where(dead, 0.0, response), int(dead.sum())
 
     def artificial_response(self, y) -> np.ndarray:
         """The d-vector target the coefficient stage would regress on for a
         response ``y`` under the current state.  Pure read, no update."""
-        saved = self.degenerate_responses
-        out = self._response_from(self.kernel.slice_cov, float(y), self.kernel.t)
-        self.degenerate_responses = saved
-        return out
+        h = self.kernel.grid.slice_of(y)
+        return self._response_from(self.kernel.factor(), h)[0]
 
     # -- results ------------------------------------------------------------------
 

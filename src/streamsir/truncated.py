@@ -119,7 +119,9 @@ class TruncatedGradient:
             )
             self.truncation_zeros += before - np.count_nonzero(self.betas)
         predicted = self.betas.T @ x  # (d,)
-        self.betas += (2.0 * self.rate) * np.outer(x, targets - predicted)
+        delta = np.outer(x, targets - predicted)
+        delta *= 2.0 * self.rate
+        self.betas += delta
 
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.betas))

@@ -102,3 +102,69 @@ def random_stream(rng, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     X = rng.standard_normal((t, p))
     y = X[:, 0] + 0.5 * rng.standard_normal(t)
     return X, y
+
+
+# Components whose norm falls below this are re-seeded (the tracker's floor).
+_CCIPCA_NORM_FLOOR = 1e-12
+
+
+def ccipca_step_reference(eigen, factor, t: int) -> None:
+    """One ccipca step on a materialized p x H factor, deflated explicitly
+    as w <- w - u (u'w) after each component.  This is the algebra the
+    factor-free tracker must reproduce; it updates ``eigen`` in place."""
+    w = np.asarray(factor, dtype=float)
+    n_slices = w.shape[1]
+    keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
+
+    def reseed(w):
+        eigen.reinit_count += 1
+        return w[:, int(np.argmax(np.linalg.norm(w, axis=0)))].copy()
+
+    for j in range(eigen.values.size):
+        v = eigen.raw_vectors[:, j]
+        norm = float(np.linalg.norm(v))
+        if norm < _CCIPCA_NORM_FLOOR:
+            v = reseed(w)
+            norm = float(np.linalg.norm(v))
+            if norm < _CCIPCA_NORM_FLOOR:
+                eigen.values[j] = 0.0
+                continue
+        unit = v / norm
+        v = keep * v + blend * (w @ (w.T @ unit)) / n_slices
+        norm = float(np.linalg.norm(v))
+        if norm < _CCIPCA_NORM_FLOOR:
+            v = reseed(w)
+            norm = float(np.linalg.norm(v))
+            if norm < _CCIPCA_NORM_FLOOR:
+                eigen.raw_vectors[:, j] = v
+                eigen.values[j] = 0.0
+                continue
+        eigen.raw_vectors[:, j] = v
+        eigen.values[j] = norm
+        unit = v / norm
+        eigen.vectors[:, j] = unit
+        w = w - np.outer(unit, unit @ w)
+    eigen.step += 1
+
+
+def ccipca_observe_reference(model, x, y) -> None:
+    """One ccipca ``observe`` of an ``OnlineSparseSIR`` with every p x H
+    temporary materialized: dense factor, explicit deflation, signs aligned
+    by multiplying every column, response from a column of the dense
+    factor."""
+    kernel, eigen = model.kernel, model.eigen
+    kernel.update(x, y)
+    factor = kernel.slice_cov
+    previous = eigen.vectors.copy()
+    ccipca_step_reference(eigen, factor, kernel.t - 1)
+    overlap = np.einsum("ij,ij->j", previous, eigen.vectors)
+    flips = np.where(overlap < 0.0, -1.0, 1.0)
+    eigen.vectors = eigen.vectors * flips
+    eigen.raw_vectors = eigen.raw_vectors * flips
+    h = slice_index_oracle(float(y), kernel.grid.cuts)
+    lams = eigen.values
+    floor = model.config.eigenvalue_floor
+    response = (factor[:, h] @ eigen.vectors) / (
+        kernel.t * kernel.grid.n_slices * np.maximum(lams, floor)
+    )
+    model.coef.update(x, np.where(lams <= floor, 0.0, response))

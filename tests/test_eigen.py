@@ -15,7 +15,12 @@ from streamsir import (
     TrackerConfig,
     dense_top_eigen,
 )
-from .helpers import principal_angle, random_stream, top_eigen_oracle
+from .helpers import (
+    ccipca_step_reference,
+    principal_angle,
+    random_stream,
+    top_eigen_oracle,
+)
 
 
 def _cfg(strategy="ccipca", **kw):
@@ -125,6 +130,46 @@ def test_ccipca_reseeds_a_collapsed_component():
     tracker.ccipca_step(rng.standard_normal((5, 4)), 3)
     assert tracker.reinit_count == 1
     assert tracker.values[1] > 0.0
+
+
+def _constant_kernel(p=8, n_slices=4):
+    """Kernel whose every row is the same dyadic vector: the centered
+    factor is exactly zero."""
+    grid = SliceGrid(np.arange(1.0, n_slices))
+    kernel = KernelTracker(grid, p)
+    for y in np.arange(0.5, n_slices + 0.5):
+        kernel.update(np.full(p, 0.5), y)
+    return kernel
+
+
+@pytest.mark.parametrize("case", ["zero_factor", "collapsed_component"])
+@pytest.mark.parametrize("form", ["operator", "ndarray"])
+def test_ccipca_reseeding_matches_the_materialized_algebra(case, form):
+    rng = np.random.default_rng(13)
+    start = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((8, 4))), 2, _cfg())
+    if case == "zero_factor":
+        kernel = _constant_kernel()
+        assert not np.any(kernel.slice_cov)
+        t = 0  # keep = 0: the update is the zero factor's, and both components reseed
+    else:
+        kernel = KernelTracker(SliceGrid(np.array([-0.5, 0.0, 0.5])), 8)
+        kernel.replay(*random_stream(rng, 60, 8))
+        start.raw_vectors[:, 1] = 0.0  # reseeded from the once-deflated factor
+        t = kernel.t - 1
+    fused = EigenTracker.from_state_arrays(start.state_arrays())
+    dense = EigenTracker.from_state_arrays(start.state_arrays())
+    factor = kernel.factor() if form == "operator" else kernel.slice_cov
+    for _ in range(2):
+        fused.ccipca_step(factor, t)
+        ccipca_step_reference(dense, kernel.slice_cov, t)
+    assert fused.reinit_count == dense.reinit_count > 0
+    for attr in ("values", "vectors", "raw_vectors"):
+        np.testing.assert_allclose(
+            getattr(fused, attr), getattr(dense, attr), rtol=0, atol=1e-12
+        )
+    if case == "zero_factor":
+        assert fused.reinit_count == 4
+        np.testing.assert_array_equal(fused.values, [0.0, 0.0])
 
 
 def test_ccipca_tracks_a_model_one_stream():

@@ -121,6 +121,19 @@ def test_frozen_centering_matches_arrival_time_oracle():
     )
 
 
+@pytest.mark.parametrize("centering", ["exact", "frozen"])
+def test_factor_operator_agrees_with_the_dense_factor(centering):
+    rng = np.random.default_rng(8)
+    tracker, _, _, _ = _fresh_tracker(rng, centering=centering)
+    dense = tracker.slice_cov
+    factor = tracker.factor()
+    a, v = rng.standard_normal(dense.shape[1]), rng.standard_normal(dense.shape[0])
+    np.testing.assert_allclose(factor @ a, dense @ a, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(factor.T @ v, dense.T @ v, rtol=0, atol=1e-14)
+    for h in range(dense.shape[1]):
+        np.testing.assert_array_equal(factor.column(h), dense[:, h])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

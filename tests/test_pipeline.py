@@ -1,16 +1,21 @@
 """End-to-end streaming estimator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from streamsir import (
+    STRATEGIES,
     ConfigurationError,
     DataError,
     DegenerateDataError,
     EigenTracker,
+    KernelTracker,
     OnlineSparseSIR,
     SIRConfig,
     SimModelSpec,
+    SliceGrid,
     TrackerConfig,
     TruncatedGradient,
     fit_online,
@@ -19,7 +24,9 @@ from streamsir import (
     subspace_distance,
     true_betas,
 )
-from .helpers import principal_angle, response_oracle
+from streamsir.kernel import SliceFactor
+
+from .helpers import ccipca_observe_reference, principal_angle, response_oracle
 
 # settings used by the synthetic-benchmark assertions below: small enough
 # for coefficient-stage stability at these dimensions, large enough to
@@ -157,6 +164,72 @@ def test_observing_the_running_mean_is_harmless():
     mean_before = model.kernel.mean.copy()
     model.observe(mean_before.copy(), 0.37)
     np.testing.assert_allclose(model.kernel.mean, mean_before, atol=1e-12)
+    model.check_counters()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_factor_free_ccipca_matches_the_materialized_algebra(d):
+    X, y = sample(SimModelSpec(3, 200), 2100, rng=d)
+    cfg = SIRConfig(n_directions=d, **BENCH)
+    fused = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    dense = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    for i in range(100, 2100):
+        fused.observe(X[i], y[i])
+        ccipca_observe_reference(dense, X[i], y[i])
+    for attr in ("values", "vectors", "raw_vectors"):
+        np.testing.assert_allclose(
+            getattr(fused.eigen, attr), getattr(dense.eigen, attr), rtol=0, atol=1e-12
+        )
+    np.testing.assert_allclose(fused.directions(), dense.directions(), rtol=0, atol=1e-12)
+    assert fused.eigen.reinit_count == dense.eigen.reinit_count
+
+
+def test_ccipca_observe_builds_no_slice_factor(monkeypatch):
+    X, y = _model_one(n=102)
+    model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(**BENCH))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        KernelTracker, "slice_cov", property(counted("slice_cov", KernelTracker.slice_cov.fget))
+    )
+    monkeypatch.setattr(
+        KernelTracker, "kernel_matrix", counted("kernel_matrix", KernelTracker.kernel_matrix)
+    )
+    monkeypatch.setattr(SliceFactor, "__array__", counted("__array__", SliceFactor.__array__))
+    monkeypatch.setattr(SliceGrid, "slice_of", counted("slice_of", SliceGrid.slice_of))
+    model.observe(X[100], y[100])
+    model.observe(X[101], y[101])
+    assert calls == {"slice_of": 2}
+
+
+@pytest.mark.parametrize("bad", ["non-finite x", "wrong-length x", "NaN y"])
+@pytest.mark.parametrize("tracker", STRATEGIES)
+def test_rejected_observation_leaves_the_state_unchanged(tmp_path, bad, tracker):
+    X, y = _model_one(n=200)
+    model = fit_online(X[:150], y[:150], SIRConfig(tracker=tracker, **BENCH), 100)
+    x, yi = X[150].copy(), y[150]
+    if bad == "non-finite x":
+        x[3] = np.inf
+    elif bad == "wrong-length x":
+        x = x[:-1]
+    else:
+        yi = np.nan
+    model.save(tmp_path / "before.npz")
+    with pytest.raises(DataError):
+        model.observe(x, yi)
+    model.save(tmp_path / "after.npz")
+    with np.load(tmp_path / "before.npz") as before, np.load(tmp_path / "after.npz") as after:
+        assert before.files == after.files
+        for key in before.files:
+            assert before[key].dtype == after[key].dtype, key
+            assert before[key].tobytes() == after[key].tobytes(), key
     model.check_counters()
 
 
@@ -334,3 +407,4 @@ def test_save_preserves_diagnostics(tmp_path):
     path = tmp_path / "state.npz"
     model.save(path)
     assert OnlineSparseSIR.load(path).degenerate_responses == model.degenerate_responses
+
