@@ -77,13 +77,7 @@ class DenseOnlineSIR:
     def observe(self, x, y) -> "DenseOnlineSIR":
         x = np.asarray(x, dtype=float).ravel()
         self.kernel.update(x, y)
-        t_prev = self.kernel.t - 1
-        previous = self.eigen.vectors.copy()
-        if self.eigen.config.strategy == "perturbation":
-            self.eigen.perturbation_step(self.kernel.kernel_matrix(), t_prev)
-        else:
-            self.eigen.sgd_step(self.kernel.slice_cov, t_prev)
-        self.eigen.align_signs(previous)
+        self.eigen.advance(self.kernel, y)
         self.xx_sum += np.outer(x, x)
         return self
 

@@ -88,15 +88,9 @@ def resolve_methods(tokens):
 
 
 def benchmark_learning_rate(p):
-    """Default streaming learning rate for benchmark runs.
-
-    The library-wide default of 0.1/sqrt(p) is too aggressive for the
-    coefficient update once p reaches the hundreds (the squared-error
-    recursion needs a rate well below 1/trace of the covariate
-    covariance to stay mean-square stable). The cap at 0.3/p keeps
-    large-p runs stable while small p retains a fast rate.
-    """
-    return min(1e-3, 0.3 / p)
+    """Default streaming learning rate at p features: min(1e-3, 0.3/p),
+    the rule ``SIRConfig.resolve_rate`` applies when no rate is given."""
+    return SIRConfig().resolve_rate(p)
 
 
 DEFAULT_GRAVITY = 3e-4
@@ -147,7 +141,6 @@ def run_benchmark_cell(method, model_id, p, n, n_slices, n_directions, gamma, gr
     """
     spec = SimModelSpec(model_id, p)
     d = n_directions if n_directions is not None else spec.n_directions
-    g = gamma if gamma is not None else benchmark_learning_rate(p)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, model_id, p, rep]))
     X, y = sample(spec, n, rng)
     truth = true_betas(spec)
@@ -158,7 +151,8 @@ def run_benchmark_cell(method, model_id, p, n, n_slices, n_directions, gamma, gr
     }
     start = time.perf_counter()
     try:
-        betas, nonzeros = _fit_one(method, X, y, n_slices, d, g, gravity, theta, period, warmup)
+        betas, nonzeros = _fit_one(method, X, y, n_slices, d, gamma, gravity, theta, period,
+                                   warmup)
     except Exception as exc:  # noqa: BLE001 - cell failures become NA rows
         row["seconds"] = f"{time.perf_counter() - start:.6f}"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -339,12 +333,11 @@ def cmd_fit(args):
     if n <= args.warmup:
         raise DataError(
             f"need more than {args.warmup} rows to warm up and stream, found {n}")
-    gamma = args.gamma if args.gamma is not None else benchmark_learning_rate(p)
     cfg = SIRConfig(
         n_slices=args.H,
         n_directions=args.d,
         tracker=args.tracker,
-        learning_rate=gamma,
+        learning_rate=args.gamma,
         gravity=args.gravity,
         threshold=args.theta,
         period=args.period,

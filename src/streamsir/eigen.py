@@ -22,7 +22,8 @@ the perturbation strategy alone, the dense matrix):
 
 All trackers are initialized from the same warmup statistics via a thin
 SVD of the p x H factor, which equals the dense eigendecomposition of the
-kernel matrix without materializing it.
+kernel matrix without materializing it.  ``EigenTracker.advance`` runs the
+whole eigen stage of one streaming observation for any strategy.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class EigenTracker:
         the norm of column j doubles as its eigenvalue estimate.
     averaged_kernel : (p, p) running mean of dense kernel matrices
         (perturbation only).
+    slice_y_sum, slice_y_count : (H,) response sum and count per slice, whose
+        ratio picks the slice of each observation (ipca only).
     step : number of streaming updates applied.
     reinit_count : how often a collapsed ccipca component was re-seeded.
     """
@@ -101,18 +104,22 @@ class EigenTracker:
             self.averaged_kernel = np.asarray(averaged_kernel, dtype=float).copy()
         else:
             self.averaged_kernel = None
+        self.slice_y_sum = None
+        self.slice_y_count = None
 
     @property
     def n_directions(self) -> int:
         return self.values.size
 
     @classmethod
-    def from_kernel(cls, kernel, d: int, config: TrackerConfig) -> "EigenTracker":
+    def from_kernel(cls, kernel, d: int, config: TrackerConfig, y=None) -> "EigenTracker":
         """Initialize from warmup statistics.
 
         The top-d eigenpairs of (1/H) C C' are read off the thin SVD of the
         p x H factor C, so no p x p matrix is formed unless the strategy
-        itself requires one.
+        itself requires one.  The ipca strategy starts its per-slice
+        response sums from the warmup responses ``y``; without them every
+        slice starts empty and its step raises ``DataError``.
         """
         factor = kernel.slice_cov
         p, n_slices = factor.shape
@@ -129,7 +136,41 @@ class EigenTracker:
                 "between-slice signal in the warmup"
             )
         averaged = kernel.kernel_matrix() if config.strategy == "perturbation" else None
-        return cls(values, vectors, config, averaged)
+        tracker = cls(values, vectors, config, averaged)
+        if config.strategy == "ipca":
+            tracker.slice_y_sum = np.zeros(n_slices)
+            tracker.slice_y_count = np.zeros(n_slices, dtype=np.int64)
+            if y is not None:
+                y = np.asarray(y, dtype=float).ravel()
+                slices = np.searchsorted(kernel.grid.cuts, y, side="left")
+                np.add.at(tracker.slice_y_sum, slices, y)
+                np.add.at(tracker.slice_y_count, slices, 1)
+        return tracker
+
+    # -- one streaming observation ---------------------------------------------
+
+    def advance(self, kernel, y) -> None:
+        """The eigen stage of one observation, after ``kernel`` absorbed it:
+        the strategy's step on the input it needs (ccipca the factor
+        operator, sgd and ipca the p x H factor, perturbation the dense
+        kernel), ipca's slice bookkeeping, then sign alignment."""
+        previous = self.vectors.copy()
+        t = kernel.t - 1
+        strategy = self.config.strategy
+        if strategy == "ccipca":
+            self.ccipca_step(kernel.factor(), t)
+        elif strategy == "sgd":
+            self.sgd_step(kernel.slice_cov, t)
+        elif strategy == "perturbation":
+            self.perturbation_step(kernel.kernel_matrix(), t)
+        else:  # ipca
+            y = float(y)
+            with np.errstate(invalid="ignore"):  # an empty slice's mean is nan
+                means = self.slice_y_sum / self.slice_y_count
+            k = self.ipca_step(kernel.slice_cov, y, means)
+            self.slice_y_sum[k] += y
+            self.slice_y_count[k] += 1
+        self.align_signs(previous)
 
     # -- strategy updates -----------------------------------------------------
 
@@ -255,7 +296,7 @@ class EigenTracker:
         skipped).  That slice's factor column is split into its projection
         onto the current basis and a residual direction; the (d+1)-dim
         compressed kernel is re-solved exactly and the top d pairs kept.
-        Returns the chosen slice so the caller can update its bookkeeping.
+        Returns the chosen slice, whose response sums ``advance`` updates.
         """
         w = np.asarray(factor, dtype=float)
         n_slices = w.shape[1]
@@ -310,6 +351,9 @@ class EigenTracker:
             out["eigen_raw_vectors"] = self.raw_vectors
         if self.averaged_kernel is not None:
             out["eigen_averaged_kernel"] = self.averaged_kernel
+        if self.slice_y_sum is not None:
+            out["eigen_slice_y_sum"] = self.slice_y_sum
+            out["eigen_slice_y_count"] = self.slice_y_count
         return out
 
     @classmethod
@@ -323,12 +367,19 @@ class EigenTracker:
             arrays["eigen_values"],
             arrays["eigen_vectors"],
             config,
-            averaged_kernel=arrays.get("eigen_averaged_kernel"),
+            averaged_kernel=(
+                arrays["eigen_averaged_kernel"] if config.strategy == "perturbation" else None
+            ),
         )
         tracker.step = int(arrays["eigen_step"])
         tracker.reinit_count = int(arrays["eigen_reinit_count"])
-        if "eigen_raw_vectors" in arrays:
+        if tracker.raw_vectors is not None:  # ccipca
             tracker.raw_vectors = np.asarray(
                 arrays["eigen_raw_vectors"], dtype=float
+            ).copy()
+        if config.strategy == "ipca":
+            tracker.slice_y_sum = np.asarray(arrays["eigen_slice_y_sum"], dtype=float).copy()
+            tracker.slice_y_count = np.asarray(
+                arrays["eigen_slice_y_count"], dtype=np.int64
             ).copy()
         return tracker

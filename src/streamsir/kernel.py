@@ -7,10 +7,11 @@ the first t observations is recoverable from three running aggregates (count,
 covariate sum, covariate-by-slice sum), so a single pass over the stream is
 enough and each update costs O(pH).
 
-The factor itself, (cross_sum - mean counts^T) / t, is never needed whole
-by the streaming path: ``KernelTracker.factor`` hands out a ``SliceFactor``
-operator whose product with a vector costs one pass over ``cross_sum`` and
-no p x H temporary.
+The factor itself, (cross_sum - mean counts^T) / t, is always centered at
+the current mean, so it is a set statistic of the sample (arrival order
+does not matter).  It is never needed whole by the streaming path:
+``KernelTracker.factor`` hands out a ``SliceFactor`` operator whose product
+with a vector costs one pass over ``cross_sum`` and no p x H temporary.
 
 Slice boundaries are frozen after warmup: cut points are empirical quantiles
 of the warmup responses and never move again.  Intervals are right-closed,
@@ -110,26 +111,22 @@ class SliceFactor:
     """The p x H slice factor W = (S - m c^T) / t as a linear operator.
 
     S is the raw covariate-by-slice sum, m the covariate mean and c the
-    slice counts; with ``mean=None`` (the frozen centering) W is S / t.
-    ``W @ a`` and ``W.T @ v`` for vectors a (H,) and v (p,) cost one
-    matrix-vector product with S each and never form W; ``np.asarray(W)``
-    forms it.  The operator reads the tracker's arrays in place, so it is
-    valid until the tracker's next update.
+    slice counts.  ``W @ a`` and ``W.T @ v`` for vectors a (H,) and v (p,)
+    cost one matrix-vector product with S each and never form W;
+    ``np.asarray(W)`` forms it.  The operator reads the tracker's arrays in
+    place, so it is valid until the tracker's next update.
     """
 
     __slots__ = ("sums", "mean", "counts", "t")
 
-    def __init__(self, sums: np.ndarray, mean, counts: np.ndarray, t: int):
+    def __init__(self, sums: np.ndarray, mean: np.ndarray, counts: np.ndarray, t: int):
         self.sums = sums
         self.mean = mean
         self.counts = counts
         self.t = t
 
     def __matmul__(self, a):
-        out = self.sums @ a
-        if self.mean is not None:
-            out = out - self.mean * (self.counts @ a)
-        return out / self.t
+        return (self.sums @ a - self.mean * (self.counts @ a)) / self.t
 
     @property
     def T(self) -> "_TransposedFactor":
@@ -137,16 +134,10 @@ class SliceFactor:
 
     def column(self, h: int) -> np.ndarray:
         """Column h of W, (p,)."""
-        col = self.sums[:, h]
-        if self.mean is not None:
-            col = col - self.counts[h] * self.mean
-        return col / self.t
+        return (self.sums[:, h] - self.counts[h] * self.mean) / self.t
 
     def __array__(self, dtype=None, copy=None):
-        w = self.sums
-        if self.mean is not None:
-            w = w - np.outer(self.mean, self.counts)
-        w = w / self.t
+        w = (self.sums - np.outer(self.mean, self.counts)) / self.t
         return w if dtype is None else w.astype(dtype, copy=False)
 
 
@@ -160,10 +151,7 @@ class _TransposedFactor:
 
     def __matmul__(self, v):
         w = self.factor
-        out = w.sums.T @ v
-        if w.mean is not None:
-            out = out - w.counts * (w.mean @ v)
-        return out / w.t
+        return (w.sums.T @ v - w.counts * (w.mean @ v)) / w.t
 
 
 class KernelTracker:
@@ -179,27 +167,17 @@ class KernelTracker:
     ``factor()`` (an operator) and ``slice_cov`` (the p x H array)
     re-center on demand: column h is
     (cross_sum[:, h] - counts[h] * mean) / t, which equals the batch
-    quantity (1/t) sum_i (x_i - mean_t) 1{y_i in slice h} exactly.  This is
-    the default "exact" centering.  ``centering="frozen"`` additionally
-    keeps the cheaper historical-centering recursion, where each incoming
-    x is centered at the mean current at its arrival and never re-centered;
-    it is retained only for fidelity comparisons and is not the default.
+    quantity (1/t) sum_i (x_i - mean_t) 1{y_i in slice h} exactly.
     """
 
-    def __init__(self, grid: SliceGrid, n_features: int, centering: str = "exact"):
+    def __init__(self, grid: SliceGrid, n_features: int):
         if n_features < 1:
             raise ConfigurationError(f"need at least one feature, got {n_features}")
-        if centering not in ("exact", "frozen"):
-            raise ConfigurationError(f"unknown centering mode {centering!r}")
         self.grid = grid
         self.n_features = int(n_features)
-        self.centering = centering
         self.t = 0
         self.x_sum = np.zeros(n_features)
         self.cross_sum = np.zeros((n_features, grid.n_slices))
-        self.frozen_sum = (
-            np.zeros((n_features, grid.n_slices)) if centering == "frozen" else None
-        )
         self.dense_builds = 0  # how many times a p x p matrix was materialized
 
     # -- updates ------------------------------------------------------------
@@ -226,9 +204,6 @@ class KernelTracker:
         self.x_sum += x
         self.cross_sum[:, h] += x
         self.grid.counts[h] += 1
-        if self.frozen_sum is not None:
-            # center at the mean as of this arrival; never re-centered
-            self.frozen_sum[:, h] += x - self.x_sum / self.t
         return h
 
     def replay(self, X, y) -> None:
@@ -253,8 +228,6 @@ class KernelTracker:
         ``SliceFactor``); costs one O(p) mean, never a p x H array."""
         if self.t == 0:
             raise EmptyStateError("slice statistics requested before any observation")
-        if self.frozen_sum is not None:
-            return SliceFactor(self.frozen_sum, None, self.grid.counts, self.t)
         return SliceFactor(self.cross_sum, self.mean, self.grid.counts, self.t)
 
     @property
@@ -278,29 +251,20 @@ class KernelTracker:
     # -- persistence ----------------------------------------------------------
 
     def state_arrays(self) -> dict:
-        out = {
+        return {
             "kernel_t": np.asarray(self.t),
             "kernel_x_sum": self.x_sum,
             "kernel_cross_sum": self.cross_sum,
             "grid_cuts": self.grid.cuts,
             "grid_counts": self.grid.counts,
-            "kernel_centering": np.asarray(self.centering),
         }
-        if self.frozen_sum is not None:
-            out["kernel_frozen_sum"] = self.frozen_sum
-        return out
 
     @classmethod
     def from_state_arrays(cls, arrays: dict) -> "KernelTracker":
         grid = SliceGrid(arrays["grid_cuts"])
         grid.counts = np.asarray(arrays["grid_counts"], dtype=np.int64).copy()
-        centering = str(arrays["kernel_centering"])
-        tracker = cls(grid, int(np.asarray(arrays["kernel_x_sum"]).size), centering)
+        tracker = cls(grid, int(np.asarray(arrays["kernel_x_sum"]).size))
         tracker.t = int(arrays["kernel_t"])
         tracker.x_sum = np.asarray(arrays["kernel_x_sum"], dtype=float).copy()
         tracker.cross_sum = np.asarray(arrays["kernel_cross_sum"], dtype=float).copy()
-        if centering == "frozen":
-            tracker.frozen_sum = np.asarray(
-                arrays["kernel_frozen_sum"], dtype=float
-            ).copy()
         return tracker

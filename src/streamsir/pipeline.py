@@ -4,8 +4,9 @@ One ``observe(x, y)`` call runs the full update chain:
 
 1. slice-kernel statistics absorb the observation (x and y are validated
    here, before any stage changes, and the slice index is found once),
-2. the eigen-tracker takes one step on the updated slice statistics (signs
-   stabilized against the previous step so downstream targets never flip),
+2. the eigen-tracker takes one step on the updated slice statistics through
+   ``EigenTracker.advance`` (signs stabilized against the previous step so
+   downstream targets never flip),
 3. a d-vector artificial response is formed from the observation's slice,
 4. the truncated-gradient stage takes one step toward regressing that
    response on x.
@@ -21,22 +22,27 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .eigen import STRATEGIES, EigenTracker, TrackerConfig
+from .eigen import EigenTracker, TrackerConfig
 from .errors import ConfigurationError, DataError
 from .kernel import KernelTracker, SliceGrid
 from .simulate import subspace_distance
 from .truncated import TruncatedGradient
+
+# Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
 class SIRConfig:
     """Hyperparameters of the streaming estimator.
 
-    ``learning_rate=None`` resolves to 0.1 / sqrt(p) at warmup.
+    ``learning_rate=None`` resolves to min(1e-3, 0.3 / p) at warmup: the
+    coefficient recursion stays mean-square stable only for a rate well
+    below 1 / trace of the covariate covariance (1/p for unit variances).
     ``min_warmup=None`` resolves to 5 * n_slices.
     """
 
@@ -50,7 +56,6 @@ class SIRConfig:
     sgd_rate_constant: float = 5.0
     orthonormalize_every: int = 50
     min_warmup: int | None = None
-    centering: str = "exact"
     eigenvalue_floor: float = 1e-12
 
     def __post_init__(self):
@@ -58,10 +63,7 @@ class SIRConfig:
             raise ConfigurationError("n_slices must be a positive integer")
         if self.n_directions < 1:
             raise ConfigurationError("n_directions must be a positive integer")
-        if self.tracker not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown tracker {self.tracker!r}; choose from {STRATEGIES}"
-            )
+        self.tracker_config()  # validates the tracker fields
         if self.learning_rate is not None and not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning_rate must lie in (0, 1)")
         if self.min_warmup is not None and self.min_warmup < 1:
@@ -79,7 +81,7 @@ class SIRConfig:
     def resolve_rate(self, n_features: int) -> float:
         if self.learning_rate is not None:
             return self.learning_rate
-        return 0.1 / math.sqrt(n_features)
+        return min(1e-3, 0.3 / n_features)
 
 
 class OnlineSparseSIR:
@@ -92,16 +94,12 @@ class OnlineSparseSIR:
         coef: TruncatedGradient,
         config: SIRConfig,
         warmup_size: int,
-        slice_y_sum: np.ndarray,
-        slice_y_count: np.ndarray,
     ):
         self.kernel = kernel
         self.eigen = eigen
         self.coef = coef
         self.config = config
         self.warmup_size = int(warmup_size)
-        self.slice_y_sum = np.asarray(slice_y_sum, dtype=float)
-        self.slice_y_count = np.asarray(slice_y_count, dtype=np.int64)
         self.degenerate_responses = 0  # response coords dropped at the floor
 
     # -- construction -----------------------------------------------------------
@@ -131,10 +129,10 @@ class OnlineSparseSIR:
                 f"warmup batch has {n0} observations, need at least {need}"
             )
         grid = SliceGrid.from_warmup(y, config.n_slices)
-        kernel = KernelTracker(grid, p, centering=config.centering)
+        kernel = KernelTracker(grid, p)
         kernel.replay(X, y)
         eigen = EigenTracker.from_kernel(
-            kernel, config.n_directions, config.tracker_config()
+            kernel, config.n_directions, config.tracker_config(), y
         )
         coef = TruncatedGradient(
             p,
@@ -144,13 +142,7 @@ class OnlineSparseSIR:
             threshold=config.threshold,
             period=config.period,
         )
-        slice_y_sum = np.zeros(config.n_slices)
-        slice_y_count = np.zeros(config.n_slices, dtype=np.int64)
-        for yi in y:
-            h = grid.slice_of(yi)
-            slice_y_sum[h] += yi
-            slice_y_count[h] += 1
-        return cls(kernel, eigen, coef, config, n0, slice_y_sum, slice_y_count)
+        return cls(kernel, eigen, coef, config, n0)
 
     # -- streaming ---------------------------------------------------------------
 
@@ -168,35 +160,11 @@ class OnlineSparseSIR:
         Invalid x or y raises ``DataError`` and leaves the model unchanged.
         """
         h = self.kernel.update(x, y)
-        y = float(y)
-        t_prev = self.kernel.t - 1
-        factor = self.kernel.factor()
-        previous = self.eigen.vectors.copy()
-        strategy = self.config.tracker
-        if strategy == "ccipca":
-            self.eigen.ccipca_step(factor, t_prev)
-        elif strategy == "sgd":
-            self.eigen.sgd_step(self.kernel.slice_cov, t_prev)
-        elif strategy == "perturbation":
-            self.eigen.perturbation_step(self.kernel.kernel_matrix(), t_prev)
-        else:  # ipca
-            means = self._slice_means()
-            k = self.eigen.ipca_step(self.kernel.slice_cov, y, means)
-            self.slice_y_sum[k] += y
-            self.slice_y_count[k] += 1
-        self.eigen.align_signs(previous)
-        response, dead = self._response_from(factor, h)
+        self.eigen.advance(self.kernel, y)
+        response, dead = self._response_from(self.kernel.factor(), h)
         self.degenerate_responses += dead
         self.coef.update(x, response)
         return self
-
-    def _slice_means(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.where(
-                self.slice_y_count > 0,
-                self.slice_y_sum / np.maximum(self.slice_y_count, 1),
-                np.nan,
-            )
 
     def _response_from(self, factor, h: int) -> tuple[np.ndarray, int]:
         """Target for slice ``h`` and the number of its coordinates zeroed
@@ -257,30 +225,45 @@ class OnlineSparseSIR:
         arrays.update(self.eigen.state_arrays())
         arrays.update(self.coef.state_arrays())
         cfg = asdict(self.config)
+        arrays["pipe_format"] = np.asarray(CHECKPOINT_FORMAT)
         arrays["pipe_config"] = np.asarray(json.dumps(cfg))
         arrays["pipe_warmup_size"] = np.asarray(self.warmup_size)
-        arrays["pipe_slice_y_sum"] = self.slice_y_sum
-        arrays["pipe_slice_y_count"] = self.slice_y_count
         arrays["pipe_degenerate_responses"] = np.asarray(self.degenerate_responses)
         np.savez(path, **arrays)
 
     @classmethod
     def load(cls, path) -> "OnlineSparseSIR":
+        """Restore a model written by ``save``.
+
+        A file of another checkpoint format, a missing key or stored config
+        fields that differ from ``SIRConfig``'s raise ``DataError``; older
+        layouts are not converted.
+        """
         with np.load(path, allow_pickle=False) as handle:
             arrays = {key: handle[key] for key in handle.files}
-        raw = json.loads(str(arrays["pipe_config"]))
-        raw["threshold"] = float(raw["threshold"])  # inf round-trips as Infinity
-        config = SIRConfig(**raw)
-        model = cls(
-            KernelTracker.from_state_arrays(arrays),
-            EigenTracker.from_state_arrays(arrays),
-            TruncatedGradient.from_state_arrays(arrays),
-            config,
-            int(arrays["pipe_warmup_size"]),
-            np.asarray(arrays["pipe_slice_y_sum"], dtype=float).copy(),
-            np.asarray(arrays["pipe_slice_y_count"], dtype=np.int64).copy(),
-        )
-        model.degenerate_responses = int(arrays["pipe_degenerate_responses"])
+        version = int(arrays["pipe_format"]) if "pipe_format" in arrays else None
+        if version != CHECKPOINT_FORMAT:
+            raise DataError(
+                f"{path}: checkpoint format {version}, but only format "
+                f"{CHECKPOINT_FORMAT} can be loaded"
+            )
+        try:
+            raw = json.loads(str(arrays["pipe_config"]))
+            names = {f.name for f in fields(SIRConfig)}
+            if set(raw) != names:
+                raise DataError(f"{path}: stored config fields {sorted(set(raw) ^ names)} "
+                                "are unknown or missing")
+            raw["threshold"] = float(raw["threshold"])  # inf round-trips as Infinity
+            model = cls(
+                KernelTracker.from_state_arrays(arrays),
+                EigenTracker.from_state_arrays(arrays),
+                TruncatedGradient.from_state_arrays(arrays),
+                SIRConfig(**raw),
+                int(arrays["pipe_warmup_size"]),
+            )
+            model.degenerate_responses = int(arrays["pipe_degenerate_responses"])
+        except KeyError as exc:
+            raise DataError(f"{path}: checkpoint lacks the key {exc.args[0]!r}") from None
         return model
 
 

@@ -31,12 +31,19 @@ def truncate(v, shrink: float, threshold: float = math.inf):
         raise ConfigurationError("shrink amount must be non-negative")
     if threshold < 0:
         raise ConfigurationError("threshold must be non-negative")
-    arr = np.asarray(v, dtype=float)
-    pulled = np.sign(arr) * np.maximum(0.0, np.abs(arr) - shrink)
-    out = np.where(np.abs(arr) <= threshold, pulled, arr)
-    if np.isscalar(v) or arr.ndim == 0:
-        return float(out)
-    return out
+    out, _ = _truncate(np.asarray(v, dtype=float), shrink, threshold)
+    return float(out) if np.ndim(v) == 0 else out
+
+
+def _truncate(arr: np.ndarray, shrink: float, threshold: float):
+    """``truncate`` without the argument checks, plus how many nonzero
+    entries it set to zero.  Everything is built from one magnitude."""
+    mag = np.abs(arr)
+    cut = mag <= min(shrink, threshold)  # the entries set to zero
+    out = np.maximum(mag - shrink, 0.0)
+    out *= np.sign(arr)
+    out = np.where(mag <= threshold, out, arr)
+    return out, np.count_nonzero(cut) - np.count_nonzero(mag == 0.0)
 
 
 class TruncatedGradient:
@@ -113,11 +120,10 @@ class TruncatedGradient:
 
         self.step += 1
         if self.gravity > 0.0 and self.step % self.period == 0:
-            before = np.count_nonzero(self.betas)
-            self.betas = truncate(
+            self.betas, zeroed = _truncate(
                 self.betas, self.gravity * self.rate * self.period, self.threshold
             )
-            self.truncation_zeros += before - np.count_nonzero(self.betas)
+            self.truncation_zeros += zeroed
         predicted = self.betas.T @ x  # (d,)
         delta = np.outer(x, targets - predicted)
         delta *= 2.0 * self.rate

@@ -42,22 +42,6 @@ def slice_cov_oracle(X, y, cuts) -> np.ndarray:
     return C / t
 
 
-def frozen_cov_oracle(X, y, cuts) -> np.ndarray:
-    """Factor under arrival-time centering: row i is centered at the mean
-    of rows 0..i and never re-centered afterwards."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    t, p = X.shape
-    n_slices = len(cuts) + 1
-    C = np.zeros((p, n_slices))
-    running = np.zeros(p)
-    for i in range(t):
-        running += X[i]
-        h = slice_index_oracle(float(y[i]), cuts)
-        C[:, h] += X[i] - running / (i + 1)
-    return C / t
-
-
 def kernel_matrix_oracle(X, y, cuts) -> np.ndarray:
     C = slice_cov_oracle(X, y, cuts)
     K = C @ C.T / (len(cuts) + 1)
@@ -168,3 +152,43 @@ def ccipca_observe_reference(model, x, y) -> None:
         kernel.t * kernel.grid.n_slices * np.maximum(lams, floor)
     )
     model.coef.update(x, np.where(lams <= floor, 0.0, response))
+
+
+def ipca_sums_reference(y, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slice response sums and counts of the warmup responses, one
+    response at a time: the starting state of ipca's nearest-mean rule."""
+    sums = np.zeros(len(cuts) + 1)
+    counts = np.zeros(len(cuts) + 1, dtype=np.int64)
+    for yi in np.asarray(y, dtype=float).ravel():
+        h = slice_index_oracle(float(yi), cuts)
+        sums[h] += yi
+        counts[h] += 1
+    return sums, counts
+
+
+def eigen_chain_reference(eigen, kernel, y, slice_y_sum, slice_y_count) -> None:
+    """The eigen stage of one observation as a four-way test of the tracker
+    name: the step on its input, ipca's nearest-mean bookkeeping (kept in
+    the given arrays, updated in place) and sign alignment.  This is the
+    chain ``EigenTracker.advance`` must reproduce bit for bit."""
+    y = float(y)
+    t_prev = kernel.t - 1
+    previous = eigen.vectors.copy()
+    strategy = eigen.config.strategy
+    if strategy == "ccipca":
+        eigen.ccipca_step(kernel.factor(), t_prev)
+    elif strategy == "sgd":
+        eigen.sgd_step(kernel.slice_cov, t_prev)
+    elif strategy == "perturbation":
+        eigen.perturbation_step(kernel.kernel_matrix(), t_prev)
+    else:  # ipca
+        with np.errstate(invalid="ignore"):
+            means = np.where(
+                slice_y_count > 0,
+                slice_y_sum / np.maximum(slice_y_count, 1),
+                np.nan,
+            )
+        k = eigen.ipca_step(kernel.slice_cov, y, means)
+        slice_y_sum[k] += y
+        slice_y_count[k] += 1
+    eigen.align_signs(previous)

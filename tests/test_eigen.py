@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from streamsir import (
+    STRATEGIES,
     ConfigurationError,
     DegenerateDataError,
     DataError,
@@ -15,8 +16,11 @@ from streamsir import (
     TrackerConfig,
     dense_top_eigen,
 )
+from streamsir.kernel import SliceFactor
 from .helpers import (
     ccipca_step_reference,
+    eigen_chain_reference,
+    ipca_sums_reference,
     principal_angle,
     random_stream,
     top_eigen_oracle,
@@ -373,6 +377,76 @@ def test_ipca_tracks_a_model_one_stream():
 
 
 # -- shared machinery ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_advance_is_the_per_strategy_chain(strategy):
+    # advance must reproduce the four-way dispatch, ipca's bookkeeping and
+    # the sign alignment bit for bit, from the same warmup
+    from streamsir import SimModelSpec, sample
+
+    # 101 warmup rows put every quantile cut on a warmup response, so the
+    # right-closed tie rule is exercised too
+    X, y = sample(SimModelSpec(3, 12), 400, rng=7)
+    trackers, kernels = [], []
+    for _ in range(2):
+        kernel = KernelTracker(SliceGrid.from_warmup(y[:101], 5), 12)
+        kernel.replay(X[:101], y[:101])
+        kernels.append(kernel)
+        trackers.append(EigenTracker.from_kernel(kernel, 2, _cfg(strategy), y[:101]))
+    tracker, reference = trackers
+    assert np.isin(kernels[0].grid.cuts, y[:101]).all()
+    sums, counts = ipca_sums_reference(y[:101], kernels[0].grid.cuts)
+    if strategy == "ipca":
+        np.testing.assert_array_equal(tracker.slice_y_sum, sums)
+        np.testing.assert_array_equal(tracker.slice_y_count, counts)
+    else:
+        assert tracker.slice_y_sum is None and tracker.slice_y_count is None
+    for i in range(101, 400):
+        kernels[0].update(X[i], y[i])
+        tracker.advance(kernels[0], y[i])
+        kernels[1].update(X[i], y[i])
+        eigen_chain_reference(reference, kernels[1], y[i], sums, counts)
+    for attr in ("values", "vectors", "raw_vectors"):
+        got, want = getattr(tracker, attr), getattr(reference, attr)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+    assert tracker.step == reference.step == 299
+    if strategy == "ipca":
+        np.testing.assert_array_equal(tracker.slice_y_sum, sums)
+        np.testing.assert_array_equal(tracker.slice_y_count, counts)
+        assert counts.sum() == 400
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_advance_calls_the_step_by_name_and_aligns_signs(strategy, monkeypatch):
+    # a step that flips every vector: advance must find it under its
+    # attribute name at call time, feed it its input and undo the flip
+    rng = np.random.default_rng(13)
+    X, y = random_stream(rng, 60, 6)
+    kernel = KernelTracker(SliceGrid.from_warmup(y, 4), 6)
+    kernel.replay(X, y)
+    tracker = EigenTracker.from_kernel(kernel, 2, _cfg(strategy), y)
+    inputs = []
+
+    def flipping_step(self, factor, *rest):
+        inputs.append(factor)
+        self.vectors = -self.vectors
+        if self.raw_vectors is not None:
+            self.raw_vectors = -self.raw_vectors
+        return 0
+
+    monkeypatch.setattr(EigenTracker, f"{strategy}_step", flipping_step)
+    before = tracker.vectors.copy()
+    kernel.update(X[0], y[0])
+    tracker.advance(kernel, y[0])
+    assert len(inputs) == 1
+    shape = (6, 6) if strategy == "perturbation" else (6, 4)
+    assert np.asarray(inputs[0]).shape == shape
+    assert isinstance(inputs[0], SliceFactor) == (strategy == "ccipca")
+    np.testing.assert_array_equal(tracker.vectors, before)
 
 
 def test_align_signs_flips_vectors_and_raw_state():

@@ -14,7 +14,6 @@ from streamsir import (
     SliceGrid,
 )
 from .helpers import (
-    frozen_cov_oracle,
     kernel_matrix_oracle,
     random_stream,
     slice_cov_oracle,
@@ -89,10 +88,10 @@ def test_unsorted_cuts_rejected():
 # -- streaming statistics ------------------------------------------------------------
 
 
-def _fresh_tracker(rng, t=200, p=6, n_slices=5, centering="exact"):
+def _fresh_tracker(rng, t=200, p=6, n_slices=5):
     X, y = random_stream(rng, t, p)
     grid = SliceGrid.from_warmup(y[:50], n_slices)
-    tracker = KernelTracker(grid, p, centering=centering)
+    tracker = KernelTracker(grid, p)
     tracker.replay(X, y)
     return tracker, X, y, grid.cuts
 
@@ -112,19 +111,9 @@ def test_streaming_kernel_matrix_matches_batch_oracle():
     assert tracker.dense_builds == 1
 
 
-def test_frozen_centering_matches_arrival_time_oracle():
-    tracker, X, y, cuts = _fresh_tracker(
-        np.random.default_rng(3), centering="frozen"
-    )
-    np.testing.assert_allclose(
-        tracker.slice_cov, frozen_cov_oracle(X, y, cuts), atol=1e-12
-    )
-
-
-@pytest.mark.parametrize("centering", ["exact", "frozen"])
-def test_factor_operator_agrees_with_the_dense_factor(centering):
+def test_factor_operator_agrees_with_the_dense_factor():
     rng = np.random.default_rng(8)
-    tracker, _, _, _ = _fresh_tracker(rng, centering=centering)
+    tracker, _, _, _ = _fresh_tracker(rng)
     dense = tracker.slice_cov
     factor = tracker.factor()
     a, v = rng.standard_normal(dense.shape[1]), rng.standard_normal(dense.shape[0])
@@ -201,19 +190,6 @@ def test_state_roundtrip():
     clone = KernelTracker.from_state_arrays(tracker.state_arrays())
     np.testing.assert_array_equal(clone.slice_cov, tracker.slice_cov)
     assert clone.t == tracker.t
-    assert clone.centering == tracker.centering
     # the clone keeps streaming independently
     clone.update(X[0], y[0])
     assert clone.t == tracker.t + 1
-
-
-def test_frozen_state_roundtrip():
-    tracker, X, y, _ = _fresh_tracker(np.random.default_rng(7), centering="frozen")
-    clone = KernelTracker.from_state_arrays(tracker.state_arrays())
-    np.testing.assert_array_equal(clone.slice_cov, tracker.slice_cov)
-
-
-def test_unknown_centering_rejected():
-    grid = SliceGrid(np.array([0.0]))
-    with pytest.raises(ConfigurationError):
-        KernelTracker(grid, 3, centering="adaptive")

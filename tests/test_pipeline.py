@@ -1,5 +1,6 @@
 """End-to-end streaming estimator."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -89,7 +90,12 @@ def test_config_validation():
         SIRConfig(learning_rate=1.5)
     with pytest.raises(ConfigurationError):
         SIRConfig(eigenvalue_floor=0.0)
-    assert SIRConfig(learning_rate=None).resolve_rate(25) == pytest.approx(0.02)
+    # tracker fields fail when the config is built, not later at warmup
+    with pytest.raises(ConfigurationError):
+        SIRConfig(sgd_rate_constant=0)
+    with pytest.raises(ConfigurationError):
+        SIRConfig(orthonormalize_every=0)
+    assert SIRConfig(learning_rate=None).resolve_rate(25) == 1e-3
 
 
 # -- artificial response ------------------------------------------------------------
@@ -123,10 +129,7 @@ def test_response_scale_with_an_aligned_basis():
     eigen = EigenTracker(
         np.array([1.0]), (col / np.linalg.norm(col))[:, None], TrackerConfig()
     )
-    model = OnlineSparseSIR(
-        base.kernel, eigen, base.coef, cfg, base.warmup_size,
-        base.slice_y_sum, base.slice_y_count,
-    )
+    model = OnlineSparseSIR(base.kernel, eigen, base.coef, cfg, base.warmup_size)
     got = model.artificial_response(y[0])
     expected = np.linalg.norm(col) / (200 * 5)
     assert got[0] == pytest.approx(expected, rel=1e-12)
@@ -258,7 +261,7 @@ def test_alternative_trackers_run_the_full_chain(tracker):
     d = subspace_distance(true_betas(SimModelSpec(1, 20)), model.directions())
     assert d < 0.3  # wiring check; convergence quality is tested elsewhere
     if tracker == "ipca":
-        assert model.slice_y_count.sum() == 800  # bookkeeping kept streaming
+        assert model.eigen.slice_y_count.sum() == 800  # bookkeeping kept streaming
 
 
 def test_dense_state_appears_only_for_perturbation():
@@ -394,7 +397,7 @@ def test_save_load_resume_equivalence(tmp_path):
     fit_stream(restored, X[500:900], y[500:900])
     np.testing.assert_array_equal(restored.coef.betas, model.coef.betas)
     np.testing.assert_array_equal(restored.eigen.vectors, model.eigen.vectors)
-    np.testing.assert_array_equal(restored.slice_y_count, model.slice_y_count)
+    np.testing.assert_array_equal(restored.eigen.slice_y_count, model.eigen.slice_y_count)
     restored.check_counters()
 
 
@@ -408,3 +411,64 @@ def test_save_preserves_diagnostics(tmp_path):
     model.save(path)
     assert OnlineSparseSIR.load(path).degenerate_responses == model.degenerate_responses
 
+
+def _saved_arrays(tmp_path, tracker="ipca"):
+    X, y = _model_one(n=300)
+    model = fit_online(X, y, SIRConfig(tracker=tracker, **BENCH), warmup_size=100)
+    model.save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as handle:
+        return {key: handle[key] for key in handle.files}
+
+
+@pytest.mark.parametrize(
+    "tracker, key",
+    [
+        ("ipca", "kernel_cross_sum"),
+        ("ipca", "eigen_slice_y_count"),
+        ("ipca", "coef_betas"),
+        ("ipca", "pipe_config"),
+        ("ccipca", "eigen_raw_vectors"),
+        ("perturbation", "eigen_averaged_kernel"),
+    ],
+)
+def test_checkpoint_missing_a_key_fails_loudly(tmp_path, tracker, key):
+    arrays = _saved_arrays(tmp_path, tracker)
+    del arrays[key]
+    np.savez(tmp_path / "broken.npz", **arrays)
+    with pytest.raises(DataError, match=key):
+        OnlineSparseSIR.load(tmp_path / "broken.npz")
+
+
+def test_checkpoint_with_an_unknown_config_field_fails_loudly(tmp_path):
+    arrays = _saved_arrays(tmp_path)
+    raw = json.loads(str(arrays["pipe_config"]))
+    raw["centering"] = "exact"
+    arrays["pipe_config"] = np.asarray(json.dumps(raw))
+    np.savez(tmp_path / "broken.npz", **arrays)
+    with pytest.raises(DataError, match="centering"):
+        OnlineSparseSIR.load(tmp_path / "broken.npz")
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
+    arrays = _saved_arrays(tmp_path)
+    arrays["pipe_format"] = np.asarray(version)
+    np.savez(tmp_path / "other.npz", **arrays)
+    with pytest.raises(DataError, match="format"):
+        OnlineSparseSIR.load(tmp_path / "other.npz")
+
+
+def test_checkpoint_in_the_layout_before_format_numbers_fails_loudly(tmp_path):
+    # the earlier layout: no format key, ipca's slice sums under pipe_*,
+    # a kernel centering mode and a centering field in the stored config
+    arrays = _saved_arrays(tmp_path)
+    del arrays["pipe_format"]
+    arrays["pipe_slice_y_sum"] = arrays.pop("eigen_slice_y_sum")
+    arrays["pipe_slice_y_count"] = arrays.pop("eigen_slice_y_count")
+    arrays["kernel_centering"] = np.asarray("exact")
+    raw = json.loads(str(arrays["pipe_config"]))
+    raw["centering"] = "exact"
+    arrays["pipe_config"] = np.asarray(json.dumps(raw))
+    np.savez(tmp_path / "old.npz", **arrays)
+    with pytest.raises(DataError, match="format None"):
+        OnlineSparseSIR.load(tmp_path / "old.npz")

@@ -120,6 +120,18 @@ def test_truncation_cadence_and_counter():
     np.testing.assert_array_equal(model.betas, np.zeros((2, 1)))
 
 
+def test_truncation_counter_skips_zeros_and_protected_coordinates():
+    # shrink 1.0 with threshold 0.5: only the tiny nonzero coefficient is
+    # newly zeroed; the zero stays zero and 0.7 and 5.0 are above the guard
+    model = TruncatedGradient(4, 1, rate=0.1, gravity=10.0, threshold=0.5, period=1)
+    model.betas[:] = [[0.001], [0.0], [5.0], [0.7]]
+    model.update(np.zeros(4), [0.0])
+    assert model.truncation_zeros == 1
+    model.update(np.zeros(4), [0.0])
+    assert model.truncation_zeros == 1
+    np.testing.assert_array_equal(model.betas, [[0.0], [0.0], [5.0], [0.7]])
+
+
 def test_threshold_protects_large_coefficients():
     model = TruncatedGradient(2, 1, rate=0.1, gravity=5.0,
                               threshold=0.5, period=1)
