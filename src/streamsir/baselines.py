@@ -43,8 +43,6 @@ class DenseOnlineSIR:
         n_slices: int = 10,
         n_directions: int = 1,
         tracker: str = "perturbation",
-        sgd_rate_constant: float = 5.0,
-        orthonormalize_every: int = 50,
     ) -> "DenseOnlineSIR":
         if tracker not in ("perturbation", "sgd"):
             raise ConfigurationError(
@@ -59,15 +57,7 @@ class DenseOnlineSIR:
         grid = SliceGrid.from_warmup(y, n_slices)
         kernel = KernelTracker(grid, X.shape[1])
         kernel.replay(X, y)
-        eigen = EigenTracker.from_kernel(
-            kernel,
-            n_directions,
-            TrackerConfig(
-                strategy=tracker,
-                sgd_rate_constant=sgd_rate_constant,
-                orthonormalize_every=orthonormalize_every,
-            ),
-        )
+        eigen = EigenTracker.from_kernel(kernel, n_directions, TrackerConfig(strategy=tracker))
         return cls(kernel, eigen, X.T @ X, X.shape[0])
 
     @property
@@ -77,7 +67,7 @@ class DenseOnlineSIR:
     def observe(self, x, y) -> "DenseOnlineSIR":
         x = np.asarray(x, dtype=float).ravel()
         self.kernel.update(x, y)
-        self.eigen.advance(self.kernel, y)
+        self.eigen.advance(self.kernel, self.kernel.factor(), y)
         self.xx_sum += np.outer(x, x)
         return self
 

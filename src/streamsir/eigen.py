@@ -23,7 +23,9 @@ the perturbation strategy alone, the dense matrix):
 All trackers are initialized from the same warmup statistics via a thin
 SVD of the p x H factor, which equals the dense eigendecomposition of the
 kernel matrix without materializing it.  ``EigenTracker.advance`` runs the
-whole eigen stage of one streaming observation for any strategy.
+whole eigen stage of one streaming observation for any strategy.  A
+tracker's state is its public attributes; ``OnlineSparseSIR.save`` decides
+which of them a checkpoint holds.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class EigenTracker:
     averaged_kernel : (p, p) running mean of dense kernel matrices
         (perturbation only).
     slice_y_sum, slice_y_count : (H,) response sum and count per slice, whose
-        ratio picks the slice of each observation (ipca only).
+        ratio picks the slice of each observation (ipca only; allocated
+        when ``n_slices`` is given).
     step : number of streaming updates applied.
     reinit_count : how often a collapsed ccipca component was re-seeded.
     """
@@ -85,6 +88,7 @@ class EigenTracker:
         vectors: np.ndarray,
         config: TrackerConfig,
         averaged_kernel: np.ndarray | None = None,
+        n_slices: int | None = None,
     ):
         self.values = np.asarray(values, dtype=float).copy()
         self.vectors = np.asarray(vectors, dtype=float).copy()
@@ -104,8 +108,11 @@ class EigenTracker:
             self.averaged_kernel = np.asarray(averaged_kernel, dtype=float).copy()
         else:
             self.averaged_kernel = None
-        self.slice_y_sum = None
-        self.slice_y_count = None
+        if config.strategy == "ipca" and n_slices is not None:
+            self.slice_y_sum = np.zeros(n_slices)
+            self.slice_y_count = np.zeros(n_slices, dtype=np.int64)
+        else:
+            self.slice_y_sum = self.slice_y_count = None
 
     @property
     def n_directions(self) -> int:
@@ -136,29 +143,27 @@ class EigenTracker:
                 "between-slice signal in the warmup"
             )
         averaged = kernel.kernel_matrix() if config.strategy == "perturbation" else None
-        tracker = cls(values, vectors, config, averaged)
-        if config.strategy == "ipca":
-            tracker.slice_y_sum = np.zeros(n_slices)
-            tracker.slice_y_count = np.zeros(n_slices, dtype=np.int64)
-            if y is not None:
-                y = np.asarray(y, dtype=float).ravel()
-                slices = np.searchsorted(kernel.grid.cuts, y, side="left")
-                np.add.at(tracker.slice_y_sum, slices, y)
-                np.add.at(tracker.slice_y_count, slices, 1)
+        tracker = cls(values, vectors, config, averaged, n_slices)
+        if tracker.slice_y_sum is not None and y is not None:
+            y = np.asarray(y, dtype=float).ravel()
+            slices = np.searchsorted(kernel.grid.cuts, y, side="left")
+            np.add.at(tracker.slice_y_sum, slices, y)
+            np.add.at(tracker.slice_y_count, slices, 1)
         return tracker
 
     # -- one streaming observation ---------------------------------------------
 
-    def advance(self, kernel, y) -> None:
+    def advance(self, kernel, factor, y) -> None:
         """The eigen stage of one observation, after ``kernel`` absorbed it:
         the strategy's step on the input it needs (ccipca the factor
-        operator, sgd and ipca the p x H factor, perturbation the dense
-        kernel), ipca's slice bookkeeping, then sign alignment."""
+        operator ``factor = kernel.factor()``, which the caller builds once
+        per observation, sgd and ipca the p x H factor, perturbation the
+        dense kernel), ipca's slice bookkeeping, then sign alignment."""
         previous = self.vectors.copy()
         t = kernel.t - 1
         strategy = self.config.strategy
         if strategy == "ccipca":
-            self.ccipca_step(kernel.factor(), t)
+            self.ccipca_step(factor, t)
         elif strategy == "sgd":
             self.sgd_step(kernel.slice_cov, t)
         elif strategy == "perturbation":
@@ -336,50 +341,3 @@ class EigenTracker:
             self.vectors[:, flipped] *= -1.0
             if self.raw_vectors is not None:
                 self.raw_vectors[:, flipped] *= -1.0
-
-    def state_arrays(self) -> dict:
-        out = {
-            "eigen_values": self.values,
-            "eigen_vectors": self.vectors,
-            "eigen_step": np.asarray(self.step),
-            "eigen_reinit_count": np.asarray(self.reinit_count),
-            "eigen_strategy": np.asarray(self.config.strategy),
-            "eigen_sgd_rate_constant": np.asarray(self.config.sgd_rate_constant),
-            "eigen_orthonormalize_every": np.asarray(self.config.orthonormalize_every),
-        }
-        if self.raw_vectors is not None:
-            out["eigen_raw_vectors"] = self.raw_vectors
-        if self.averaged_kernel is not None:
-            out["eigen_averaged_kernel"] = self.averaged_kernel
-        if self.slice_y_sum is not None:
-            out["eigen_slice_y_sum"] = self.slice_y_sum
-            out["eigen_slice_y_count"] = self.slice_y_count
-        return out
-
-    @classmethod
-    def from_state_arrays(cls, arrays: dict) -> "EigenTracker":
-        config = TrackerConfig(
-            strategy=str(arrays["eigen_strategy"]),
-            sgd_rate_constant=float(arrays["eigen_sgd_rate_constant"]),
-            orthonormalize_every=int(arrays["eigen_orthonormalize_every"]),
-        )
-        tracker = cls(
-            arrays["eigen_values"],
-            arrays["eigen_vectors"],
-            config,
-            averaged_kernel=(
-                arrays["eigen_averaged_kernel"] if config.strategy == "perturbation" else None
-            ),
-        )
-        tracker.step = int(arrays["eigen_step"])
-        tracker.reinit_count = int(arrays["eigen_reinit_count"])
-        if tracker.raw_vectors is not None:  # ccipca
-            tracker.raw_vectors = np.asarray(
-                arrays["eigen_raw_vectors"], dtype=float
-            ).copy()
-        if config.strategy == "ipca":
-            tracker.slice_y_sum = np.asarray(arrays["eigen_slice_y_sum"], dtype=float).copy()
-            tracker.slice_y_count = np.asarray(
-                arrays["eigen_slice_y_count"], dtype=np.int64
-            ).copy()
-        return tracker

@@ -247,24 +247,3 @@ class KernelTracker:
         self.dense_builds += 1
         k = c @ c.T / self.grid.n_slices
         return (k + k.T) / 2.0
-
-    # -- persistence ----------------------------------------------------------
-
-    def state_arrays(self) -> dict:
-        return {
-            "kernel_t": np.asarray(self.t),
-            "kernel_x_sum": self.x_sum,
-            "kernel_cross_sum": self.cross_sum,
-            "grid_cuts": self.grid.cuts,
-            "grid_counts": self.grid.counts,
-        }
-
-    @classmethod
-    def from_state_arrays(cls, arrays: dict) -> "KernelTracker":
-        grid = SliceGrid(arrays["grid_cuts"])
-        grid.counts = np.asarray(arrays["grid_counts"], dtype=np.int64).copy()
-        tracker = cls(grid, int(np.asarray(arrays["kernel_x_sum"]).size))
-        tracker.t = int(arrays["kernel_t"])
-        tracker.x_sum = np.asarray(arrays["kernel_x_sum"], dtype=float).copy()
-        tracker.cross_sum = np.asarray(arrays["kernel_cross_sum"], dtype=float).copy()
-        return tracker

@@ -16,12 +16,18 @@ in the chain stores a p x p matrix unless the perturbation tracker is
 selected, and the default ccipca tracker sees the p x H slice factor only
 as an operator, so no p x H temporary is built per observation either and
 the default configuration streams comfortably at p in the thousands.
+
+``save`` writes a checkpoint that holds the config once and the state that
+``CHECKPOINT_LAYOUT`` lists; ``load`` rebuilds the stages from the config
+and checks every stored array's shape against them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -34,6 +40,22 @@ from .truncated import TruncatedGradient
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
 CHECKPOINT_FORMAT = 2
+
+# The checkpoint layout: the state each stage keeps in a checkpoint, stored
+# under "<stage>_<attribute>" next to "pipe_format" and "pipe_config".  The
+# config is the only copy of the hyperparameters, so ``load`` rebuilds the
+# stages from it; an attribute that is None for the configured tracker is
+# neither written nor read.
+CHECKPOINT_LAYOUT = {
+    "kernel": ("t", "x_sum", "cross_sum"),
+    "grid": ("cuts", "counts"),
+    "eigen": (
+        "values", "vectors", "step", "reinit_count", "raw_vectors",
+        "averaged_kernel", "slice_y_sum", "slice_y_count",
+    ),
+    "coef": ("betas", "step", "truncation_zeros"),
+    "pipe": ("warmup_size", "degenerate_responses"),
+}
 
 
 @dataclass(frozen=True)
@@ -53,8 +75,8 @@ class SIRConfig:
     gravity: float = 0.0
     threshold: float = math.inf
     period: int = 10
-    sgd_rate_constant: float = 5.0
-    orthonormalize_every: int = 50
+    sgd_rate_constant: float = TrackerConfig.sgd_rate_constant
+    orthonormalize_every: int = TrackerConfig.orthonormalize_every
     min_warmup: int | None = None
     eigenvalue_floor: float = 1e-12
 
@@ -134,15 +156,7 @@ class OnlineSparseSIR:
         eigen = EigenTracker.from_kernel(
             kernel, config.n_directions, config.tracker_config(), y
         )
-        coef = TruncatedGradient(
-            p,
-            config.n_directions,
-            rate=config.resolve_rate(p),
-            gravity=config.gravity,
-            threshold=config.threshold,
-            period=config.period,
-        )
-        return cls(kernel, eigen, coef, config, n0)
+        return cls(kernel, eigen, _coefficient_stage(config, p), config, n0)
 
     # -- streaming ---------------------------------------------------------------
 
@@ -160,8 +174,9 @@ class OnlineSparseSIR:
         Invalid x or y raises ``DataError`` and leaves the model unchanged.
         """
         h = self.kernel.update(x, y)
-        self.eigen.advance(self.kernel, y)
-        response, dead = self._response_from(self.kernel.factor(), h)
+        factor = self.kernel.factor()
+        self.eigen.advance(self.kernel, factor, y)
+        response, dead = self._response_from(factor, h)
         self.degenerate_responses += dead
         self.coef.update(x, response)
         return self
@@ -219,25 +234,55 @@ class OnlineSparseSIR:
 
     # -- persistence ----------------------------------------------------------------
 
+    def _checkpointed(self):
+        """(key, owner, attribute) for every entry of ``CHECKPOINT_LAYOUT``."""
+        owners = {
+            "kernel": self.kernel,
+            "grid": self.kernel.grid,
+            "eigen": self.eigen,
+            "coef": self.coef,
+            "pipe": self,
+        }
+        for stage, attrs in CHECKPOINT_LAYOUT.items():
+            for attr in attrs:
+                yield f"{stage}_{attr}", owners[stage], attr
+
     def save(self, path) -> None:
-        arrays = {}
-        arrays.update(self.kernel.state_arrays())
-        arrays.update(self.eigen.state_arrays())
-        arrays.update(self.coef.state_arrays())
-        cfg = asdict(self.config)
-        arrays["pipe_format"] = np.asarray(CHECKPOINT_FORMAT)
-        arrays["pipe_config"] = np.asarray(json.dumps(cfg))
-        arrays["pipe_warmup_size"] = np.asarray(self.warmup_size)
-        arrays["pipe_degenerate_responses"] = np.asarray(self.degenerate_responses)
-        np.savez(path, **arrays)
+        """Write a checkpoint to ``path`` (``.npz`` is appended when the name
+        lacks it).  The file appears whole or not at all: it is written
+        next to its final name and moved into place."""
+        arrays = {
+            "pipe_format": np.asarray(CHECKPOINT_FORMAT),
+            "pipe_config": np.asarray(json.dumps(asdict(self.config))),
+        }
+        for key, owner, attr in self._checkpointed():
+            value = getattr(owner, attr)
+            if value is not None:
+                arrays[key] = np.asarray(value)
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".tmp",
+            dir=os.path.dirname(path) or ".",
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                np.savez(handle, **arrays)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "OnlineSparseSIR":
         """Restore a model written by ``save``.
 
-        A file of another checkpoint format, a missing key or stored config
-        fields that differ from ``SIRConfig``'s raise ``DataError``; older
-        layouts are not converted.
+        The stages are rebuilt from the stored config and the feature count,
+        then filled from the file.  A file of another checkpoint format, a
+        missing key, stored config fields that differ from ``SIRConfig``'s or
+        an array whose shape the config does not imply raise ``DataError``;
+        keys outside ``CHECKPOINT_LAYOUT`` are ignored.
         """
         with np.load(path, allow_pickle=False) as handle:
             arrays = {key: handle[key] for key in handle.files}
@@ -254,17 +299,55 @@ class OnlineSparseSIR:
                 raise DataError(f"{path}: stored config fields {sorted(set(raw) ^ names)} "
                                 "are unknown or missing")
             raw["threshold"] = float(raw["threshold"])  # inf round-trips as Infinity
-            model = cls(
-                KernelTracker.from_state_arrays(arrays),
-                EigenTracker.from_state_arrays(arrays),
-                TruncatedGradient.from_state_arrays(arrays),
-                SIRConfig(**raw),
-                int(arrays["pipe_warmup_size"]),
-            )
-            model.degenerate_responses = int(arrays["pipe_degenerate_responses"])
+            model = cls._empty(SIRConfig(**raw), arrays["kernel_x_sum"].size)
+            for key, owner, attr in model._checkpointed():
+                empty = getattr(owner, attr)
+                if empty is not None:
+                    setattr(owner, attr, _restored(path, key, arrays[key], empty))
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint lacks the key {exc.args[0]!r}") from None
+        SliceGrid(model.kernel.grid.cuts)  # the stored cut points must be valid
         return model
+
+    @classmethod
+    def _empty(cls, config: SIRConfig, p: int) -> "OnlineSparseSIR":
+        """A model of the shapes ``config`` and ``p`` imply, with zero state;
+        its grid's cut points are placeholders."""
+        H, d = config.n_slices, config.n_directions
+        tracker = config.tracker_config()
+        eigen = EigenTracker(
+            np.zeros(d),
+            np.zeros((p, d)),
+            tracker,
+            averaged_kernel=np.zeros((p, p)) if tracker.strategy == "perturbation" else None,
+            n_slices=H,
+        )
+        kernel = KernelTracker(SliceGrid(np.arange(1.0, H)), p)
+        return cls(kernel, eigen, _coefficient_stage(config, p), config, 0)
+
+
+def _restored(path, key: str, stored: np.ndarray, empty):
+    """``stored`` as the type of ``empty``, its twin in a model built from
+    the config; another shape or kind of value raises ``DataError``."""
+    want = np.asarray(empty)
+    if stored.shape != want.shape:
+        raise DataError(f"{path}: {key} has shape {stored.shape}, expected {want.shape}")
+    try:
+        value = stored.astype(want.dtype, casting="same_kind")
+    except TypeError:
+        raise DataError(f"{path}: {key} holds {stored.dtype}, expected {want.dtype}") from None
+    return value if isinstance(empty, np.ndarray) else value.item()
+
+
+def _coefficient_stage(config: SIRConfig, p: int) -> TruncatedGradient:
+    return TruncatedGradient(
+        p,
+        config.n_directions,
+        rate=config.resolve_rate(p),
+        gravity=config.gravity,
+        threshold=config.threshold,
+        period=config.period,
+    )
 
 
 def fit_stream(

@@ -43,7 +43,7 @@ def _truncate(arr: np.ndarray, shrink: float, threshold: float):
     out = np.maximum(mag - shrink, 0.0)
     out *= np.sign(arr)
     out = np.where(mag <= threshold, out, arr)
-    return out, np.count_nonzero(cut) - np.count_nonzero(mag == 0.0)
+    return out, int(np.count_nonzero(cut) - np.count_nonzero(mag == 0.0))
 
 
 class TruncatedGradient:
@@ -131,33 +131,6 @@ class TruncatedGradient:
 
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.betas))
-
-    def state_arrays(self) -> dict:
-        return {
-            "coef_betas": self.betas,
-            "coef_step": np.asarray(self.step),
-            "coef_truncation_zeros": np.asarray(self.truncation_zeros),
-            "coef_rate": np.asarray(self.rate),
-            "coef_gravity": np.asarray(self.gravity),
-            "coef_threshold": np.asarray(self.threshold),
-            "coef_period": np.asarray(self.period),
-        }
-
-    @classmethod
-    def from_state_arrays(cls, arrays: dict) -> "TruncatedGradient":
-        betas = np.asarray(arrays["coef_betas"], dtype=float)
-        model = cls(
-            betas.shape[0],
-            betas.shape[1],
-            rate=float(arrays["coef_rate"]),
-            gravity=float(arrays["coef_gravity"]),
-            threshold=float(arrays["coef_threshold"]),
-            period=int(arrays["coef_period"]),
-        )
-        model.betas = betas.copy()
-        model.step = int(arrays["coef_step"])
-        model.truncation_zeros = int(arrays["coef_truncation_zeros"])
-        return model
 
 
 @dataclass(frozen=True)

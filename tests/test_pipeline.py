@@ -1,6 +1,9 @@
 """End-to-end streaming estimator."""
 
 import json
+import math
+import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -207,9 +210,10 @@ def test_ccipca_observe_builds_no_slice_factor(monkeypatch):
     )
     monkeypatch.setattr(SliceFactor, "__array__", counted("__array__", SliceFactor.__array__))
     monkeypatch.setattr(SliceGrid, "slice_of", counted("slice_of", SliceGrid.slice_of))
+    monkeypatch.setattr(KernelTracker, "factor", counted("factor", KernelTracker.factor))
     model.observe(X[100], y[100])
     model.observe(X[101], y[101])
-    assert calls == {"slice_of": 2}
+    assert calls == {"slice_of": 2, "factor": 2}
 
 
 @pytest.mark.parametrize("bad", ["non-finite x", "wrong-length x", "NaN y"])
@@ -412,12 +416,122 @@ def test_save_preserves_diagnostics(tmp_path):
     assert OnlineSparseSIR.load(path).degenerate_responses == model.degenerate_responses
 
 
+def _assert_same_state(a, b, path="model"):
+    """Every attribute of a model and of its stages is bitwise equal."""
+    assert vars(a).keys() == vars(b).keys(), path
+    for name, value in vars(a).items():
+        other = vars(b)[name]
+        where = f"{path}.{name}"
+        if name == "dense_builds":  # a diagnostic counter checkpoints do not keep
+            continue
+        if isinstance(value, (KernelTracker, SliceGrid, EigenTracker, TruncatedGradient)):
+            _assert_same_state(value, other, where)
+        elif isinstance(value, np.ndarray):
+            assert isinstance(other, np.ndarray) and value.dtype == other.dtype, where
+            assert value.shape == other.shape and value.tobytes() == other.tobytes(), where
+        else:
+            assert type(value) is type(other) and value == other, where
+
+
+@pytest.mark.parametrize("threshold", [math.inf, 5.0])
+@pytest.mark.parametrize("tracker", STRATEGIES)
+def test_checkpoint_round_trips_every_strategy(tmp_path, tracker, threshold):
+    X, y = _model_one(n=500)
+    cfg = SIRConfig(tracker=tracker, threshold=threshold, **BENCH)
+    model = fit_online(X[:300], y[:300], cfg, warmup_size=100)
+    model.save(tmp_path / "model.npz")
+    restored = OnlineSparseSIR.load(tmp_path / "model.npz")
+    _assert_same_state(model, restored)
+    fit_stream(model, X[300:], y[300:])
+    fit_stream(restored, X[300:], y[300:])
+    _assert_same_state(model, restored)
+    restored.check_counters()
+
+
 def _saved_arrays(tmp_path, tracker="ipca"):
     X, y = _model_one(n=300)
     model = fit_online(X, y, SIRConfig(tracker=tracker, **BENCH), warmup_size=100)
     model.save(tmp_path / "model.npz")
     with np.load(tmp_path / "model.npz") as handle:
         return {key: handle[key] for key in handle.files}
+
+
+def test_checkpoint_stores_the_config_once(tmp_path):
+    assert sorted(_saved_arrays(tmp_path, "ccipca")) == sorted(
+        ["pipe_format", "pipe_config", "pipe_warmup_size", "pipe_degenerate_responses",
+         "kernel_t", "kernel_x_sum", "kernel_cross_sum", "grid_cuts", "grid_counts",
+         "eigen_values", "eigen_vectors", "eigen_step", "eigen_reinit_count",
+         "eigen_raw_vectors", "coef_betas", "coef_step", "coef_truncation_zeros"]
+    )
+
+
+@pytest.mark.parametrize(
+    "tracker, key, cut",
+    [
+        ("ccipca", "kernel_cross_sum", lambda a: a[:, :5]),
+        ("ccipca", "coef_betas", lambda a: a[:10]),
+        ("ccipca", "eigen_vectors", lambda a: np.hstack([a, a])),
+        ("ipca", "grid_counts", lambda a: a[:-1]),
+        ("perturbation", "eigen_averaged_kernel", lambda a: a[:-1, :-1]),
+    ],
+    ids=["columns_cut", "rows_cut", "wrong_d", "wrong_length", "perturbation"],
+)
+def test_checkpoint_with_a_wrong_shape_fails_loudly(tmp_path, tracker, key, cut):
+    arrays = _saved_arrays(tmp_path, tracker)
+    expected = arrays[key].shape
+    arrays[key] = cut(arrays[key])
+    np.savez(tmp_path / "broken.npz", **arrays)
+    message = f"{key} has shape {arrays[key].shape}, expected {expected}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        OnlineSparseSIR.load(tmp_path / "broken.npz")
+
+
+def test_checkpoint_in_the_earlier_format_2_layout_loads(tmp_path):
+    # format-2 files written before the config was stored once also carry
+    # seven copies of config fields; load ignores them, a stale one too
+    X, y = _model_one(n=300)
+    cfg = SIRConfig(threshold=5.0, **BENCH)
+    model = fit_online(X, y, cfg, warmup_size=100)
+    model.save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as handle:
+        arrays = {key: handle[key] for key in handle.files}
+    arrays.update(
+        eigen_strategy=np.asarray("ccipca"),
+        eigen_sgd_rate_constant=np.asarray(5.0),
+        eigen_orthonormalize_every=np.asarray(50),
+        coef_rate=np.asarray(model.coef.rate),
+        coef_gravity=np.asarray(0.5),  # the parent wrote 3e-4 here
+        coef_threshold=np.asarray(5.0),
+        coef_period=np.asarray(10),
+    )
+    assert len(arrays) == 24
+    np.savez(tmp_path / "earlier.npz", **arrays)
+    earlier = OnlineSparseSIR.load(tmp_path / "earlier.npz")
+    _assert_same_state(earlier, OnlineSparseSIR.load(tmp_path / "model.npz"))
+    assert earlier.coef.gravity == cfg.gravity
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    X, y = _model_one(n=300)
+    model = fit_online(X, y, SIRConfig(**BENCH), warmup_size=100)
+    model.save(tmp_path / "model")  # np.savez's rule: the suffix is appended
+    assert os.listdir(tmp_path) == ["model.npz"]
+    before = (tmp_path / "model.npz").read_bytes()
+    model.observe(X[0], y[0])
+    original, written = np.lib.format.write_array, []
+
+    def failing(fp, array, *args, **kwargs):
+        if written:
+            raise OSError("disk full")
+        written.append(array)
+        original(fp, array, *args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", failing)
+    with pytest.raises(OSError, match="disk full"):
+        model.save(tmp_path / "model.npz")
+    assert len(written) == 1  # the save failed partway through the file
+    assert os.listdir(tmp_path) == ["model.npz"]
+    assert (tmp_path / "model.npz").read_bytes() == before
 
 
 @pytest.mark.parametrize(

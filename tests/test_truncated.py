@@ -166,28 +166,6 @@ def test_update_validation():
         model.update(np.array([1.0, np.nan, 0.0]), [0.0, 0.0])
 
 
-def test_state_roundtrip():
-    rng = np.random.default_rng(5)
-    model = TruncatedGradient(4, 1, rate=0.02, gravity=0.3, period=5)
-    for _ in range(17):
-        model.update(rng.standard_normal(4), rng.standard_normal(1))
-    clone = TruncatedGradient.from_state_arrays(model.state_arrays())
-    np.testing.assert_array_equal(clone.betas, model.betas)
-    assert clone.step == model.step
-    assert clone.truncation_zeros == model.truncation_zeros
-    # both continue identically
-    x, t = rng.standard_normal(4), rng.standard_normal(1)
-    model.update(x, t)
-    clone.update(x, t)
-    np.testing.assert_array_equal(clone.betas, model.betas)
-
-
-def test_infinite_threshold_roundtrips():
-    model = TruncatedGradient(2, 1, rate=0.1)
-    clone = TruncatedGradient.from_state_arrays(model.state_arrays())
-    assert clone.threshold == math.inf
-
-
 # -- regularization path ------------------------------------------------------------
 
 
