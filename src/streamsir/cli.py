@@ -328,6 +328,9 @@ def _read_stream_csv(path, target):
 
 
 def cmd_fit(args):
+    if args.checkpoint_every < 1:
+        raise ConfigurationError(
+            f"--checkpoint-every must be at least 1, got {args.checkpoint_every}")
     X, y, names = _read_stream_csv(args.input, args.target)
     n, p = X.shape
     if n <= args.warmup:

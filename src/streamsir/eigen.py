@@ -26,10 +26,17 @@ kernel matrix without materializing it.  ``EigenTracker.advance`` runs the
 whole eigen stage of one streaming observation for any strategy.  A
 tracker's state is its public attributes; ``OnlineSparseSIR.save`` decides
 which of them a checkpoint holds.
+
+``vectors`` and ``raw_vectors`` start column-major (Fortran order) and
+ccipca rewrites their columns in place, so on the default path every
+per-component pass runs over contiguous memory.  The other strategies
+replace ``vectors`` with whatever layout their linear algebra returns; the
+layout is an implementation detail, not part of the API.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +97,13 @@ class EigenTracker:
         averaged_kernel: np.ndarray | None = None,
         n_slices: int | None = None,
     ):
-        self.values = np.asarray(values, dtype=float).copy()
-        self.vectors = np.asarray(vectors, dtype=float).copy()
+        self.values = np.array(values, dtype=float)
+        self.vectors = np.array(vectors, dtype=float, order="F")
         self.config = config
         self.step = 0
         self.reinit_count = 0
         self.raw_vectors = (
-            self.vectors * self.values[None, :]
+            self.vectors * self.values  # keeps the column-major layout
             if config.strategy == "ccipca"
             else None
         )
@@ -159,7 +166,7 @@ class EigenTracker:
         operator ``factor = kernel.factor()``, which the caller builds once
         per observation, sgd and ipca the p x H factor, perturbation the
         dense kernel), ipca's slice bookkeeping, then sign alignment."""
-        previous = self.vectors.copy()
+        previous = self.vectors.copy(order="K")
         t = kernel.t - 1
         strategy = self.config.strategy
         if strategy == "ccipca":
@@ -189,42 +196,47 @@ class EigenTracker:
         to vectors, W_j g = P_{j-1}...P_0 (W g) and W_j' u = W' (P_0...P_{j-1} u),
         so ``factor`` may be any object supporting ``w @ a``, ``w.T @ v`` and
         ``np.asarray(w)``: an ndarray or a ``SliceFactor``.  Matrix-vector
-        products keep the cost at O(pdH).  A component whose norm collapses
-        below 1e-12 is re-seeded from the largest remaining deflated column
-        and counted in ``reinit_count``.
+        products keep the cost at O(pdH).  Column j of ``raw_vectors`` is
+        updated in place and its unit vector written into column j of
+        ``vectors``; both are contiguous, and the deflation works on those
+        columns through one scratch buffer.  A component whose norm
+        collapses below 1e-12 is re-seeded from the largest remaining
+        deflated column and counted in ``reinit_count``.
         """
         w = factor if hasattr(factor, "T") else np.asarray(factor, dtype=float)
         keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
-        units = []  # u_0, ..., u_{j-1}
+        scratch = np.empty(self.raw_vectors.shape[0])
+        units = []  # columns of ``vectors`` already updated this step
         for j in range(self.n_directions):
             v = self.raw_vectors[:, j]
-            norm = float(np.linalg.norm(v))
+            norm = math.sqrt(v @ v)
             if norm < _NORM_FLOOR:
-                v = self._reseed_from(w, units)
-                norm = float(np.linalg.norm(v))
+                seed = self._reseed_from(w, units)
+                norm = math.sqrt(seed @ seed)
                 if norm < _NORM_FLOOR:
                     self.values[j] = 0.0
                     continue
+                v[:] = seed
             a = v / norm
             for u in reversed(units):
-                a = a - u * (u @ a)
+                a -= np.multiply(u, u @ a, out=scratch)
             g = w.T @ a
+            g *= blend / g.size  # scale the H-vector, not the p-length product
             b = w @ g
             for u in units:
-                b = b - u * (u @ b)
-            v = keep * v + blend * b / g.size
-            norm = float(np.linalg.norm(v))
+                b -= np.multiply(u, u @ b, out=scratch)
+            v *= keep
+            v += b
+            norm = math.sqrt(v @ v)
             if norm < _NORM_FLOOR:
-                v = self._reseed_from(w, units)
-                norm = float(np.linalg.norm(v))
+                v[:] = self._reseed_from(w, units)
+                norm = math.sqrt(v @ v)
                 if norm < _NORM_FLOOR:
-                    self.raw_vectors[:, j] = v
                     self.values[j] = 0.0
                     continue
-            self.raw_vectors[:, j] = v
             self.values[j] = norm
-            unit = v / norm
-            self.vectors[:, j] = unit
+            unit = self.vectors[:, j]
+            np.divide(v, norm, out=unit)
             units.append(unit)
         self.step += 1
 

@@ -13,6 +13,10 @@ does not matter).  It is never needed whole by the streaming path:
 ``KernelTracker.factor`` hands out a ``SliceFactor`` operator whose product
 with a vector costs one pass over ``cross_sum`` and no p x H temporary.
 
+``cross_sum`` is stored column-major (Fortran order), so the per-observation
+``cross_sum[:, h] += x`` and every factor product walk contiguous memory.
+The layout is an implementation detail, not part of the API.
+
 Slice boundaries are frozen after warmup: cut points are empirical quantiles
 of the warmup responses and never move again.  Intervals are right-closed,
 (q_{h-1}, q_h].
@@ -126,7 +130,10 @@ class SliceFactor:
         self.t = t
 
     def __matmul__(self, a):
-        return (self.sums @ a - self.mean * (self.counts @ a)) / self.t
+        a = a / self.t  # 1/t scales the H-vector, not the p-length result
+        out = self.sums @ a
+        out -= (self.counts @ a) * self.mean
+        return out
 
     @property
     def T(self) -> "_TransposedFactor":
@@ -137,7 +144,10 @@ class SliceFactor:
         return (self.sums[:, h] - self.counts[h] * self.mean) / self.t
 
     def __array__(self, dtype=None, copy=None):
-        w = (self.sums - np.outer(self.mean, self.counts)) / self.t
+        w = np.empty_like(self.sums)  # one p x H buffer, laid out like the sums
+        np.multiply(self.mean[:, None], self.counts, out=w)
+        np.subtract(self.sums, w, out=w)
+        w /= self.t
         return w if dtype is None else w.astype(dtype, copy=False)
 
 
@@ -162,7 +172,7 @@ class KernelTracker:
     * ``t``            observation count,
     * ``x_sum``        sum of covariate vectors (p,),
     * ``cross_sum``    sum of x e(y)^T where e is the one-hot slice
-                       indicator (p, H).
+                       indicator (p, H), column-major.
 
     ``factor()`` (an operator) and ``slice_cov`` (the p x H array)
     re-center on demand: column h is
@@ -177,7 +187,7 @@ class KernelTracker:
         self.n_features = int(n_features)
         self.t = 0
         self.x_sum = np.zeros(n_features)
-        self.cross_sum = np.zeros((n_features, grid.n_slices))
+        self.cross_sum = np.zeros((n_features, grid.n_slices), order="F")
         self.dense_builds = 0  # how many times a p x p matrix was materialized
 
     # -- updates ------------------------------------------------------------

@@ -17,6 +17,12 @@ selected, and the default ccipca tracker sees the p x H slice factor only
 as an operator, so no p x H temporary is built per observation either and
 the default configuration streams comfortably at p in the thousands.
 
+Every p-sized array on the default path (the slice sums, the eigenvectors
+and the coefficients) is column-major with H or d columns, so each stage
+works on contiguous length-p columns in place; ``load`` restores each
+array in the layout a fresh model gives it, whatever order the file holds.
+Memory order is an implementation detail, not part of the API.
+
 ``save`` writes a checkpoint that holds the config once and the state that
 ``CHECKPOINT_LAYOUT`` lists; ``load`` rebuilds the stages from the config
 and checks every stored array's shape against them.
@@ -214,13 +220,13 @@ class OnlineSparseSIR:
 
         Columns are unit-normalized by default; an all-zero column (possible
         under heavy truncation) is returned as zeros and flagged through
-        ``zero_direction_flags``.
+        ``zero_direction_flags``.  The result is always a new array, also
+        with ``normalize=False``.
         """
-        B = self.coef.betas.copy()
+        B = self.coef.betas.copy(order="K")
         if normalize:
             norms = np.linalg.norm(B, axis=0)
-            good = norms > 0
-            B[:, good] /= norms[good]
+            B /= np.where(norms > 0, norms, 1.0)  # x / 1 is x, bit for bit
         return B
 
     def check_counters(self) -> None:
@@ -306,7 +312,10 @@ class OnlineSparseSIR:
                     setattr(owner, attr, _restored(path, key, arrays[key], empty))
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint lacks the key {exc.args[0]!r}") from None
-        SliceGrid(model.kernel.grid.cuts)  # the stored cut points must be valid
+        try:
+            SliceGrid(model.kernel.grid.cuts)  # the stored cut points must be valid
+        except (ConfigurationError, DataError) as exc:
+            raise DataError(f"{path}: grid_cuts are invalid: {exc}") from None
         return model
 
     @classmethod
@@ -327,13 +336,16 @@ class OnlineSparseSIR:
 
 
 def _restored(path, key: str, stored: np.ndarray, empty):
-    """``stored`` as the type of ``empty``, its twin in a model built from
-    the config; another shape or kind of value raises ``DataError``."""
+    """``stored`` as the type and memory layout of ``empty``, its twin in a
+    model built from the config, so a column-major array stays column-major
+    whatever order the file holds; another shape or kind of value raises
+    ``DataError``."""
     want = np.asarray(empty)
     if stored.shape != want.shape:
         raise DataError(f"{path}: {key} has shape {stored.shape}, expected {want.shape}")
+    value = np.empty_like(want)
     try:
-        value = stored.astype(want.dtype, casting="same_kind")
+        np.copyto(value, stored, casting="same_kind")
     except TypeError:
         raise DataError(f"{path}: {key} holds {stored.dtype}, expected {want.dtype}") from None
     return value if isinstance(empty, np.ndarray) else value.item()

@@ -7,6 +7,10 @@ steps; every ``period`` steps the coordinates are pulled toward zero by
 that band (coordinates beyond ``threshold`` are exempt).  Over many steps this
 behaves like an l1 penalty of strength gravity/2 on the squared-error loss
 while touching only O(p) memory.
+
+The p x d coefficient matrix is stored column-major (Fortran order), so the
+gradient step and truncation run over contiguous length-p columns.  The
+layout is an implementation detail, not part of the API.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def _truncate(arr: np.ndarray, shrink: float, threshold: float):
     cut = mag <= min(shrink, threshold)  # the entries set to zero
     out = np.maximum(mag - shrink, 0.0)
     out *= np.sign(arr)
-    out = np.where(mag <= threshold, out, arr)
+    out = np.where(mag <= threshold, out, arr)  # keeps arr's memory layout
     return out, int(np.count_nonzero(cut) - np.count_nonzero(mag == 0.0))
 
 
@@ -62,6 +66,7 @@ class TruncatedGradient:
     in order: the step counter increment, truncation when the counter is a
     multiple of ``period``, then one gradient step
     b_j += 2 * rate * (target_j - b_j' x) * x for every target j.
+    ``betas`` stays column-major through both.
     """
 
     def __init__(
@@ -90,7 +95,7 @@ class TruncatedGradient:
         self.gravity = float(gravity)
         self.threshold = float(threshold)
         self.period = int(period)
-        self.betas = np.zeros((n_features, n_targets))
+        self.betas = np.zeros((n_features, n_targets), order="F")
         self.step = 0
         self.truncation_zeros = 0  # coordinates zeroed across all truncations
 
@@ -124,10 +129,10 @@ class TruncatedGradient:
                 self.betas, self.gravity * self.rate * self.period, self.threshold
             )
             self.truncation_zeros += zeroed
-        predicted = self.betas.T @ x  # (d,)
-        delta = np.outer(x, targets - predicted)
-        delta *= 2.0 * self.rate
-        self.betas += delta
+        resid = targets - self.betas.T @ x  # (d,)
+        resid *= 2.0 * self.rate
+        rows = self.betas.T  # (d, p) view; row j is column j of betas
+        rows += resid[:, None] * x
 
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.betas))

@@ -169,6 +169,21 @@ def test_fit_needs_rows_beyond_warmup(tmp_path, capsys):
     assert "found 50" in payload["message"]
 
 
+@pytest.mark.parametrize("every", ["0", "-5"])
+def test_fit_rejects_checkpoint_every_below_one(tmp_path, capsys, every):
+    # rejected before warmup, as --period 0 is: one JSON error line and no
+    # output directory, not a ZeroDivisionError after the whole stream
+    stream = _simulate(tmp_path, n=300, p=4)
+    out_dir = tmp_path / "o"
+    code = main(["fit", "--input", str(stream), "--out", str(out_dir),
+                 "--checkpoint-every", every])
+    assert code == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert "--checkpoint-every must be at least 1" in payload["message"]
+    assert not out_dir.exists()
+
+
 # -- benchmark ----------------------------------------------------------------
 
 

@@ -311,6 +311,7 @@ def test_directions_are_unit_normalized():
     np.testing.assert_allclose(out, expected, atol=1e-15)
     raw = model.directions(normalize=False)
     assert raw[0, 0] == 2.0
+    assert not np.shares_memory(raw, model.coef.betas)  # a copy, not a view
 
 
 def test_zero_column_is_flagged_not_normalized():
@@ -323,6 +324,25 @@ def test_zero_column_is_flagged_not_normalized():
     out = model.directions()
     np.testing.assert_array_equal(out[:, 0], np.zeros(10))
     assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0)
+
+
+def test_directions_match_the_masked_division_bit_for_bit():
+    # each column is divided by its norm, a zero column by 1, which leaves
+    # it as it is: the same bits as dividing only the nonzero columns
+    X, y = sample(SimModelSpec(3, 20), 600, rng=4)
+    model = fit_online(X, y, SIRConfig(n_directions=2, **BENCH), warmup_size=100)
+    for zero_column in (False, True):
+        if zero_column:
+            model.coef.betas[:, 0] = 0.0
+        expected = model.coef.betas.copy(order="K")
+        norms = np.linalg.norm(expected, axis=0)
+        good = norms > 0
+        expected[:, good] /= norms[good]
+        out = model.directions()
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert model.zero_direction_flags.tolist() == [zero_column, False]
+    np.testing.assert_array_equal(out[:, 0], np.zeros(20))
 
 
 def test_model_two_direction_recovery():
@@ -486,6 +506,24 @@ def test_checkpoint_with_a_wrong_shape_fails_loudly(tmp_path, tracker, key, cut)
         OnlineSparseSIR.load(tmp_path / "broken.npz")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c[::-1],
+        lambda c: np.where(np.arange(c.size) == 4, np.nan, c),
+        lambda c: np.where(np.arange(c.size) == c.size - 1, np.inf, c),
+    ],
+    ids=["reversed", "nan", "inf"],
+)
+def test_checkpoint_with_invalid_grid_cuts_fails_loudly(tmp_path, edit):
+    arrays = _saved_arrays(tmp_path, "ccipca")
+    arrays["grid_cuts"] = edit(arrays["grid_cuts"])
+    path = tmp_path / "broken.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: grid_cuts")):
+        OnlineSparseSIR.load(path)
+
+
 def test_checkpoint_in_the_earlier_format_2_layout_loads(tmp_path):
     # format-2 files written before the config was stored once also carry
     # seven copies of config fields; load ignores them, a stale one too
@@ -586,3 +624,64 @@ def test_checkpoint_in_the_layout_before_format_numbers_fails_loudly(tmp_path):
     np.savez(tmp_path / "old.npz", **arrays)
     with pytest.raises(DataError, match="format None"):
         OnlineSparseSIR.load(tmp_path / "old.npz")
+
+
+# -- memory layout --------------------------------------------------------------
+
+
+def _assert_column_major(model, when):
+    """The p-sized arrays of the ccipca path are column-major.  With d = 2
+    and H = 10 none of them is both C- and F-contiguous, so the check bites."""
+    hot = {
+        "cross_sum": model.kernel.cross_sum,
+        "vectors": model.eigen.vectors,
+        "raw_vectors": model.eigen.raw_vectors,
+        "betas": model.coef.betas,
+    }
+    for name, array in hot.items():
+        assert not array.flags.c_contiguous, f"{name} {when}"
+        assert array.flags.f_contiguous, f"{name} is not column-major {when}"
+
+
+def test_hot_state_stays_column_major(tmp_path):
+    X, y = sample(SimModelSpec(3, 20), 400, rng=5)
+    cfg = SIRConfig(n_directions=2, **BENCH)
+    model = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    _assert_column_major(model, "after warmup")
+
+    fit_stream(model, X[100:110], y[100:110])
+    assert model.coef.step % cfg.period == 0  # the last step truncated
+    _assert_column_major(model, "after a truncating step")
+
+    before = model.eigen.raw_vectors.copy()
+    model.eigen.vectors[:, 1] *= -1.0  # the next step sees its basis flip
+    model.observe(X[110], y[110])
+    assert before[:, 1] @ model.eigen.raw_vectors[:, 1] < 0.0  # flipped back
+    _assert_column_major(model, "after a sign flip")
+
+    model.eigen.raw_vectors[:, 1] = 0.0  # a collapsed component is re-seeded
+    model.observe(X[111], y[111])
+    assert model.eigen.reinit_count == 1
+    _assert_column_major(model, "after a reseed")
+
+    fit_stream(model, X[112:300], y[112:300])
+    path = tmp_path / "model.npz"
+    model.save(path)
+    restored = OnlineSparseSIR.load(path)
+    _assert_column_major(restored, "after load")
+    _assert_same_state(model, restored)
+
+    # a file that holds every array in C order, as earlier versions wrote it
+    with np.load(path) as handle:
+        arrays = {key: handle[key].copy(order="C") for key in handle.files}
+    np.savez(tmp_path / "c_order.npz", **arrays)
+    with np.load(tmp_path / "c_order.npz") as handle:
+        assert not handle["coef_betas"].flags.f_contiguous
+    from_c = OnlineSparseSIR.load(tmp_path / "c_order.npz")
+    _assert_column_major(from_c, "after load of a C-ordered file")
+    _assert_same_state(from_c, restored)
+
+    fit_stream(model, X[300:], y[300:])
+    fit_stream(from_c, X[300:], y[300:])
+    _assert_column_major(from_c, "after streaming on from a C-ordered file")
+    _assert_same_state(model, from_c)
