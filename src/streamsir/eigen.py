@@ -7,9 +7,6 @@ the perturbation strategy alone, the dense matrix):
 * ``ccipca``        covariance-free averaging of weighted samples, with
                     deflation between components.  O(pdH) per step, the
                     default and the only one that scales past p ~ 10^3.
-                    It needs only products of the factor with vectors,
-                    so the pipeline hands it a ``SliceFactor`` operator
-                    and the factor is never formed.
 * ``perturbation``  first-order eigenpair correction around the running
                     average of kernel matrices.  O(p^3 + p^2 d) per step;
                     kept as the accuracy yardstick at small p.
@@ -20,9 +17,12 @@ the perturbation strategy alone, the dense matrix):
                     factor column onto the current basis plus its residual
                     direction and re-solve a (d+1) x (d+1) problem.
 
-All trackers are initialized from the same warmup statistics via a thin
-SVD of the p x H factor, which equals the dense eigendecomposition of the
-kernel matrix without materializing it.  ``EigenTracker.advance`` runs the
+ccipca, sgd and ipca need only thin products and one column of the
+factor, so the pipeline hands them a ``SliceFactor`` operator and the
+factor is never formed; their steps also accept the p x H array.  All
+trackers are initialized from the same warmup statistics via a thin SVD of
+the p x H factor, which equals the dense eigendecomposition of the kernel
+matrix without materializing it.  ``EigenTracker.advance`` runs the
 whole eigen stage of one streaming observation for any strategy.  A
 tracker's state is its public attributes; ``OnlineSparseSIR.save`` decides
 which of them a checkpoint holds.
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DegenerateDataError
+from .kernel import SliceFactor
 
 STRATEGIES = ("ccipca", "perturbation", "sgd", "ipca")
 
@@ -162,24 +163,24 @@ class EigenTracker:
 
     def advance(self, kernel, factor, y) -> None:
         """The eigen stage of one observation, after ``kernel`` absorbed it:
-        the strategy's step on the input it needs (ccipca the factor
-        operator ``factor = kernel.factor()``, which the caller builds once
-        per observation, sgd and ipca the p x H factor, perturbation the
-        dense kernel), ipca's slice bookkeeping, then sign alignment."""
+        the strategy's step on the input it needs (ccipca, sgd and ipca the
+        factor operator ``factor = kernel.factor()``, which the caller
+        builds once per observation, perturbation the dense kernel), ipca's
+        slice bookkeeping, then sign alignment."""
         previous = self.vectors.copy(order="K")
         t = kernel.t - 1
         strategy = self.config.strategy
         if strategy == "ccipca":
             self.ccipca_step(factor, t)
         elif strategy == "sgd":
-            self.sgd_step(kernel.slice_cov, t)
+            self.sgd_step(factor, t)
         elif strategy == "perturbation":
             self.perturbation_step(kernel.kernel_matrix(), t)
         else:  # ipca
             y = float(y)
             with np.errstate(invalid="ignore"):  # an empty slice's mean is nan
                 means = self.slice_y_sum / self.slice_y_count
-            k = self.ipca_step(kernel.slice_cov, y, means)
+            k = self.ipca_step(factor, y, means)
             self.slice_y_sum[k] += y
             self.slice_y_count[k] += 1
         self.align_signs(previous)
@@ -194,8 +195,7 @@ class EigenTracker:
         factor W_j = P_{j-1}...P_0 W, with P_k = I - u_k u_k' for the unit
         vectors u_k of the components before it.  The deflation is applied
         to vectors, W_j g = P_{j-1}...P_0 (W g) and W_j' u = W' (P_0...P_{j-1} u),
-        so ``factor`` may be any object supporting ``w @ a``, ``w.T @ v`` and
-        ``np.asarray(w)``: an ndarray or a ``SliceFactor``.  Matrix-vector
+        so ``factor`` may be an ndarray or a ``SliceFactor``.  Matrix-vector
         products keep the cost at O(pdH).  Column j of ``raw_vectors`` is
         updated in place and its unit vector written into column j of
         ``vectors``; both are contiguous, and the deflation works on those
@@ -203,13 +203,14 @@ class EigenTracker:
         collapses below 1e-12 is re-seeded from the largest remaining
         deflated column and counted in ``reinit_count``.
         """
-        w = factor if hasattr(factor, "T") else np.asarray(factor, dtype=float)
+        w = SliceFactor.wrap(factor)
+        wt = w.T
         keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
-        scratch = np.empty(self.raw_vectors.shape[0])
+        scratch = np.empty(self.raw_vectors.shape[0]) if self.n_directions > 1 else None
         units = []  # columns of ``vectors`` already updated this step
         for j in range(self.n_directions):
             v = self.raw_vectors[:, j]
-            norm = math.sqrt(v @ v)
+            norm = math.sqrt(v.dot(v))
             if norm < _NORM_FLOOR:
                 seed = self._reseed_from(w, units)
                 norm = math.sqrt(seed @ seed)
@@ -219,15 +220,15 @@ class EigenTracker:
                 v[:] = seed
             a = v / norm
             for u in reversed(units):
-                a -= np.multiply(u, u @ a, out=scratch)
-            g = w.T @ a
+                a -= np.multiply(u, u.dot(a), out=scratch)
+            g = wt @ a
             g *= blend / g.size  # scale the H-vector, not the p-length product
             b = w @ g
             for u in units:
-                b -= np.multiply(u, u @ b, out=scratch)
+                b -= np.multiply(u, u.dot(b), out=scratch)
             v *= keep
             v += b
-            norm = math.sqrt(v @ v)
+            norm = math.sqrt(v.dot(v))
             if norm < _NORM_FLOOR:
                 v[:] = self._reseed_from(w, units)
                 norm = math.sqrt(v @ v)
@@ -279,7 +280,7 @@ class EigenTracker:
         self.averaged_kernel -= rate * gap
         self.step += 1
 
-    def sgd_step(self, factor: np.ndarray, t: int) -> None:
+    def sgd_step(self, factor, t: int) -> None:
         """Stochastic gradient update with first-order deflation.
 
         Writing phi_j = W' v_j, the value moves toward phi_j'phi_j and the
@@ -288,7 +289,7 @@ class EigenTracker:
         ``orthonormalize_every`` steps the correction is replaced by an
         exact Gram-Schmidt pass.  Step size is C/(t+1).
         """
-        w = np.asarray(factor, dtype=float)
+        w = SliceFactor.wrap(factor)
         gamma = self.config.sgd_rate_constant / (t + 1.0)
         phi = w.T @ self.vectors  # (H, d)
         gram = phi.T @ phi  # (d, d)
@@ -305,7 +306,7 @@ class EigenTracker:
             correction += 2.0 * (self.vectors @ np.triu(gram, k=1))
             self.vectors = self.vectors + gamma * (drive - correction)
 
-    def ipca_step(self, factor: np.ndarray, y: float, slice_means: np.ndarray) -> int:
+    def ipca_step(self, factor, y: float, slice_means: np.ndarray) -> int:
         """Incremental rank-(d+1) refresh driven by the nearest-mean slice.
 
         The new observation is attributed to the slice whose running mean
@@ -315,8 +316,8 @@ class EigenTracker:
         compressed kernel is re-solved exactly and the top d pairs kept.
         Returns the chosen slice, whose response sums ``advance`` updates.
         """
-        w = np.asarray(factor, dtype=float)
-        n_slices = w.shape[1]
+        w = SliceFactor.wrap(factor)
+        n_slices = w.counts.size
         means = np.asarray(slice_means, dtype=float)
         if means.size != n_slices:
             raise DataError("one running mean per slice is required")
@@ -326,14 +327,14 @@ class EigenTracker:
             raise DataError("no slice has a defined running mean")
         k = int(np.argmin(dist))
 
-        col = w[:, k]
+        col = w.column(k)
         resid = col - self.vectors @ (self.vectors.T @ col)
         norm = float(np.linalg.norm(resid))
         if norm >= _NORM_FLOOR:
             basis = np.hstack([self.vectors, (resid / norm)[:, None]])
         else:
             basis = self.vectors
-        z = basis.T @ w  # (d+1, H) compressed factor
+        z = (w.T @ basis).T  # (d+1, H) compressed factor
         small = z @ z.T / n_slices
         vals, vecs = np.linalg.eigh((small + small.T) / 2.0)
         order = np.argsort(vals)[::-1][: self.n_directions]
@@ -347,9 +348,8 @@ class EigenTracker:
     def align_signs(self, reference: np.ndarray) -> None:
         """Flip column signs so each vector has non-negative overlap with
         its counterpart in ``reference`` (the previous step's basis)."""
-        overlap = np.einsum("ij,ij->j", reference, self.vectors)
-        flipped = overlap < 0.0
-        if flipped.any():
-            self.vectors[:, flipped] *= -1.0
-            if self.raw_vectors is not None:
-                self.raw_vectors[:, flipped] *= -1.0
+        for j in range(self.n_directions):
+            if reference[:, j].dot(self.vectors[:, j]) < 0.0:
+                self.vectors[:, j] *= -1.0
+                if self.raw_vectors is not None:
+                    self.raw_vectors[:, j] *= -1.0

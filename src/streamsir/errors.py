@@ -1,9 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types, and the finiteness test, shared across the package.
 
 Everything user-facing raises one of these so callers (and the CLI) can
 distinguish "you configured it wrong" from "the data broke an assumption"
 from "an iterative routine gave up".
 """
+
+import math
+
+import numpy as np
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the float vector ``v`` is finite.  A nan or
+    infinite entry makes v'v (a sum of squares) non-finite; only then does
+    the elementwise test run, to accept finite entries whose squares
+    overflow, for which ``np.vdot``, unlike ``@``, warns of nothing."""
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
 class StreamsirError(Exception):

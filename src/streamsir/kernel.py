@@ -24,6 +24,8 @@ of the warmup responses and never move again.  Intervals are right-closed,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -31,12 +33,13 @@ from .errors import (
     DataError,
     DegenerateDataError,
     EmptyStateError,
+    all_finite,
 )
 
 
 def _as_response(y) -> float:
     y = float(y)
-    if not np.isfinite(y):
+    if not math.isfinite(y):
         raise DataError(f"response must be finite, got {y!r}")
     return y
 
@@ -100,9 +103,8 @@ class SliceGrid:
 
     def slice_of(self, y) -> int:
         """Index of the slice containing ``y`` (right-closed intervals)."""
-        y = _as_response(y)
-        # number of cuts strictly below y; ties go to the lower slice
-        return int(np.searchsorted(self.cuts, y, side="left"))
+        # number of cuts strictly below y (side="left"); ties go to the lower slice
+        return int(self.cuts.searchsorted(_as_response(y)))
 
     def indicator(self, y) -> np.ndarray:
         """One-hot slice membership vector of length H."""
@@ -115,10 +117,10 @@ class SliceFactor:
     """The p x H slice factor W = (S - m c^T) / t as a linear operator.
 
     S is the raw covariate-by-slice sum, m the covariate mean and c the
-    slice counts.  ``W @ a`` and ``W.T @ v`` for vectors a (H,) and v (p,)
-    cost one matrix-vector product with S each and never form W;
-    ``np.asarray(W)`` forms it.  The operator reads the tracker's arrays in
-    place, so it is valid until the tracker's next update.
+    slice counts.  ``W @ a`` and ``W.T @ v`` for a of shape (H,) or (H, k)
+    and v of shape (p,) or (p, k) cost one product with S each and never
+    form W; ``np.asarray(W)`` forms it.  The operator reads the tracker's
+    arrays in place, so it is valid until the tracker's next update.
     """
 
     __slots__ = ("sums", "mean", "counts", "t")
@@ -129,10 +131,19 @@ class SliceFactor:
         self.counts = counts
         self.t = t
 
+    @classmethod
+    def wrap(cls, w) -> "SliceFactor":
+        """``w``, or the p x H array ``w`` as an operator with w's products."""
+        if isinstance(w, cls):
+            return w
+        w = np.asarray(w, dtype=float)
+        return cls(w, np.zeros(w.shape[0]), np.zeros(w.shape[1], dtype=np.int64), 1)
+
     def __matmul__(self, a):
-        a = a / self.t  # 1/t scales the H-vector, not the p-length result
-        out = self.sums @ a
-        out -= (self.counts @ a) * self.mean
+        a = a / self.t  # 1/t scales the H-sized operand, not the p-sized result
+        out = self.sums.dot(a)
+        c = self.counts.dot(a)
+        out -= self.mean * c if a.ndim == 1 else np.multiply.outer(self.mean, c)
         return out
 
     @property
@@ -161,7 +172,11 @@ class _TransposedFactor:
 
     def __matmul__(self, v):
         w = self.factor
-        return (w.sums.T @ v - w.counts * (w.mean @ v)) / w.t
+        out = w.sums.T.dot(v)
+        m = w.mean.dot(v)
+        out -= w.counts * m if v.ndim == 1 else np.multiply.outer(w.counts, m)
+        out /= w.t
+        return out
 
 
 class KernelTracker:
@@ -198,15 +213,15 @@ class KernelTracker:
             raise DataError(
                 f"expected covariate vector of length {self.n_features}, got {x.size}"
             )
-        if not np.all(np.isfinite(x)):
+        if not all_finite(x):
             raise DataError("covariates must be finite")
         return x
 
     def update(self, x, y) -> int:
         """Absorb one observation and return its slice index.
 
-        Both inputs are validated before any state changes.  O(pH) time,
-        no p x p allocation.
+        Both inputs are validated (x by ``all_finite``) before any state
+        changes.  O(pH) time, no p x p allocation.
         """
         x = self._check_x(x)
         h = self.grid.slice_of(y)

@@ -193,14 +193,14 @@ class OnlineSparseSIR:
         # The extra 1/t anneals the target: its direction is fixed by the
         # slice statistics while its scale decays, so the coefficient stage
         # settles instead of rattling around a constant-variance floor.
-        proj = factor.column(h) @ self.eigen.vectors  # (d,)
+        proj = factor.column(h).dot(self.eigen.vectors)  # (d,)
         floor = self.config.eigenvalue_floor
         lams = self.eigen.values
-        clamped = np.maximum(lams, floor)
-        response = proj / (self.kernel.t * self.kernel.grid.n_slices * clamped)
+        scale = self.kernel.t * self.kernel.grid.n_slices
+        if lams.min() > floor:  # nothing to clamp: bitwise the general case
+            return proj / (scale * lams), 0
+        response = proj / (scale * np.maximum(lams, floor))
         dead = lams <= floor
-        if not dead.any():
-            return response, 0
         return np.where(dead, 0.0, response), int(dead.sum())
 
     def artificial_response(self, y) -> np.ndarray:

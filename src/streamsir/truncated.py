@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, all_finite
 
 
 def truncate(v, shrink: float, threshold: float = math.inf):
@@ -110,6 +110,9 @@ class TruncatedGradient:
         )
 
     def update(self, x, targets) -> None:
+        """One step.  x and targets are checked (shape, ``all_finite``) before
+        any state changes, as the pipeline's kernel stage checks x: the stage
+        is public, and ``regularization_path`` drives it alone."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.n_features:
             raise DataError(
@@ -120,7 +123,7 @@ class TruncatedGradient:
             raise DataError(
                 f"expected {self.n_targets} targets, got {targets.size}"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(targets))):
+        if not (all_finite(x) and all_finite(targets)):
             raise DataError("inputs must be finite")
 
         self.step += 1
@@ -129,9 +132,9 @@ class TruncatedGradient:
                 self.betas, self.gravity * self.rate * self.period, self.threshold
             )
             self.truncation_zeros += zeroed
-        resid = targets - self.betas.T @ x  # (d,)
-        resid *= 2.0 * self.rate
         rows = self.betas.T  # (d, p) view; row j is column j of betas
+        resid = targets - rows.dot(x)  # (d,)
+        resid *= 2.0 * self.rate
         rows += resid[:, None] * x
 
     def nonzero_count(self) -> int:

@@ -8,6 +8,8 @@ numpy's dense solvers.  Streaming results are compared against these.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -168,9 +170,11 @@ def ipca_sums_reference(y, cuts) -> tuple[np.ndarray, np.ndarray]:
 
 def eigen_chain_reference(eigen, kernel, y, slice_y_sum, slice_y_count) -> None:
     """The eigen stage of one observation as a four-way test of the tracker
-    name: the step on its input, ipca's nearest-mean bookkeeping (kept in
-    the given arrays, updated in place) and sign alignment.  This is the
-    chain ``EigenTracker.advance`` must reproduce bit for bit."""
+    name: the step on its input (the factor operator for every strategy but
+    perturbation, which takes the dense kernel), ipca's nearest-mean
+    bookkeeping (kept in the given arrays, updated in place) and sign
+    alignment.  This is the chain ``EigenTracker.advance`` must reproduce
+    bit for bit."""
     y = float(y)
     t_prev = kernel.t - 1
     previous = eigen.vectors.copy()
@@ -178,7 +182,7 @@ def eigen_chain_reference(eigen, kernel, y, slice_y_sum, slice_y_count) -> None:
     if strategy == "ccipca":
         eigen.ccipca_step(kernel.factor(), t_prev)
     elif strategy == "sgd":
-        eigen.sgd_step(kernel.slice_cov, t_prev)
+        eigen.sgd_step(kernel.factor(), t_prev)
     elif strategy == "perturbation":
         eigen.perturbation_step(kernel.kernel_matrix(), t_prev)
     else:  # ipca
@@ -188,7 +192,125 @@ def eigen_chain_reference(eigen, kernel, y, slice_y_sum, slice_y_count) -> None:
                 slice_y_sum / np.maximum(slice_y_count, 1),
                 np.nan,
             )
-        k = eigen.ipca_step(kernel.slice_cov, y, means)
+        k = eigen.ipca_step(kernel.factor(), y, means)
         slice_y_sum[k] += y
         slice_y_count[k] += 1
     eigen.align_signs(previous)
+
+
+def observe_chain_reference(model, x, y) -> None:
+    """One default (ccipca) ``observe`` of an ``OnlineSparseSIR``, written
+    out with every numpy call the stages made before they were trimmed:
+    ``KernelTracker.update`` (``np.isfinite`` validation, ``np.searchsorted``),
+    ``EigenTracker.advance`` (the factor-free ccipca step through a factor
+    operator, signs aligned by ``einsum``), ``_response_from`` (always through
+    ``np.maximum``) and ``TruncatedGradient.update`` (validation again, then
+    truncation and the gradient step).  It calls none of the package's
+    methods, so ``observe`` must match it bit for bit; it updates ``model``
+    in place and returns nothing."""
+    kernel, grid, eigen, coef = model.kernel, model.kernel.grid, model.eigen, model.coef
+
+    # slice statistics
+    x = np.asarray(x, dtype=float).ravel()
+    assert x.size == kernel.n_features and np.all(np.isfinite(x))
+    y = float(y)
+    assert np.isfinite(y)
+    h = int(np.searchsorted(grid.cuts, y, side="left"))
+    kernel.t += 1
+    kernel.x_sum += x
+    kernel.cross_sum[:, h] += x
+    grid.counts[h] += 1
+
+    # the factor W = (S - m c') / t as products, never formed on this path
+    t, sums, counts = kernel.t, kernel.cross_sum, grid.counts
+    mean = kernel.x_sum / t
+
+    def w_times(a):
+        a = a / t
+        out = sums @ a
+        out -= (counts @ a) * mean
+        return out
+
+    def w_transposed_times(v):
+        return (sums.T @ v - counts * (mean @ v)) / t
+
+    def reseed(units):
+        eigen.reinit_count += 1
+        w = np.empty_like(sums)
+        np.multiply(mean[:, None], counts, out=w)
+        np.subtract(sums, w, out=w)
+        w /= t
+        for u in units:
+            w = w - np.outer(u, u @ w)
+        return w[:, int(np.argmax(np.linalg.norm(w, axis=0)))].copy()
+
+    # eigen stage: ccipca step, then sign alignment
+    previous = eigen.vectors.copy(order="K")
+    step_t = t - 1
+    keep, blend = step_t / (step_t + 1.0), 1.0 / (step_t + 1.0)
+    scratch = np.empty(eigen.raw_vectors.shape[0])
+    units = []
+    for j in range(eigen.values.size):
+        v = eigen.raw_vectors[:, j]
+        norm = math.sqrt(v @ v)
+        if norm < _CCIPCA_NORM_FLOOR:
+            seed = reseed(units)
+            norm = math.sqrt(seed @ seed)
+            if norm < _CCIPCA_NORM_FLOOR:
+                eigen.values[j] = 0.0
+                continue
+            v[:] = seed
+        a = v / norm
+        for u in reversed(units):
+            a -= np.multiply(u, u @ a, out=scratch)
+        g = w_transposed_times(a)
+        g *= blend / g.size
+        b = w_times(g)
+        for u in units:
+            b -= np.multiply(u, u @ b, out=scratch)
+        v *= keep
+        v += b
+        norm = math.sqrt(v @ v)
+        if norm < _CCIPCA_NORM_FLOOR:
+            v[:] = reseed(units)
+            norm = math.sqrt(v @ v)
+            if norm < _CCIPCA_NORM_FLOOR:
+                eigen.values[j] = 0.0
+                continue
+        eigen.values[j] = norm
+        unit = eigen.vectors[:, j]
+        np.divide(v, norm, out=unit)
+        units.append(unit)
+    eigen.step += 1
+    flipped = np.einsum("ij,ij->j", previous, eigen.vectors) < 0.0
+    if flipped.any():
+        eigen.vectors[:, flipped] *= -1.0
+        eigen.raw_vectors[:, flipped] *= -1.0
+
+    # synthetic response
+    proj = ((sums[:, h] - counts[h] * mean) / t) @ eigen.vectors
+    floor = model.config.eigenvalue_floor
+    lams = eigen.values
+    response = proj / (t * grid.n_slices * np.maximum(lams, floor))
+    dead = lams <= floor
+    if dead.any():
+        response = np.where(dead, 0.0, response)
+        model.degenerate_responses += int(dead.sum())
+
+    # coefficient step
+    targets = np.asarray(response, dtype=float).ravel()
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(targets))
+    coef.step += 1
+    if coef.gravity > 0.0 and coef.step % coef.period == 0:
+        shrink = coef.gravity * coef.rate * coef.period
+        mag = np.abs(coef.betas)
+        cut = mag <= min(shrink, coef.threshold)
+        out = np.maximum(mag - shrink, 0.0)
+        out *= np.sign(coef.betas)
+        out = np.where(mag <= coef.threshold, out, coef.betas)
+        coef.truncation_zeros += int(np.count_nonzero(cut) - np.count_nonzero(mag == 0.0))
+        coef.betas = out
+    resid = targets - coef.betas.T @ x
+    resid *= 2.0 * coef.rate
+    rows = coef.betas.T
+    rows += resid[:, None] * x

@@ -446,7 +446,7 @@ def test_advance_calls_the_step_by_name_and_aligns_signs(strategy, monkeypatch):
     assert len(inputs) == 1
     shape = (6, 6) if strategy == "perturbation" else (6, 4)
     assert np.asarray(inputs[0]).shape == shape
-    assert isinstance(inputs[0], SliceFactor) == (strategy == "ccipca")
+    assert isinstance(inputs[0], SliceFactor) == (strategy != "perturbation")
     np.testing.assert_array_equal(tracker.vectors, before)
 
 

@@ -1,5 +1,7 @@
 """Slice grid and streaming kernel statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from streamsir import (
     KernelTracker,
     SliceGrid,
 )
+from streamsir.errors import all_finite
 from .helpers import (
     kernel_matrix_oracle,
     random_stream,
@@ -183,3 +186,30 @@ def test_update_rejects_bad_rows():
         tracker.update(np.array([1.0, np.inf, 2.0]), 0.5)
     with pytest.raises(DataError):
         tracker.update(np.array([1.0, 2.0, 3.0]), np.nan)
+
+
+def test_update_accepts_finite_rows_whose_squares_overflow():
+    tracker = KernelTracker(SliceGrid(np.array([0.0])), 3)
+    x = np.array([1e200, -3e200, 2e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check itself warns of no overflow
+        assert tracker.update(x, 0.5) == 1
+    np.testing.assert_array_equal(tracker.x_sum, x)
+
+
+_BIG = st.floats(1e199, 1e201) | st.floats(-1e201, -1e199)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats() | _BIG | st.just(0.0), max_size=40),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    where=st.integers(0, 40),
+)
+def test_all_finite_agrees_with_the_elementwise_test(values, bad, where):
+    v = np.array(values, dtype=float)
+    if bad is not None:
+        v = np.insert(v, min(where, v.size), bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(v) == bool(np.isfinite(v).all())

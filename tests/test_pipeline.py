@@ -5,6 +5,7 @@ import math
 import os
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,12 @@ from streamsir import (
 )
 from streamsir.kernel import SliceFactor
 
-from .helpers import ccipca_observe_reference, principal_angle, response_oracle
+from .helpers import (
+    ccipca_observe_reference,
+    observe_chain_reference,
+    principal_angle,
+    response_oracle,
+)
 
 # settings used by the synthetic-benchmark assertions below: small enough
 # for coefficient-stage stability at these dimensions, large enough to
@@ -190,9 +196,11 @@ def test_factor_free_ccipca_matches_the_materialized_algebra(d):
     assert fused.eigen.reinit_count == dense.eigen.reinit_count
 
 
-def test_ccipca_observe_builds_no_slice_factor(monkeypatch):
+def _factor_calls(monkeypatch, tracker: str) -> Counter:
+    """Calls of every factor builder and of the slice lookup made by two
+    ``observe`` calls of a ``tracker`` model."""
     X, y = _model_one(n=102)
-    model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(**BENCH))
+    model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(tracker=tracker, **BENCH))
     calls = Counter()
 
     def counted(name, fn):
@@ -213,10 +221,58 @@ def test_ccipca_observe_builds_no_slice_factor(monkeypatch):
     monkeypatch.setattr(KernelTracker, "factor", counted("factor", KernelTracker.factor))
     model.observe(X[100], y[100])
     model.observe(X[101], y[101])
-    assert calls == {"slice_of": 2, "factor": 2}
+    return calls
 
 
-@pytest.mark.parametrize("bad", ["non-finite x", "wrong-length x", "NaN y"])
+def test_ccipca_observe_builds_no_slice_factor(monkeypatch):
+    assert _factor_calls(monkeypatch, "ccipca") == {"slice_of": 2, "factor": 2}
+
+
+@pytest.mark.parametrize("tracker", ["sgd", "ipca"])
+def test_sgd_and_ipca_observe_build_no_slice_factor(monkeypatch, tracker):
+    # both run on the factor operator's thin products, as ccipca does
+    assert _factor_calls(monkeypatch, tracker) == {"slice_of": 2, "factor": 2}
+
+
+def _state(model) -> dict:
+    """Every checkpointed attribute of ``model`` as raw bytes."""
+    return {
+        key: np.asarray(getattr(owner, attr)).tobytes()
+        for key, owner, attr in model._checkpointed()
+        if getattr(owner, attr) is not None
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [20, 200])
+def test_observe_is_bitwise_the_reference_chain(p, d):
+    X, y = sample(SimModelSpec(3, p), 2100, rng=p + d)
+    cfg = SIRConfig(n_directions=d, **BENCH)
+    lean = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    ref = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    for i in range(100, 2100):
+        if i == 600:  # negate one component: align_signs must flip it back
+            negated = lean.eigen.raw_vectors[:, -1].copy()
+            for model in (lean, ref):
+                model.eigen.raw_vectors[:, -1] *= -1.0
+        if i == 1100:  # from here on the smallest eigenvalue is floored
+            assert lean.degenerate_responses == 0
+            floor = 2.0 * float(lean.eigen.values.min())
+            for model in (lean, ref):
+                model.config = replace(model.config, eigenvalue_floor=floor)
+        lean.observe(X[i], y[i])
+        observe_chain_reference(ref, X[i], y[i])
+        if i == 600:
+            assert lean.eigen.raw_vectors[:, -1] @ negated > 0.0
+    assert lean.degenerate_responses > 0
+    assert lean.coef.truncation_zeros > 0
+    assert _state(lean) == _state(ref)
+    assert lean.directions().tobytes() == ref.directions().tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad", ["non-finite x", "wrong-length x", "NaN y", "-inf x", "inf y"]
+)
 @pytest.mark.parametrize("tracker", STRATEGIES)
 def test_rejected_observation_leaves_the_state_unchanged(tmp_path, bad, tracker):
     X, y = _model_one(n=200)
@@ -226,6 +282,10 @@ def test_rejected_observation_leaves_the_state_unchanged(tmp_path, bad, tracker)
         x[3] = np.inf
     elif bad == "wrong-length x":
         x = x[:-1]
+    elif bad == "-inf x":
+        x[0] = -np.inf
+    elif bad == "inf y":
+        yi = np.inf
     else:
         yi = np.nan
     model.save(tmp_path / "before.npz")

@@ -1,6 +1,7 @@
 """Truncation operator and the sparse online regression stage."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ def test_update_validation():
         model.update(np.ones(3), [0.0])
     with pytest.raises(DataError):
         model.update(np.array([1.0, np.nan, 0.0]), [0.0, 0.0])
+    with pytest.raises(DataError):
+        model.update(np.ones(3), [0.0, -np.inf])
+    assert model.step == 0
+
+
+def test_update_accepts_finite_inputs_whose_squares_overflow():
+    model = TruncatedGradient(3, 1, rate=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check itself warns of no overflow
+        model.update(np.array([1e200, -2e200, 3e200]), [0.0])
+    assert model.step == 1
 
 
 # -- regularization path ------------------------------------------------------------
