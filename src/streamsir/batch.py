@@ -9,12 +9,15 @@ the streaming estimators in tests.
 Conventions: X is (n, p) with one observation per row and is centered
 internally.  n = c * H divisible slicing is the clean case; a remainder is
 folded into the last slice.
+
+``batch_sir`` is the package's only scipy caller (a generalized symmetric
+eigenproblem), so it imports ``scipy.linalg`` on its first call: importing
+streamsir and running the streaming estimators load numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigurationError,
@@ -116,9 +119,11 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     cov = Xc.T @ Xc / n
     if p >= n:
         cov = cov + (1e-6 * np.trace(cov) / p) * np.eye(p)
+    import scipy.linalg  # here, not at the top: the streaming path needs numpy alone
+
     try:
         vals, vecs = scipy.linalg.eigh(G, cov)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
         raise DegenerateDataError(
             "sample covariance is singular; not enough observations for p features"
         )

@@ -236,6 +236,8 @@ def cmd_benchmark(args):
     ps = [int(tok) for tok in str(args.p).split(",")]
     if args.reps < 1:
         raise ConfigurationError("--reps must be at least 1")
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

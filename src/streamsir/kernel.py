@@ -59,10 +59,10 @@ class SliceGrid:
 
     def __init__(self, cuts: np.ndarray):
         cuts = np.asarray(cuts, dtype=float).ravel()
-        if cuts.size and not np.all(np.diff(cuts) > 0):
-            raise ConfigurationError("cut points must be strictly increasing")
-        if cuts.size and not np.all(np.isfinite(cuts)):
+        if not np.all(np.isfinite(cuts)):
             raise DataError("cut points must be finite")
+        if not np.all(np.diff(cuts) > 0):
+            raise ConfigurationError("cut points must be strictly increasing")
         self.cuts = cuts
         self.counts = np.zeros(cuts.size + 1, dtype=np.int64)
 

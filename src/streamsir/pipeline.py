@@ -213,7 +213,8 @@ class OnlineSparseSIR:
 
     @property
     def zero_direction_flags(self) -> np.ndarray:
-        return np.linalg.norm(self.coef.betas, axis=0) == 0.0
+        betas = self.coef.betas
+        return np.add.reduce(betas * betas, axis=0) == 0.0  # as directions() finds a zero norm
 
     def directions(self, normalize: bool = True) -> np.ndarray:
         """Current direction estimate, (p, d).
@@ -223,11 +224,12 @@ class OnlineSparseSIR:
         ``zero_direction_flags``.  The result is always a new array, also
         with ``normalize=False``.
         """
-        B = self.coef.betas.copy(order="K")
-        if normalize:
-            norms = np.linalg.norm(B, axis=0)
-            B /= np.where(norms > 0, norms, 1.0)  # x / 1 is x, bit for bit
-        return B
+        betas = self.coef.betas
+        if not normalize:
+            return betas.copy(order="K")
+        # np.linalg.norm's own arithmetic for real input, without its wrapper
+        norms = np.sqrt(np.add.reduce(betas * betas, axis=0))
+        return betas / np.where(norms > 0, norms, 1.0)  # x / 1 is x, bit for bit
 
     def check_counters(self) -> None:
         """Raise if the per-stage step counters drifted apart."""

@@ -294,6 +294,19 @@ def test_benchmark_invalid_model_dimension_fails_fast(tmp_path, capsys):
     assert "model 2" in payload["message"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_benchmark_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    # rejected before any cell runs, not silently run serially
+    out_dir = tmp_path / "b"
+    code = main(["benchmark", "--p", "10", "--n", "300", "--reps", "1",
+                 "--methods", "M3", "--jobs", jobs, "--out", str(out_dir)])
+    assert code == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert "--jobs must be at least 1" in payload["message"]
+    assert not (out_dir / "results.csv").exists()
+
+
 def _rows_without_seconds(out_dir):
     rows = _read_dicts(out_dir / "results.csv")
     for r in rows:

@@ -88,6 +88,13 @@ def test_unsorted_cuts_rejected():
         SliceGrid(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("cuts", [[0.0, np.nan, 2.0], [np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+def test_non_finite_cuts_are_data_errors(cuts):
+    # a NaN makes the order test fail too, so finiteness is tested first
+    with pytest.raises(DataError, match="finite"):
+        SliceGrid(np.array(cuts))
+
+
 # -- streaming statistics ------------------------------------------------------------
 
 
