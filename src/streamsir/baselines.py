@@ -7,17 +7,21 @@ regression.  Maintaining the covariance costs O(p^2) per observation and the
 final solve is dense, so the estimate degrades sharply once p approaches the
 sample size.
 
-Only the perturbation and sgd trackers are offered here, matching the two
-dense online variants used as benchmark opponents.
+It shares the sparse estimator's front end (``pipeline.warmup_stages``:
+the slice kernel and the eigen tracker) and its column normalization, and
+differs only in how the directions are read out.  Only the perturbation
+and sgd trackers are offered here, matching the two dense online variants
+used as benchmark opponents.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .eigen import EigenTracker, TrackerConfig
-from .errors import ConfigurationError, DataError
-from .kernel import KernelTracker, SliceGrid
+from .eigen import EigenTracker
+from .errors import ConfigurationError
+from .kernel import KernelTracker
+from .pipeline import SIRConfig, unit_columns, warmup_stages
 
 
 class DenseOnlineSIR:
@@ -44,20 +48,15 @@ class DenseOnlineSIR:
         n_directions: int = 1,
         tracker: str = "perturbation",
     ) -> "DenseOnlineSIR":
+        """Start from a warmup batch of at least max(n_slices, n_directions, 2)
+        rows, through the sparse estimator's own front end."""
         if tracker not in ("perturbation", "sgd"):
             raise ConfigurationError(
                 "dense online SIR supports only the perturbation and sgd trackers"
             )
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != y.size:
-            raise DataError("warmup X must be (n, p) with one response per row")
-        if X.shape[0] < max(n_slices, 2):
-            raise ConfigurationError("warmup batch too small for the slice grid")
-        grid = SliceGrid.from_warmup(y, n_slices)
-        kernel = KernelTracker(grid, X.shape[1])
-        kernel.replay(X, y)
-        eigen = EigenTracker.from_kernel(kernel, n_directions, TrackerConfig(strategy=tracker))
+        config = SIRConfig(n_slices=n_slices, n_directions=n_directions, tracker=tracker,
+                           min_warmup=max(n_slices, 2))
+        X, kernel, eigen = warmup_stages(X, y, config)
         return cls(kernel, eigen, X.T @ X, X.shape[0])
 
     @property
@@ -84,7 +83,4 @@ class DenseOnlineSIR:
         except np.linalg.LinAlgError:
             cov = cov + (1e-6 * np.trace(cov) / p) * np.eye(p)
             B = np.linalg.solve(cov, self.eigen.vectors)
-        norms = np.linalg.norm(B, axis=0)
-        good = norms > 0
-        B[:, good] /= norms[good]
-        return B
+        return unit_columns(B)

@@ -24,6 +24,7 @@ from .errors import (
     ConvergenceError,
     DataError,
     DegenerateDataError,
+    as_rows,
 )
 
 
@@ -65,10 +66,7 @@ def _slice_assignments(y: np.ndarray, n_slices: int) -> np.ndarray:
 
 
 def _validate_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise DataError("X must be (n, p) with one response per row")
+    X, y = as_rows(X, y)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DataError("inputs must be finite")
     return X, y

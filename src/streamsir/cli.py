@@ -33,7 +33,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,13 +86,14 @@ def resolve_methods(tokens):
     return out
 
 
-def benchmark_learning_rate(p):
-    """Default streaming learning rate at p features: min(1e-3, 0.3/p),
-    the rule ``SIRConfig.resolve_rate`` applies when no rate is given."""
-    return SIRConfig().resolve_rate(p)
-
-
 DEFAULT_GRAVITY = 3e-4
+
+
+def _at_least_one(**counts):
+    """Raise ``ConfigurationError`` for the first count flag below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigurationError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +234,7 @@ def cmd_benchmark(args):
     methods = resolve_methods(args.methods.split(","))
     models = [int(tok) for tok in str(args.model).split(",")]
     ps = [int(tok) for tok in str(args.p).split(",")]
-    if args.reps < 1:
-        raise ConfigurationError("--reps must be at least 1")
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    _at_least_one(reps=args.reps, jobs=args.jobs, warmup=args.warmup)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -250,6 +247,8 @@ def cmd_benchmark(args):
         for rep in range(args.reps)
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pools need multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_cell_task, tasks, chunksize=1))
     else:
@@ -330,9 +329,7 @@ def _read_stream_csv(path, target):
 
 
 def cmd_fit(args):
-    if args.checkpoint_every < 1:
-        raise ConfigurationError(
-            f"--checkpoint-every must be at least 1, got {args.checkpoint_every}")
+    _at_least_one(checkpoint_every=args.checkpoint_every, warmup=args.warmup)
     X, y, names = _read_stream_csv(args.input, args.target)
     n, p = X.shape
     if n <= args.warmup:
@@ -401,6 +398,7 @@ def _parse_grid(text, flag):
 
 
 def cmd_sweep(args):
+    _at_least_one(warmup=args.warmup)
     spec = SimModelSpec(args.model, args.p)
     gammas = _parse_grid(args.gamma_grid, "--gamma-grid")
     gravities = _parse_grid(args.gravity_grid, "--gravity-grid")

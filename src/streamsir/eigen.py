@@ -24,8 +24,10 @@ trackers are initialized from the same warmup statistics via a thin SVD of
 the p x H factor, which equals the dense eigendecomposition of the kernel
 matrix without materializing it.  ``EigenTracker.advance`` runs the
 whole eigen stage of one streaming observation for any strategy.  A
-tracker's state is its public attributes; ``OnlineSparseSIR.save`` decides
-which of them a checkpoint holds.
+tracker's state is its public attributes.  The constructor allocates the
+chosen strategy's own state, zeroed, from the shapes of the basis, so a
+loader needs no per-strategy knowledge; ``from_kernel`` fills it from the
+warmup, and ``OnlineSparseSIR.save`` decides which of it a checkpoint holds.
 
 ``vectors`` and ``raw_vectors`` start column-major (Fortran order) and
 ccipca rewrites their columns in place, so on the default path every
@@ -82,7 +84,7 @@ class EigenTracker:
     raw_vectors : (p, d) unnormalized component vectors (ccipca only);
         the norm of column j doubles as its eigenvalue estimate.
     averaged_kernel : (p, p) running mean of dense kernel matrices
-        (perturbation only).
+        (perturbation only; zeros until ``from_kernel`` sets it).
     slice_y_sum, slice_y_count : (H,) response sum and count per slice, whose
         ratio picks the slice of each observation (ipca only; allocated
         when ``n_slices`` is given).
@@ -95,7 +97,6 @@ class EigenTracker:
         values: np.ndarray,
         vectors: np.ndarray,
         config: TrackerConfig,
-        averaged_kernel: np.ndarray | None = None,
         n_slices: int | None = None,
     ):
         self.values = np.array(values, dtype=float)
@@ -108,14 +109,8 @@ class EigenTracker:
             if config.strategy == "ccipca"
             else None
         )
-        if config.strategy == "perturbation":
-            if averaged_kernel is None:
-                raise ConfigurationError(
-                    "perturbation strategy needs the dense kernel at init"
-                )
-            self.averaged_kernel = np.asarray(averaged_kernel, dtype=float).copy()
-        else:
-            self.averaged_kernel = None
+        p = self.vectors.shape[0]
+        self.averaged_kernel = np.zeros((p, p)) if config.strategy == "perturbation" else None
         if config.strategy == "ipca" and n_slices is not None:
             self.slice_y_sum = np.zeros(n_slices)
             self.slice_y_count = np.zeros(n_slices, dtype=np.int64)
@@ -132,9 +127,10 @@ class EigenTracker:
 
         The top-d eigenpairs of (1/H) C C' are read off the thin SVD of the
         p x H factor C, so no p x p matrix is formed unless the strategy
-        itself requires one.  The ipca strategy starts its per-slice
-        response sums from the warmup responses ``y``; without them every
-        slice starts empty and its step raises ``DataError``.
+        itself requires one: perturbation's running average starts at the
+        dense kernel.  The ipca strategy starts its per-slice response sums
+        from the warmup responses ``y``; without them every slice starts
+        empty and its step raises ``DataError``.
         """
         factor = kernel.slice_cov
         p, n_slices = factor.shape
@@ -150,8 +146,9 @@ class EigenTracker:
                 "slice kernel is numerically zero; covariates carry no "
                 "between-slice signal in the warmup"
             )
-        averaged = kernel.kernel_matrix() if config.strategy == "perturbation" else None
-        tracker = cls(values, vectors, config, averaged, n_slices)
+        tracker = cls(values, vectors, config, n_slices)
+        if tracker.averaged_kernel is not None:
+            tracker.averaged_kernel = kernel.kernel_matrix()
         if tracker.slice_y_sum is not None and y is not None:
             y = np.asarray(y, dtype=float).ravel()
             slices = np.searchsorted(kernel.grid.cuts, y, side="left")

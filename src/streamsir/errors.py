@@ -1,4 +1,4 @@
-"""Exception types, and the finiteness test, shared across the package.
+"""Exception types, and the input checks, shared across the package.
 
 Everything user-facing raises one of these so callers (and the CLI) can
 distinguish "you configured it wrong" from "the data broke an assumption"
@@ -16,6 +16,16 @@ def all_finite(v: np.ndarray) -> bool:
     the elementwise test run, to accept finite entries whose squares
     overflow, for which ``np.vdot``, unlike ``@``, warns of nothing."""
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
+
+def as_rows(X, y, what: str = "X") -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as a float (n, p) array and ``y`` as a float n-vector; any other
+    shape raises ``DataError`` naming the batch as ``what``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or X.shape[0] != y.size:
+        raise DataError(f"{what} must be (n, p) with one response per row")
+    return X, y
 
 
 class StreamsirError(Exception):

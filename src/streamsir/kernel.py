@@ -34,6 +34,7 @@ from .errors import (
     DegenerateDataError,
     EmptyStateError,
     all_finite,
+    as_rows,
 )
 
 
@@ -233,10 +234,7 @@ class KernelTracker:
 
     def replay(self, X, y) -> None:
         """Absorb a batch row by row (order does not affect the aggregates)."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != y.size:
-            raise DataError("X must be (n, p) with one response per row")
+        X, y = as_rows(X, y)
         for xi, yi in zip(X, y):
             self.update(xi, yi)
 

@@ -23,9 +23,16 @@ works on contiguous length-p columns in place; ``load`` restores each
 array in the layout a fresh model gives it, whatever order the file holds.
 Memory order is an implementation detail, not part of the API.
 
+``warmup_stages`` is the front end this model shares with the dense
+baseline (``baselines.DenseOnlineSIR``): it checks the warmup batch,
+applies the warmup-size rule and starts the slice statistics and the eigen
+tracker, so the two estimators differ only in how they read out
+directions, and ``unit_columns`` normalizes both read-outs.
+
 ``save`` writes a checkpoint that holds the config once and the state that
 ``CHECKPOINT_LAYOUT`` lists; ``load`` rebuilds the stages from the config
-and checks every stored array's shape against them.
+and checks every stored array's shape against them.  A file that does not
+decode raises ``DataError``, as every other damaged checkpoint does.
 """
 
 from __future__ import annotations
@@ -34,18 +41,26 @@ import json
 import math
 import os
 import tempfile
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .eigen import EigenTracker, TrackerConfig
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, as_rows
 from .kernel import KernelTracker, SliceGrid
 from .simulate import subspace_distance
 from .truncated import TruncatedGradient
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
 CHECKPOINT_FORMAT = 2
+
+# What decoding a damaged checkpoint raises, from zipfile, numpy's .npy
+# reader, json and the config's own checks; ``load`` turns it into DataError.
+_UNDECODABLE = (
+    zipfile.BadZipFile, EOFError, NotImplementedError, OSError, RuntimeError, TypeError,
+    ValueError,
+)
 
 # The checkpoint layout: the state each stage keeps in a checkpoint, stored
 # under "<stage>_<attribute>" next to "pipe_format" and "pipe_config".  The
@@ -76,7 +91,7 @@ class SIRConfig:
 
     n_slices: int = 10
     n_directions: int = 1
-    tracker: str = "ccipca"
+    tracker: str = TrackerConfig.strategy
     learning_rate: float | None = None
     gravity: float = 0.0
     threshold: float = math.inf
@@ -134,34 +149,9 @@ class OnlineSparseSIR:
 
     @classmethod
     def warmup(cls, X, y, config: SIRConfig = SIRConfig()) -> "OnlineSparseSIR":
-        """Initialize every stage from a warmup batch.
-
-        The batch fixes the slice cut points for the rest of the stream and
-        supplies the eigen-tracker's starting basis, so it must hold at
-        least max(n_slices, n_directions, min_warmup) observations.
-        """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != y.size:
-            raise DataError("warmup X must be (n, p) with one response per row")
+        """Initialize every stage from a warmup batch (see ``warmup_stages``)."""
+        X, kernel, eigen = warmup_stages(X, y, config)
         n0, p = X.shape
-        need = max(
-            config.n_slices,
-            config.n_directions,
-            config.min_warmup
-            if config.min_warmup is not None
-            else 5 * config.n_slices,
-        )
-        if n0 < need:
-            raise ConfigurationError(
-                f"warmup batch has {n0} observations, need at least {need}"
-            )
-        grid = SliceGrid.from_warmup(y, config.n_slices)
-        kernel = KernelTracker(grid, p)
-        kernel.replay(X, y)
-        eigen = EigenTracker.from_kernel(
-            kernel, config.n_directions, config.tracker_config(), y
-        )
         return cls(kernel, eigen, _coefficient_stage(config, p), config, n0)
 
     # -- streaming ---------------------------------------------------------------
@@ -225,11 +215,7 @@ class OnlineSparseSIR:
         with ``normalize=False``.
         """
         betas = self.coef.betas
-        if not normalize:
-            return betas.copy(order="K")
-        # np.linalg.norm's own arithmetic for real input, without its wrapper
-        norms = np.sqrt(np.add.reduce(betas * betas, axis=0))
-        return betas / np.where(norms > 0, norms, 1.0)  # x / 1 is x, bit for bit
+        return unit_columns(betas) if normalize else betas.copy(order="K")
 
     def check_counters(self) -> None:
         """Raise if the per-stage step counters drifted apart."""
@@ -288,12 +274,25 @@ class OnlineSparseSIR:
 
         The stages are rebuilt from the stored config and the feature count,
         then filled from the file.  A file of another checkpoint format, a
-        missing key, stored config fields that differ from ``SIRConfig``'s or
-        an array whose shape the config does not imply raise ``DataError``;
-        keys outside ``CHECKPOINT_LAYOUT`` are ignored.
+        missing key, stored config fields that differ from ``SIRConfig``'s,
+        an array whose shape the config does not imply or a file that does
+        not decode at all (truncated, corrupted) raise ``DataError`` naming
+        the file; keys outside ``CHECKPOINT_LAYOUT`` are ignored.  A missing
+        or unreadable file raises ``OSError``.
         """
-        with np.load(path, allow_pickle=False) as handle:
-            arrays = {key: handle[key] for key in handle.files}
+        with open(path, "rb") as handle:
+            try:
+                return cls._decoded(path, handle)
+            except DataError:
+                raise
+            except _UNDECODABLE as exc:
+                raise DataError(f"{path}: not a readable checkpoint "
+                                f"({type(exc).__name__}: {exc})") from exc
+
+    @classmethod
+    def _decoded(cls, path, handle) -> "OnlineSparseSIR":
+        with np.load(handle, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
         version = int(arrays["pipe_format"]) if "pipe_format" in arrays else None
         if version != CHECKPOINT_FORMAT:
             raise DataError(
@@ -325,16 +324,38 @@ class OnlineSparseSIR:
         """A model of the shapes ``config`` and ``p`` imply, with zero state;
         its grid's cut points are placeholders."""
         H, d = config.n_slices, config.n_directions
-        tracker = config.tracker_config()
-        eigen = EigenTracker(
-            np.zeros(d),
-            np.zeros((p, d)),
-            tracker,
-            averaged_kernel=np.zeros((p, p)) if tracker.strategy == "perturbation" else None,
-            n_slices=H,
-        )
+        eigen = EigenTracker(np.zeros(d), np.zeros((p, d)), config.tracker_config(), H)
         kernel = KernelTracker(SliceGrid(np.arange(1.0, H)), p)
         return cls(kernel, eigen, _coefficient_stage(config, p), config, 0)
+
+
+def warmup_stages(X, y, config: SIRConfig) -> tuple[np.ndarray, KernelTracker, EigenTracker]:
+    """The front end every streaming estimator starts from: the warmup batch
+    as a float (n, p) array, the slice statistics replayed over it and the
+    eigen tracker started from them.
+
+    The batch fixes the slice cut points for the rest of the stream and
+    supplies the eigen tracker's starting basis, so it must hold at least
+    max(n_slices, n_directions, min_warmup) observations.
+    """
+    X, y = as_rows(X, y, "warmup X")
+    n0 = X.shape[0]
+    min_warmup = config.min_warmup if config.min_warmup is not None else 5 * config.n_slices
+    need = max(config.n_slices, config.n_directions, min_warmup)
+    if n0 < need:
+        raise ConfigurationError(f"warmup batch has {n0} observations, need at least {need}")
+    kernel = KernelTracker(SliceGrid.from_warmup(y, config.n_slices), X.shape[1])
+    kernel.replay(X, y)
+    eigen = EigenTracker.from_kernel(kernel, config.n_directions, config.tracker_config(), y)
+    return X, kernel, eigen
+
+
+def unit_columns(B: np.ndarray) -> np.ndarray:
+    """``B`` with unit columns, as a new array; an all-zero column stays zero.
+    The norms are np.linalg.norm's own arithmetic for real input, without
+    its wrapper."""
+    norms = np.sqrt(np.add.reduce(B * B, axis=0))
+    return B / np.where(norms > 0, norms, 1.0)  # x / 1 is x, bit for bit
 
 
 def _restored(path, key: str, stored: np.ndarray, empty):
@@ -378,10 +399,7 @@ def fit_stream(
     eigenvalues, nonzero coefficient count, and (when reference directions
     are supplied) the subspace distance to them.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise DataError("stream X must be (n, p) with one response per row")
+    X, y = as_rows(X, y, "stream X")
     if progress_every < 1:
         raise ConfigurationError("progress_every must be a positive integer")
     for i in range(X.shape[0]):
@@ -404,8 +422,9 @@ def fit_online(
     X, y, config: SIRConfig = SIRConfig(), warmup_size: int = 100
 ) -> OnlineSparseSIR:
     """Convenience wrapper: warm up on the first rows, stream the rest."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    if warmup_size < 1:
+        raise ConfigurationError(f"warmup_size must be at least 1, got {warmup_size}")
+    X, y = as_rows(X, y)
     if warmup_size >= X.shape[0]:
         raise ConfigurationError(
             f"warmup_size {warmup_size} leaves no observations to stream"

@@ -8,6 +8,7 @@ numpy's dense solvers.  Streaming results are compared against these.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -314,3 +315,21 @@ def observe_chain_reference(model, x, y) -> None:
     resid *= 2.0 * coef.rate
     rows = coef.betas.T
     rows += resid[:, None] * x
+
+
+def assert_same_state(a, b, path="model"):
+    """Every attribute of a model and of its stages (the attributes that are
+    plain objects, not dataclass configs) is bitwise equal."""
+    assert vars(a).keys() == vars(b).keys(), path
+    for name, value in vars(a).items():
+        other = vars(b)[name]
+        where = f"{path}.{name}"
+        if name == "dense_builds":  # a diagnostic counter checkpoints do not keep
+            continue
+        if hasattr(value, "__dict__") and not dataclasses.is_dataclass(value):
+            assert_same_state(value, other, where)
+        elif isinstance(value, np.ndarray):
+            assert isinstance(other, np.ndarray) and value.dtype == other.dtype, where
+            assert value.shape == other.shape and value.tobytes() == other.tobytes(), where
+        else:
+            assert type(value) is type(other) and value == other, where

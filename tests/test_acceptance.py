@@ -22,7 +22,6 @@ from streamsir import (
     true_betas,
 )
 from streamsir.batch import dense_top_eigen, lasso_coordinate_descent, lasso_sir_targets
-from streamsir.cli import benchmark_learning_rate
 from streamsir.kernel import KernelTracker, SliceGrid
 from streamsir.truncated import TruncatedGradient
 
@@ -105,7 +104,7 @@ def test_criterion_3_easy_cells_recovered():
             truth = true_betas(SimModelSpec(model_id, p))
             cfg = SIRConfig(
                 n_slices=10, tracker="ccipca",
-                learning_rate=benchmark_learning_rate(p), gravity=3e-4,
+                learning_rate=SIRConfig().resolve_rate(p), gravity=3e-4,
             )
             dists = [
                 subspace_distance(
@@ -139,7 +138,7 @@ def _criterion_4_cell(rep, code):
     if code == "M3":
         cfg = SIRConfig(
             n_slices=10, tracker="ccipca",
-            learning_rate=benchmark_learning_rate(500), gravity=3e-4,
+            learning_rate=SIRConfig().resolve_rate(500), gravity=3e-4,
         )
         betas = fit_online(X, y, cfg, warmup_size=_P500_WARMUP).directions()
     elif code == "M7":
@@ -201,7 +200,7 @@ def _streaming_seconds(tracker, p, reps, n=1000, warmup=_P500_WARMUP):
         X, y = sample(SimModelSpec(1, p), n, rng=1000 + rep)
         cfg = SIRConfig(
             n_slices=10, n_directions=1, tracker=tracker,
-            learning_rate=benchmark_learning_rate(p), gravity=3e-4,
+            learning_rate=SIRConfig().resolve_rate(p), gravity=3e-4,
         )
         model = OnlineSparseSIR.warmup(X[:warmup], y[:warmup], cfg)
         t0 = time.perf_counter()

@@ -6,11 +6,15 @@ import pytest
 from streamsir import (
     ConfigurationError,
     DenseOnlineSIR,
+    OnlineSparseSIR,
+    SIRConfig,
     SimModelSpec,
     sample,
     subspace_distance,
     true_betas,
 )
+
+from .helpers import assert_same_state
 
 
 def _fit(tracker, n=1000, p=20, seed=0, warmup=100):
@@ -26,6 +30,26 @@ def test_supported_trackers_only():
     for tracker in ("ccipca", "ipca", "oja"):
         with pytest.raises(ConfigurationError):
             DenseOnlineSIR.warmup(X, y, 5, 1, tracker)
+
+
+@pytest.mark.parametrize("tracker", ["perturbation", "sgd"])
+def test_dense_and_sparse_warmups_share_the_front_end(tracker):
+    X, y = sample(SimModelSpec(3, 12), 100, rng=4)
+    dense = DenseOnlineSIR.warmup(X, y, 10, 2, tracker)
+    sparse = OnlineSparseSIR.warmup(X, y, SIRConfig(n_directions=2, tracker=tracker))
+    assert_same_state(dense.kernel, sparse.kernel, "kernel")
+    assert dense.kernel.dense_builds == sparse.kernel.dense_builds
+    assert_same_state(dense.eigen, sparse.eigen, "eigen")
+    assert dense.warmup_size == sparse.warmup_size == 100
+
+
+@pytest.mark.parametrize("n_slices", [2, 4])
+def test_dense_warmup_needs_max_of_slices_and_two_rows(n_slices):
+    X, y = sample(SimModelSpec(1, 8), 10, rng=5)
+    need = max(n_slices, 2)
+    assert DenseOnlineSIR.warmup(X[:need], y[:need], n_slices).warmup_size == need
+    with pytest.raises(ConfigurationError, match=f"need at least {need}"):
+        DenseOnlineSIR.warmup(X[: need - 1], y[: need - 1], n_slices)
 
 
 def test_directions_match_an_explicit_recomputation():

@@ -25,8 +25,8 @@ except ModuleNotFoundError:  # Python 3.10
 import numpy as np
 import pytest
 
-from streamsir import OnlineSparseSIR, SimModelSpec, subspace_distance, true_betas
-from streamsir.cli import benchmark_learning_rate, main, resolve_methods
+from streamsir import OnlineSparseSIR, SIRConfig, SimModelSpec, subspace_distance, true_betas
+from streamsir.cli import main, resolve_methods
 from streamsir.errors import ConfigurationError
 
 
@@ -184,12 +184,31 @@ def test_fit_rejects_checkpoint_every_below_one(tmp_path, capsys, every):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "benchmark", "sweep"])
+@pytest.mark.parametrize("warmup", ["0", "-5"])
+def test_warmup_below_one_is_rejected_before_any_work(tmp_path, capsys, command, warmup):
+    # a negative warmup used to slice X[:-5] for the warmup and then stream
+    # rows from index -5 on, so the last rows were seen twice
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--input", str(_simulate(tmp_path, n=300, p=4))],
+        "benchmark": ["benchmark", "--p", "10", "--n", "300", "--reps", "1",
+                      "--methods", "M3,M5"],
+        "sweep": ["sweep", "--model", "1", "--p", "10", "--n", "300"],
+    }[command]
+    assert main(argv + ["--warmup", warmup, "--out", str(out)]) == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert f"--warmup must be at least 1, got {warmup}" in payload["message"]
+    assert not out.exists()
+
+
 # -- benchmark ----------------------------------------------------------------
 
 
 def test_benchmark_learning_rate_policy():
-    assert benchmark_learning_rate(20) == 1e-3
-    assert benchmark_learning_rate(1000) == 0.3 / 1000
+    assert SIRConfig().resolve_rate(20) == 1e-3
+    assert SIRConfig().resolve_rate(1000) == 0.3 / 1000
 
 
 def test_resolve_methods_accepts_names_and_codes():

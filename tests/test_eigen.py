@@ -85,9 +85,23 @@ def test_tracker_config_validation():
         TrackerConfig(strategy="sgd", orthonormalize_every=0)
 
 
-def test_perturbation_requires_a_dense_kernel_at_init():
-    with pytest.raises(ConfigurationError):
-        EigenTracker(np.ones(1), np.eye(3)[:, :1], _cfg("perturbation"))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_constructor_allocates_the_strategy_state(strategy):
+    tracker = EigenTracker(np.ones(1), np.eye(3)[:, :1], _cfg(strategy))
+    if strategy == "perturbation":
+        assert tracker.averaged_kernel.shape == (3, 3) and not tracker.averaged_kernel.any()
+    else:
+        assert tracker.averaged_kernel is None
+
+
+def test_from_kernel_starts_perturbation_at_the_dense_kernel():
+    rng = np.random.default_rng(4)
+    X, y = random_stream(rng, 60, 5)
+    kernel = KernelTracker(SliceGrid.from_warmup(y, 4), 5)
+    kernel.replay(X, y)
+    tracker = EigenTracker.from_kernel(kernel, 1, _cfg("perturbation"))
+    assert tracker.averaged_kernel.tobytes() == kernel.kernel_matrix().tobytes()
+    assert kernel.dense_builds == 2  # one by from_kernel, one above
 
 
 # -- ccipca ------------------------------------------------------------
@@ -214,12 +228,8 @@ def test_perturbation_noop_when_kernel_matches_average():
 
 def test_perturbation_first_order_value_shift_on_a_diagonal():
     eps, t = 1e-3, 4
-    tracker = EigenTracker(
-        np.array([2.0]),
-        np.eye(2)[:, :1],
-        _cfg("perturbation"),
-        averaged_kernel=np.diag([2.0, 1.0]),
-    )
+    tracker = EigenTracker(np.array([2.0]), np.eye(2)[:, :1], _cfg("perturbation"))
+    tracker.averaged_kernel = np.diag([2.0, 1.0])
     tracker.perturbation_step(np.diag([2.0 + eps, 1.0]), t)
     assert tracker.values[0] == pytest.approx(2.0 + eps / (t + 1), abs=1e-12)
     assert abs(tracker.vectors[0, 0]) == pytest.approx(1.0, abs=1e-12)

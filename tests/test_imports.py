@@ -1,7 +1,8 @@
 """Import graph: the streaming path loads numpy alone.
 
 scipy is used by one function, ``batch_sir``, which imports it on its first
-call. Each check runs in a fresh interpreter that imports this checkout's
+call, and the CLI loads its process pool only for ``benchmark --jobs`` above
+1. Each check runs in a fresh interpreter that imports this checkout's
 ``src``, because ``sys.modules`` of the test process already holds
 everything the rest of the suite imported.
 """
@@ -50,6 +51,15 @@ def test_package_and_cli_import_without_scipy_until_batch_sir(tmp_path):
         X = np.random.default_rng(0).standard_normal((200, 5))
         streamsir.batch_sir(X, X[:, 0], 5, 1)
         assert "scipy.linalg" in sys.modules
+    """, tmp_path)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    _run("""
+        import sys
+        import streamsir.cli
+        loaded = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
+        assert not loaded, f"importing streamsir.cli loaded {sorted(loaded)}"
     """, tmp_path)
 
 

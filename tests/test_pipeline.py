@@ -22,7 +22,6 @@ from streamsir import (
     SimModelSpec,
     SliceGrid,
     TrackerConfig,
-    TruncatedGradient,
     fit_online,
     fit_stream,
     sample,
@@ -32,6 +31,7 @@ from streamsir import (
 from streamsir.kernel import SliceFactor
 
 from .helpers import (
+    assert_same_state,
     ccipca_observe_reference,
     observe_chain_reference,
     principal_angle,
@@ -355,6 +355,16 @@ def test_stream_validation():
         fit_stream(model, X[100:], y[100:], progress=print, progress_every=0)
     with pytest.raises(ConfigurationError):
         fit_online(X, y, warmup_size=200)
+    with pytest.raises(DataError, match="one response per row"):
+        fit_online(X, y[:150])
+
+
+@pytest.mark.parametrize("warmup_size", [0, -5])
+def test_fit_online_rejects_a_warmup_below_one(warmup_size):
+    # X[:-5] as the warmup and then X[-5:] streamed would see rows twice
+    X, y = _model_one(n=300)
+    with pytest.raises(ConfigurationError, match="warmup_size must be at least 1"):
+        fit_online(X, y, SIRConfig(**BENCH), warmup_size=warmup_size)
 
 
 # -- direction readout ------------------------------------------------------------
@@ -496,23 +506,6 @@ def test_save_preserves_diagnostics(tmp_path):
     assert OnlineSparseSIR.load(path).degenerate_responses == model.degenerate_responses
 
 
-def _assert_same_state(a, b, path="model"):
-    """Every attribute of a model and of its stages is bitwise equal."""
-    assert vars(a).keys() == vars(b).keys(), path
-    for name, value in vars(a).items():
-        other = vars(b)[name]
-        where = f"{path}.{name}"
-        if name == "dense_builds":  # a diagnostic counter checkpoints do not keep
-            continue
-        if isinstance(value, (KernelTracker, SliceGrid, EigenTracker, TruncatedGradient)):
-            _assert_same_state(value, other, where)
-        elif isinstance(value, np.ndarray):
-            assert isinstance(other, np.ndarray) and value.dtype == other.dtype, where
-            assert value.shape == other.shape and value.tobytes() == other.tobytes(), where
-        else:
-            assert type(value) is type(other) and value == other, where
-
-
 @pytest.mark.parametrize("threshold", [math.inf, 5.0])
 @pytest.mark.parametrize("tracker", STRATEGIES)
 def test_checkpoint_round_trips_every_strategy(tmp_path, tracker, threshold):
@@ -521,10 +514,10 @@ def test_checkpoint_round_trips_every_strategy(tmp_path, tracker, threshold):
     model = fit_online(X[:300], y[:300], cfg, warmup_size=100)
     model.save(tmp_path / "model.npz")
     restored = OnlineSparseSIR.load(tmp_path / "model.npz")
-    _assert_same_state(model, restored)
+    assert_same_state(model, restored)
     fit_stream(model, X[300:], y[300:])
     fit_stream(restored, X[300:], y[300:])
-    _assert_same_state(model, restored)
+    assert_same_state(model, restored)
     restored.check_counters()
 
 
@@ -605,7 +598,7 @@ def test_checkpoint_in_the_earlier_format_2_layout_loads(tmp_path):
     assert len(arrays) == 24
     np.savez(tmp_path / "earlier.npz", **arrays)
     earlier = OnlineSparseSIR.load(tmp_path / "earlier.npz")
-    _assert_same_state(earlier, OnlineSparseSIR.load(tmp_path / "model.npz"))
+    assert_same_state(earlier, OnlineSparseSIR.load(tmp_path / "model.npz"))
     assert earlier.coef.gravity == cfg.gravity
 
 
@@ -686,6 +679,56 @@ def test_checkpoint_in_the_layout_before_format_numbers_fails_loudly(tmp_path):
         OnlineSparseSIR.load(tmp_path / "old.npz")
 
 
+def test_damaged_checkpoint_loads_the_same_state_or_fails_loudly(tmp_path):
+    # every single-byte flip and every seventh truncation of a small file:
+    # zipfile's CRC and numpy's header checks catch most damage, and whatever
+    # they raise (BadZipFile, EOFError, NotImplementedError, ...) becomes a
+    # DataError naming the file; damage to bytes nobody reads (such as a zip
+    # timestamp) loads the same state, and none loads a different one
+    X, y = sample(SimModelSpec(1, 4), 60, rng=3)
+    model = fit_online(X, y, SIRConfig(n_slices=3, min_warmup=30), warmup_size=30)
+    good = tmp_path / "good.npz"
+    model.save(good)
+    data = good.read_bytes()
+    expected = OnlineSparseSIR.load(good)
+    path = tmp_path / "damaged.npz"
+    outcomes = Counter()
+    flips = (data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:] for i in range(len(data)))
+    truncations = (data[:n] for n in range(0, len(data), 7))
+    for damaged in (*flips, *truncations):
+        path.write_bytes(damaged)
+        try:
+            loaded = OnlineSparseSIR.load(path)
+        except DataError as exc:
+            assert str(exc).startswith(str(path)), exc
+            outcomes["DataError"] += 1
+        else:
+            assert_same_state(loaded, expected)
+            outcomes["same"] += 1
+    assert outcomes["DataError"] > outcomes["same"] > 0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda text: text[:-1], lambda text: text.replace('"n_slices": 10', '"n_slices": "ten"')],
+    ids=["bad_json", "non_numeric_field"],
+)
+def test_checkpoint_with_an_undecodable_config_fails_loudly(tmp_path, edit):
+    arrays = _saved_arrays(tmp_path)
+    text = str(arrays["pipe_config"])
+    assert edit(text) != text
+    arrays["pipe_config"] = np.asarray(edit(text))
+    path = tmp_path / "broken.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: not a readable checkpoint")):
+        OnlineSparseSIR.load(path)
+
+
+def test_a_missing_checkpoint_stays_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        OnlineSparseSIR.load(tmp_path / "absent.npz")
+
+
 # -- memory layout --------------------------------------------------------------
 
 
@@ -729,7 +772,7 @@ def test_hot_state_stays_column_major(tmp_path):
     model.save(path)
     restored = OnlineSparseSIR.load(path)
     _assert_column_major(restored, "after load")
-    _assert_same_state(model, restored)
+    assert_same_state(model, restored)
 
     # a file that holds every array in C order, as earlier versions wrote it
     with np.load(path) as handle:
@@ -739,9 +782,9 @@ def test_hot_state_stays_column_major(tmp_path):
         assert not handle["coef_betas"].flags.f_contiguous
     from_c = OnlineSparseSIR.load(tmp_path / "c_order.npz")
     _assert_column_major(from_c, "after load of a C-ordered file")
-    _assert_same_state(from_c, restored)
+    assert_same_state(from_c, restored)
 
     fit_stream(model, X[300:], y[300:])
     fit_stream(from_c, X[300:], y[300:])
     _assert_column_major(from_c, "after streaming on from a C-ordered file")
-    _assert_same_state(model, from_c)
+    assert_same_state(model, from_c)
