@@ -42,7 +42,7 @@ from .baselines import DenseOnlineSIR
 from .batch import batch_lasso_sir, batch_sir
 from .eigen import STRATEGIES
 from .errors import ConfigurationError, DataError, StreamsirError
-from .pipeline import OnlineSparseSIR, SIRConfig, fit_online
+from .pipeline import OnlineSparseSIR, SIRConfig, _split_warmup, fit_online, fit_stream
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
 
 DEFAULT_WARMUP = 100
@@ -101,7 +101,10 @@ def _at_least_one(**counts):
 
 
 def _fit_one(method, X, y, n_slices, n_directions, gamma, gravity, theta, period, warmup):
-    """Fit one method on one replication. Returns (directions, nonzeros)."""
+    """Fit one method on (X, y), for ``benchmark`` cells and ``sweep`` settings
+    alike. Returns (directions, nonzeros). The streaming methods warm up on the
+    first ``warmup`` rows under ``fit_online``'s checks and stream the rest
+    through ``fit_stream``."""
     if method.kind == "sparse":
         cfg = SIRConfig(
             n_slices=n_slices,
@@ -115,16 +118,10 @@ def _fit_one(method, X, y, n_slices, n_directions, gamma, gravity, theta, period
         model = fit_online(X, y, cfg, warmup_size=warmup)
         return model.directions(), model.coef.nonzero_count()
     if method.kind == "dense":
-        model = DenseOnlineSIR.warmup(
-            X[:warmup],
-            y[:warmup],
-            n_slices=n_slices,
-            n_directions=n_directions,
-            tracker=method.tracker,
-        )
-        for i in range(warmup, X.shape[0]):
-            model.observe(X[i], y[i])
-        return model.directions(), None
+        X0, y0, X1, y1 = _split_warmup(X, y, warmup)
+        model = DenseOnlineSIR.warmup(X0, y0, n_slices=n_slices, n_directions=n_directions,
+                                      tracker=method.tracker)
+        return fit_stream(model, X1, y1).directions(), None
     if method.kind == "batch-sir":
         return batch_sir(X, y, n_slices, n_directions), None
     betas = batch_lasso_sir(X, y, n_slices, n_directions)
@@ -350,21 +347,21 @@ def cmd_fit(args):
     model = OnlineSparseSIR.warmup(X[: args.warmup], y[: args.warmup], cfg)
     checkpoints = []
 
-    def record(t):
+    def record(info):
         checkpoints.append({
-            "t": t,
-            "nonzeros": model.coef.nonzero_count(),
-            "top_eigenvalue": f"{model.eigen.values[0]:.10g}",
-            "reinits": model.eigen.reinit_count,
-            "degenerate_responses": model.degenerate_responses,
+            "t": info["t"],
+            "nonzeros": info["nonzeros"],
+            "top_eigenvalue": f"{info['eigenvalues'][0]:.10g}",
+            "reinits": info["reinit_count"],
+            "degenerate_responses": info["degenerate_responses"],
         })
 
-    record(args.warmup)
-    for i in range(args.warmup, n):
-        model.observe(X[i], y[i])
-        t = i + 1
-        if t % args.checkpoint_every == 0 or t == n:
-            record(t)
+    # rows at the warmup, at every multiple of the cadence, and at the end
+    record(model.diagnostics())
+    fit_stream(model, X[args.warmup:], y[args.warmup:], progress=record,
+               progress_every=args.checkpoint_every)
+    if n % args.checkpoint_every:
+        record(model.diagnostics())
 
     betas = model.directions()
     with open(out_dir / "directions.csv", "w", newline="") as fh:
@@ -413,22 +410,19 @@ def cmd_sweep(args):
     X, y = sample(spec, args.n, rng)
     truth = true_betas(spec)
 
+    method = _METHOD_LOOKUP[f"sparse-{args.tracker}"]
     rows = []
     for gamma in gammas:
         for gravity in gravities:
             for theta in thetas:
-                cfg = SIRConfig(
-                    n_slices=args.H, n_directions=d, tracker=args.tracker,
-                    learning_rate=gamma, gravity=gravity, threshold=theta,
-                    period=args.period,
-                )
                 start = time.perf_counter()
-                model = fit_online(X, y, cfg, warmup_size=args.warmup)
+                betas, nonzeros = _fit_one(method, X, y, args.H, d, gamma, gravity, theta,
+                                           args.period, args.warmup)
                 rows.append({
                     "gamma": f"{gamma:g}", "gravity": f"{gravity:g}",
                     "theta": f"{theta:g}",
-                    "distance": f"{subspace_distance(truth, model.directions()):.10f}",
-                    "nonzeros": model.coef.nonzero_count(),
+                    "distance": f"{subspace_distance(truth, betas):.10f}",
+                    "nonzeros": nonzeros,
                     "seconds": f"{time.perf_counter() - start:.6f}",
                     "best": "",
                 })
@@ -458,15 +452,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_truncation_flags(sub, with_tracker_default="ccipca"):
-    sub.add_argument("--tracker", choices=STRATEGIES, default=with_tracker_default)
+def _add_truncation_flags(sub):
+    sub.add_argument("--tracker", choices=STRATEGIES, default=SIRConfig.tracker)
     sub.add_argument("--gamma", type=float, default=None,
                      help="coefficient learning rate (default: min(1e-3, 0.3/p))")
     sub.add_argument("--gravity", type=float, default=DEFAULT_GRAVITY,
                      help="truncation strength per step")
     sub.add_argument("--theta", type=float, default=math.inf,
                      help="truncation magnitude ceiling")
-    sub.add_argument("--period", type=int, default=10,
+    sub.add_argument("--period", type=int, default=SIRConfig.period,
                      help="steps between truncation passes")
 
 
@@ -522,11 +516,11 @@ def build_parser():
     sweep.add_argument("--d", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
-    sweep.add_argument("--tracker", choices=STRATEGIES, default="ccipca")
+    sweep.add_argument("--tracker", choices=STRATEGIES, default=SIRConfig.tracker)
     sweep.add_argument("--gamma-grid", default="0.001")
     sweep.add_argument("--gravity-grid", default="0.0003")
     sweep.add_argument("--theta-grid", default="inf")
-    sweep.add_argument("--period", type=int, default=10)
+    sweep.add_argument("--period", type=int, default=SIRConfig.period)
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -217,6 +217,19 @@ class OnlineSparseSIR:
         betas = self.coef.betas
         return unit_columns(betas) if normalize else betas.copy(order="K")
 
+    def diagnostics(self) -> dict:
+        """The model's state at a glance, as a new dict: the observation
+        count ``t``, a copy of the tracked ``eigenvalues``, the number of
+        ``nonzeros`` coefficients, the eigen tracker's ``reinit_count`` and
+        the ``degenerate_responses`` zeroed at the eigenvalue floor."""
+        return {
+            "t": self.t,
+            "eigenvalues": self.eigen.values.copy(),
+            "nonzeros": self.coef.nonzero_count(),
+            "reinit_count": self.eigen.reinit_count,
+            "degenerate_responses": self.degenerate_responses,
+        }
+
     def check_counters(self) -> None:
         """Raise if the per-stage step counters drifted apart."""
         streamed = self.kernel.t - self.warmup_size
@@ -393,23 +406,21 @@ def fit_stream(
     progress_every: int = 100,
     reference_directions=None,
 ) -> OnlineSparseSIR:
-    """Feed a stream row by row, optionally reporting periodic diagnostics.
+    """Feed a stream row by row, optionally reporting periodic diagnostics;
+    the package's one streaming loop, for any model with ``observe`` when
+    ``progress`` is None.
 
-    ``progress`` receives a dict with the observation count, current
-    eigenvalues, nonzero coefficient count, and (when reference directions
-    are supplied) the subspace distance to them.
+    ``progress`` receives ``model.diagnostics()`` each time ``model.t`` reaches
+    a multiple of ``progress_every``, plus the subspace ``distance`` to
+    ``reference_directions`` when they are given.
     """
     X, y = as_rows(X, y, "stream X")
     if progress_every < 1:
         raise ConfigurationError("progress_every must be a positive integer")
     for i in range(X.shape[0]):
         model.observe(X[i], y[i])
-        if progress is not None and (i + 1) % progress_every == 0:
-            info = {
-                "t": model.t,
-                "eigenvalues": model.eigen.values.copy(),
-                "nonzeros": model.coef.nonzero_count(),
-            }
+        if progress is not None and model.t % progress_every == 0:
+            info = model.diagnostics()
             if reference_directions is not None:
                 info["distance"] = subspace_distance(
                     reference_directions, model.directions()
@@ -418,10 +429,9 @@ def fit_stream(
     return model
 
 
-def fit_online(
-    X, y, config: SIRConfig = SIRConfig(), warmup_size: int = 100
-) -> OnlineSparseSIR:
-    """Convenience wrapper: warm up on the first rows, stream the rest."""
+def _split_warmup(X, y, warmup_size: int):
+    """``(X_warmup, y_warmup, X_stream, y_stream)``: the first ``warmup_size``
+    rows and the rest, of which there must be at least one."""
     if warmup_size < 1:
         raise ConfigurationError(f"warmup_size must be at least 1, got {warmup_size}")
     X, y = as_rows(X, y)
@@ -429,5 +439,14 @@ def fit_online(
         raise ConfigurationError(
             f"warmup_size {warmup_size} leaves no observations to stream"
         )
-    model = OnlineSparseSIR.warmup(X[:warmup_size], y[:warmup_size], config)
-    return fit_stream(model, X[warmup_size:], y[warmup_size:])
+    return X[:warmup_size], y[:warmup_size], X[warmup_size:], y[warmup_size:]
+
+
+def fit_online(
+    X, y, config: SIRConfig = SIRConfig(), warmup_size: int = 100
+) -> OnlineSparseSIR:
+    """Warm up on the first ``warmup_size`` rows and stream the rest through
+    ``fit_stream``; a warmup below 1 row or one that leaves no row to
+    stream raises ``ConfigurationError``."""
+    X0, y0, X1, y1 = _split_warmup(X, y, warmup_size)
+    return fit_stream(OnlineSparseSIR.warmup(X0, y0, config), X1, y1)
