@@ -65,13 +65,6 @@ def _slice_assignments(y: np.ndarray, n_slices: int) -> np.ndarray:
     return labels
 
 
-def _validate_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X, y = as_rows(X, y)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DataError("inputs must be finite")
-    return X, y
-
-
 def slice_mean_matrix(X, y, n_slices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centered slice means and memberships.
 
@@ -79,7 +72,9 @@ def slice_mean_matrix(X, y, n_slices: int) -> tuple[np.ndarray, np.ndarray, np.n
     centered covariates in slice h; labels is the per-row slice index; Xc the
     centered covariates.
     """
-    X, y = _validate_xy(X, y)
+    X, y = as_rows(X, y)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise DataError("inputs must be finite")
     labels = _slice_assignments(y, n_slices)
     Xc = X - X.mean(axis=0)
     M = np.zeros((X.shape[1], n_slices))
@@ -91,6 +86,11 @@ def slice_mean_matrix(X, y, n_slices: int) -> tuple[np.ndarray, np.ndarray, np.n
 def sir_matrix(X, y, n_slices: int) -> np.ndarray:
     """Between-slice covariance estimate: (1/H) sum_h m_h m_h^T."""
     M, _, Xc = slice_mean_matrix(X, y, n_slices)
+    return _between_slice_cov(M, Xc, n_slices)
+
+
+def _between_slice_cov(M: np.ndarray, Xc: np.ndarray, n_slices: int) -> np.ndarray:
+    """``sir_matrix`` from a ``slice_mean_matrix`` result."""
     scale = max(1.0, float(np.abs(Xc).max()) if Xc.size else 0.0)
     if float(np.abs(M).max()) <= 1e-12 * scale:
         raise DegenerateDataError(
@@ -108,12 +108,11 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     ridge (1e-6 * trace / p) is added; below that, a genuinely singular
     covariance raises rather than silently regularizing.
     """
-    X, y = _validate_xy(X, y)
-    n, p = X.shape
+    M, _, Xc = slice_mean_matrix(X, y, n_slices)
+    n, p = Xc.shape
     if not 1 <= d <= min(p, n_slices):
         raise ConfigurationError(f"need 1 <= d <= min(p, H) = {min(p, n_slices)}")
-    G = sir_matrix(X, y, n_slices)
-    Xc = X - X.mean(axis=0)
+    G = _between_slice_cov(M, Xc, n_slices)
     cov = Xc.T @ Xc / n
     if p >= n:
         cov = cov + (1e-6 * np.trace(cov) / p) * np.eye(p)
@@ -152,8 +151,12 @@ def lasso_sir_targets(
     same subspace, and an l1 penalty on that regression yields sparse
     directions.
     """
-    M, labels, Xc = slice_mean_matrix(X, y, n_slices)
-    G = sir_matrix(X, y, n_slices)
+    return _lasso_targets(*slice_mean_matrix(X, y, n_slices), n_slices, d)
+
+
+def _lasso_targets(M, labels, Xc, n_slices: int, d: int):
+    """``lasso_sir_targets`` from a ``slice_mean_matrix`` result."""
+    G = _between_slice_cov(M, Xc, n_slices)
     lams, eta = dense_top_eigen(G, d)
     if lams[min(d, lams.size) - 1] <= 1e-12:
         raise DegenerateDataError(
@@ -236,18 +239,17 @@ def batch_lasso_sir(
     Returns the raw (p, d) sparse coefficient matrix; callers normalize if
     they need unit columns.
     """
-    X, y = _validate_xy(X, y)
-    n, p = X.shape
+    M, labels, Xc = slice_mean_matrix(X, y, n_slices)
+    n, p = Xc.shape
     if not 1 <= d <= min(p, n_slices):
         raise ConfigurationError(f"need 1 <= d <= min(p, H) = {min(p, n_slices)}")
-    targets, eta, lams, _ = lasso_sir_targets(X, y, n_slices, d)
+    targets, eta, lams, _ = _lasso_targets(M, labels, Xc, n_slices, d)
     if penalty is None:
         mus = penalty_scale * np.sqrt(np.log(p) / (n * lams))
     else:
         mus = np.broadcast_to(np.asarray(penalty, dtype=float), (d,)).copy()
     if np.any(mus < 0):
         raise ConfigurationError("penalties must be non-negative")
-    Xc = X - X.mean(axis=0)
     B = np.empty((p, d))
     for i in range(d):
         B[:, i] = lasso_coordinate_descent(

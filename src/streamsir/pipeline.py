@@ -29,6 +29,11 @@ applies the warmup-size rule and starts the slice statistics and the eigen
 tracker, so the two estimators differ only in how they read out
 directions, and ``unit_columns`` normalizes both read-outs.
 
+``fit_stream`` is the one loop that feeds rows to ``observe``; ``fit_online``
+and the command line stream through it.  ``OnlineSparseSIR.diagnostics``
+is the one record of the model's state, which ``fit_stream`` reports as
+progress and the ``fit`` command writes to ``checkpoints.csv``.
+
 ``save`` writes a checkpoint that holds the config once and the state that
 ``CHECKPOINT_LAYOUT`` lists; ``load`` rebuilds the stages from the config
 and checks every stored array's shape against them.  A file that does not

@@ -19,6 +19,7 @@ from streamsir import (
     subspace_distance,
     true_betas,
 )
+from streamsir import batch
 from streamsir.batch import slice_mean_matrix
 
 
@@ -140,6 +141,22 @@ def test_sir_unit_columns_and_validation():
         batch_sir(X, y, 5, 6)  # d > H
     with pytest.raises(DataError):
         batch_sir(X[:10], y, 5, 1)
+
+
+@pytest.mark.parametrize("estimator", [batch_sir, lasso_sir_targets, batch_lasso_sir])
+def test_each_estimator_checks_and_slices_the_sample_once(monkeypatch, estimator):
+    calls = {}
+    for name in ("as_rows", "_slice_assignments"):
+        original = getattr(batch, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(batch, name, counted)
+    X, y = sample(SimModelSpec(1, 8), 200, rng=5)
+    estimator(X, y, 5, 1)
+    assert calls == {"as_rows": 1, "_slice_assignments": 1}
 
 
 # -- slice-target construction ------------------------------------------------------------

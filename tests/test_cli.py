@@ -107,6 +107,15 @@ def test_fit_recovers_model_one_direction(tmp_path, capsys):
 
     loaded = OnlineSparseSIR.load(out_dir / "model.npz")
     assert np.allclose(loaded.directions(), betas, atol=1e-8)
+    # the rows are the model's diagnostics record, formatted
+    info = loaded.diagnostics()
+    assert checkpoints[-1] == {
+        "t": str(info["t"]),
+        "nonzeros": str(info["nonzeros"]),
+        "top_eigenvalue": f"{info['eigenvalues'][0]:.10g}",
+        "reinits": str(info["reinit_count"]),
+        "degenerate_responses": str(info["degenerate_responses"]),
+    }
 
 
 def test_fit_reads_named_target_column(tmp_path):
@@ -267,16 +276,19 @@ def test_benchmark_single_rep_has_blank_sd(tmp_path):
 
 
 def test_benchmark_failed_cells_become_na_rows(tmp_path):
-    # n below the warmup budget: the streaming method cannot run, the
-    # batch method can, and the command still succeeds with NA rows
+    # n below the warmup budget: the streaming methods, sparse and dense,
+    # cannot run, the batch method can, and the command still succeeds
+    # with NA rows
     out_dir = tmp_path / "bench-na"
     code = main([
         "benchmark", "--p", "10", "--n", "80", "--reps", "2",
-        "--methods", "sparse-ccipca,batch-sir", "--out", str(out_dir),
+        "--methods", "sparse-ccipca,osir-perturbation,osir-sgd,batch-sir",
+        "--out", str(out_dir),
     ])
     assert code == 0
     rows = _read_dicts(out_dir / "results.csv")
-    streamed = [r for r in rows if r["code"] == "M3"]
+    streamed = [r for r in rows if r["code"] in ("M3", "M5", "M6")]
+    assert len(streamed) == 6
     batch = [r for r in rows if r["code"] == "M7"]
     for r in streamed:
         assert r["distance"] == "NA"
@@ -287,8 +299,9 @@ def test_benchmark_failed_cells_become_na_rows(tmp_path):
         assert float(r["distance"]) <= 1.0
 
     summaries = {s["code"]: s for s in _read_dicts(out_dir / "summary.csv")}
-    assert summaries["M3"]["mean_distance"] == "NA"
-    assert summaries["M3"]["failed"] == "2"
+    for code in ("M3", "M5", "M6"):
+        assert summaries[code]["mean_distance"] == "NA"
+        assert summaries[code]["failed"] == "2"
     assert summaries["M7"]["ok"] == "2"
 
 

@@ -474,6 +474,29 @@ def test_progress_reporting():
     assert all(isinstance(info["nonzeros"], int) for info in seen)
 
 
+def test_progress_follows_the_observation_count_across_calls():
+    # the cadence is on model.t, so splitting the stream moves no report,
+    # and each report is the model's diagnostics record at that t
+    X, y = _model_one(n=400)
+    model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(eigenvalue_floor=10.0, **BENCH))
+    seen = []
+
+    def report(info):
+        expected = model.diagnostics()
+        assert set(expected) == {"t", "eigenvalues", "nonzeros", "reinit_count",
+                                 "degenerate_responses"}
+        np.testing.assert_array_equal(info["eigenvalues"], expected.pop("eigenvalues"))
+        info["eigenvalues"][:] = -1.0  # a copy: the tracker keeps its values
+        assert {k: v for k, v in info.items() if k != "eigenvalues"} == expected
+        seen.append(info)
+
+    fit_stream(model, X[100:150], y[100:150], progress=report, progress_every=100)
+    fit_stream(model, X[150:400], y[150:400], progress=report, progress_every=100)
+    assert [info["t"] for info in seen] == [200, 300, 400]
+    assert seen[-1]["degenerate_responses"] > 0
+    assert np.all(model.eigen.values > 0)
+
+
 # -- persistence ------------------------------------------------------------
 
 
