@@ -27,7 +27,7 @@ from .errors import (
 from .kernel import KernelTracker, SliceGrid
 from .pipeline import OnlineSparseSIR, SIRConfig, fit_online, fit_stream
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
-from .truncated import PathEntry, TruncatedGradient, regularization_path, truncate
+from .truncated import TruncatedGradient, truncate
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "EmptyStateError",
     "KernelTracker",
     "OnlineSparseSIR",
-    "PathEntry",
     "SIRConfig",
     "SimModelSpec",
     "SliceGrid",
@@ -56,7 +55,6 @@ __all__ = [
     "fit_stream",
     "lasso_coordinate_descent",
     "lasso_sir_targets",
-    "regularization_path",
     "sample",
     "sir_matrix",
     "subspace_distance",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .batch import ridged
 from .eigen import EigenTracker
 from .errors import ConfigurationError
 from .kernel import KernelTracker
@@ -75,12 +76,10 @@ class DenseOnlineSIR:
         t = self.kernel.t
         mean = self.kernel.mean
         cov = self.xx_sum / t - np.outer(mean, mean)
-        p = cov.shape[0]
-        if p >= t:
-            cov = cov + (1e-6 * np.trace(cov) / p) * np.eye(p)
+        if cov.shape[0] >= t:
+            cov = ridged(cov)
         try:
             B = np.linalg.solve(cov, self.eigen.vectors)
         except np.linalg.LinAlgError:
-            cov = cov + (1e-6 * np.trace(cov) / p) * np.eye(p)
-            B = np.linalg.solve(cov, self.eigen.vectors)
+            B = np.linalg.solve(ridged(cov), self.eigen.vectors)
         return unit_columns(B)

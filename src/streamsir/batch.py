@@ -26,6 +26,7 @@ from .errors import (
     DegenerateDataError,
     as_rows,
 )
+from .pipeline import unit_columns
 
 
 def dense_top_eigen(S: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +116,7 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     G = _between_slice_cov(M, Xc, n_slices)
     cov = Xc.T @ Xc / n
     if p >= n:
-        cov = cov + (1e-6 * np.trace(cov) / p) * np.eye(p)
+        cov = ridged(cov)
     import scipy.linalg  # here, not at the top: the streaming path needs numpy alone
 
     try:
@@ -125,8 +126,14 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
             "sample covariance is singular; not enough observations for p features"
         )
     order = np.argsort(vals)[::-1][:d]
-    B = vecs[:, order]
-    return B / np.linalg.norm(B, axis=0, keepdims=True)
+    return unit_columns(vecs[:, order])
+
+
+def ridged(cov: np.ndarray) -> np.ndarray:
+    """``cov`` plus the ridge 1e-6 * trace / p on its diagonal, as a new array;
+    batch SIR and the dense online baseline both regularize with it."""
+    p = cov.shape[0]
+    return cov + (1e-6 * np.trace(cov) / p) * np.eye(p)
 
 
 # -- sparse variant -----------------------------------------------------------
@@ -174,7 +181,6 @@ def lasso_coordinate_descent(
     *,
     tol: float = 1e-8,
     max_sweeps: int = 100_000,
-    beta0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cyclic coordinate descent for (1/2n) ||y - X b||^2 + penalty * ||b||_1.
 
@@ -188,7 +194,7 @@ def lasso_coordinate_descent(
     if penalty < 0:
         raise ConfigurationError("penalty must be non-negative")
     col_sq = (X * X).sum(axis=0) / n
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    beta = np.zeros(p)
     resid = y - X @ beta
 
     def gap() -> float:

@@ -30,10 +30,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +41,12 @@ from .baselines import DenseOnlineSIR
 from .batch import batch_lasso_sir, batch_sir
 from .eigen import STRATEGIES
 from .errors import ConfigurationError, DataError, StreamsirError
-from .pipeline import OnlineSparseSIR, SIRConfig, _split_warmup, fit_online, fit_stream
+from .pipeline import (DEFAULT_WARMUP, OnlineSparseSIR, SIRConfig, _split_warmup, fit_online,
+                       fit_stream)
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
 
-DEFAULT_WARMUP = 100
+# The CLI's truncation strength; ``SIRConfig`` itself defaults to none.
+DEFAULT_GRAVITY = 3e-4
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,6 @@ def resolve_methods(tokens):
     return out
 
 
-DEFAULT_GRAVITY = 3e-4
-
-
 def _at_least_one(**counts):
     """Raise ``ConfigurationError`` for the first count flag below 1."""
     for name, value in counts.items():
@@ -100,31 +98,23 @@ def _at_least_one(**counts):
 # benchmark
 
 
-def _fit_one(method, X, y, n_slices, n_directions, gamma, gravity, theta, period, warmup):
-    """Fit one method on (X, y), for ``benchmark`` cells and ``sweep`` settings
-    alike. Returns (directions, nonzeros). The streaming methods warm up on the
+def _fit_one(method, X, y, config, warmup):
+    """Fit one method on (X, y) under ``config``, for ``benchmark`` cells and
+    ``sweep`` settings alike; the method, not ``config``, names the tracker.
+    Returns (directions, nonzeros). The streaming methods warm up on the
     first ``warmup`` rows under ``fit_online``'s checks and stream the rest
     through ``fit_stream``."""
+    H, d = config.n_slices, config.n_directions
     if method.kind == "sparse":
-        cfg = SIRConfig(
-            n_slices=n_slices,
-            n_directions=n_directions,
-            tracker=method.tracker,
-            learning_rate=gamma,
-            gravity=gravity,
-            threshold=theta,
-            period=period,
-        )
-        model = fit_online(X, y, cfg, warmup_size=warmup)
+        model = fit_online(X, y, replace(config, tracker=method.tracker), warmup_size=warmup)
         return model.directions(), model.coef.nonzero_count()
     if method.kind == "dense":
         X0, y0, X1, y1 = _split_warmup(X, y, warmup)
-        model = DenseOnlineSIR.warmup(X0, y0, n_slices=n_slices, n_directions=n_directions,
-                                      tracker=method.tracker)
+        model = DenseOnlineSIR.warmup(X0, y0, n_slices=H, n_directions=d, tracker=method.tracker)
         return fit_stream(model, X1, y1).directions(), None
     if method.kind == "batch-sir":
-        return batch_sir(X, y, n_slices, n_directions), None
-    betas = batch_lasso_sir(X, y, n_slices, n_directions)
+        return batch_sir(X, y, H, d), None
+    betas = batch_lasso_sir(X, y, H, d)
     return betas, int(np.count_nonzero(np.any(betas != 0.0, axis=1)))
 
 
@@ -148,8 +138,9 @@ def run_benchmark_cell(method, model_id, p, n, n_slices, n_directions, gamma, gr
     }
     start = time.perf_counter()
     try:
-        betas, nonzeros = _fit_one(method, X, y, n_slices, d, gamma, gravity, theta, period,
-                                   warmup)
+        config = SIRConfig(n_slices=n_slices, n_directions=d, learning_rate=gamma,
+                           gravity=gravity, threshold=theta, period=period)
+        betas, nonzeros = _fit_one(method, X, y, config, warmup)
     except Exception as exc:  # noqa: BLE001 - cell failures become NA rows
         row["seconds"] = f"{time.perf_counter() - start:.6f}"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -332,15 +323,8 @@ def cmd_fit(args):
     if n <= args.warmup:
         raise DataError(
             f"need more than {args.warmup} rows to warm up and stream, found {n}")
-    cfg = SIRConfig(
-        n_slices=args.H,
-        n_directions=args.d,
-        tracker=args.tracker,
-        learning_rate=args.gamma,
-        gravity=args.gravity,
-        threshold=args.theta,
-        period=args.period,
-    )
+    cfg = _config(args, args.d, learning_rate=args.gamma, gravity=args.gravity,
+                  threshold=args.theta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -384,6 +368,13 @@ def cmd_fit(args):
 # sweep
 
 
+def _config(args, n_directions, **truncation):
+    """The ``SIRConfig`` of ``fit`` and ``sweep``: --H, --tracker and --period
+    from ``args``, plus ``n_directions`` and the given ``truncation`` fields."""
+    return SIRConfig(n_slices=args.H, n_directions=n_directions, tracker=args.tracker,
+                     period=args.period, **truncation)
+
+
 def _parse_grid(text, flag):
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -397,7 +388,11 @@ def _parse_grid(text, flag):
 def cmd_sweep(args):
     _at_least_one(warmup=args.warmup)
     spec = SimModelSpec(args.model, args.p)
-    gammas = _parse_grid(args.gamma_grid, "--gamma-grid")
+    base = _config(args, args.d if args.d is not None else spec.n_directions)
+    if args.gamma_grid is None:  # the one rate rule, as ``fit`` applies it
+        gammas = [base.resolve_rate(args.p)]
+    else:
+        gammas = _parse_grid(args.gamma_grid, "--gamma-grid")
     gravities = _parse_grid(args.gravity_grid, "--gravity-grid")
     thetas = _parse_grid(args.theta_grid, "--theta-grid")
     if any(g <= 0 for g in gammas):
@@ -405,7 +400,6 @@ def cmd_sweep(args):
     if any(g < 0 for g in gravities):
         raise ConfigurationError("--gravity-grid: gravity cannot be negative")
 
-    d = args.d if args.d is not None else spec.n_directions
     rng = np.random.default_rng(args.seed)
     X, y = sample(spec, args.n, rng)
     truth = true_betas(spec)
@@ -416,8 +410,8 @@ def cmd_sweep(args):
         for gravity in gravities:
             for theta in thetas:
                 start = time.perf_counter()
-                betas, nonzeros = _fit_one(method, X, y, args.H, d, gamma, gravity, theta,
-                                           args.period, args.warmup)
+                cell = replace(base, learning_rate=gamma, gravity=gravity, threshold=theta)
+                betas, nonzeros = _fit_one(method, X, y, cell, args.warmup)
                 rows.append({
                     "gamma": f"{gamma:g}", "gravity": f"{gravity:g}",
                     "theta": f"{theta:g}",
@@ -452,24 +446,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_truncation_flags(sub):
-    sub.add_argument("--tracker", choices=STRATEGIES, default=SIRConfig.tracker)
-    sub.add_argument("--gamma", type=float, default=None,
-                     help="coefficient learning rate (default: min(1e-3, 0.3/p))")
-    sub.add_argument("--gravity", type=float, default=DEFAULT_GRAVITY,
-                     help="truncation strength per step")
-    sub.add_argument("--theta", type=float, default=math.inf,
-                     help="truncation magnitude ceiling")
-    sub.add_argument("--period", type=int, default=SIRConfig.period,
-                     help="steps between truncation passes")
-
-
 def build_parser():
     parser = _Parser(prog="streamsir",
                      description="Streaming sparse sufficient dimension reduction.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", parents=[], help="write a synthetic stream as CSV")
+    # Parent parsers: each flag that fit, benchmark and sweep share is declared
+    # once, with its default from SIRConfig, DEFAULT_WARMUP or DEFAULT_GRAVITY.
+    stream = argparse.ArgumentParser(add_help=False)  # fit, benchmark, sweep
+    stream.add_argument("--H", type=int, default=SIRConfig.n_slices, help="slice count")
+    stream.add_argument("--warmup", type=int, default=DEFAULT_WARMUP,
+                        help="leading rows to warm up on")
+    stream.add_argument("--period", type=int, default=SIRConfig.period,
+                        help="steps between truncation passes")
+    tracker = argparse.ArgumentParser(add_help=False)  # fit, sweep
+    tracker.add_argument("--tracker", choices=STRATEGIES, default=SIRConfig.tracker)
+    truncation = argparse.ArgumentParser(add_help=False)  # fit, benchmark
+    truncation.add_argument("--gamma", type=float, default=SIRConfig.learning_rate,
+                            help="coefficient learning rate (default: min(1e-3, 0.3/p))")
+    truncation.add_argument("--gravity", type=float, default=DEFAULT_GRAVITY,
+                            help="truncation strength per step")
+    truncation.add_argument("--theta", type=float, default=SIRConfig.threshold,
+                            help="truncation magnitude ceiling")
+    simulation = argparse.ArgumentParser(add_help=False)  # benchmark, sweep
+    simulation.add_argument("--n", type=int, default=1000)
+    simulation.add_argument("--d", type=int, default=None,
+                            help="directions (default: the model's own count)")
+    simulation.add_argument("--seed", type=int, default=0)
+
+    sim = subs.add_parser("simulate", help="write a synthetic stream as CSV")
     sim.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
     sim.add_argument("--p", type=int, required=True)
     sim.add_argument("--n", type=int, default=1000)
@@ -479,48 +484,36 @@ def build_parser():
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    fit = subs.add_parser("fit", help="stream a CSV file through the estimator")
+    fit = subs.add_parser("fit", help="stream a CSV file through the estimator",
+                          parents=[stream, tracker, truncation])
     fit.add_argument("--input", required=True)
     fit.add_argument("--target", default="y", help="response column name")
-    fit.add_argument("--H", type=int, default=10, help="slice count")
-    fit.add_argument("--d", type=int, default=1, help="directions to estimate")
-    fit.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
+    fit.add_argument("--d", type=int, default=SIRConfig.n_directions,
+                     help="directions to estimate")
     fit.add_argument("--checkpoint-every", type=int, default=200)
     fit.add_argument("--save-model", action="store_true")
     fit.add_argument("--out", required=True, help="output directory")
-    _add_truncation_flags(fit)
     fit.set_defaults(func=cmd_fit)
 
-    bench = subs.add_parser("benchmark", help="replicate the simulation comparison")
+    bench = subs.add_parser("benchmark", help="replicate the simulation comparison",
+                            parents=[stream, truncation, simulation])
     bench.add_argument("--model", default="1", help="model id or comma list, e.g. 1,2")
     bench.add_argument("--p", default="20", help="dimension or comma list, e.g. 20,100")
-    bench.add_argument("--n", type=int, default=1000)
-    bench.add_argument("--H", type=int, default=10)
-    bench.add_argument("--d", type=int, default=None,
-                       help="directions (default: the model's own count)")
     bench.add_argument("--methods", default=",".join(m.name for m in METHODS),
                        help="comma list of method names or codes (M1..M8)")
     bench.add_argument("--reps", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", required=True, help="output directory")
-    _add_truncation_flags(bench)
     bench.set_defaults(func=cmd_benchmark)
 
-    sweep = subs.add_parser("sweep", help="grid-search truncation hyperparameters")
+    sweep = subs.add_parser("sweep", help="grid-search truncation hyperparameters",
+                            parents=[stream, tracker, simulation])
     sweep.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
     sweep.add_argument("--p", type=int, required=True)
-    sweep.add_argument("--n", type=int, default=1000)
-    sweep.add_argument("--H", type=int, default=10)
-    sweep.add_argument("--d", type=int, default=None)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
-    sweep.add_argument("--tracker", choices=STRATEGIES, default=SIRConfig.tracker)
-    sweep.add_argument("--gamma-grid", default="0.001")
-    sweep.add_argument("--gravity-grid", default="0.0003")
-    sweep.add_argument("--theta-grid", default="inf")
-    sweep.add_argument("--period", type=int, default=SIRConfig.period)
+    sweep.add_argument("--gamma-grid", default=None,
+                       help="learning rates (default: min(1e-3, 0.3/p))")
+    sweep.add_argument("--gravity-grid", default=str(DEFAULT_GRAVITY))
+    sweep.add_argument("--theta-grid", default=str(SIRConfig.threshold))
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -107,12 +107,6 @@ class SliceGrid:
         # number of cuts strictly below y (side="left"); ties go to the lower slice
         return int(self.cuts.searchsorted(_as_response(y)))
 
-    def indicator(self, y) -> np.ndarray:
-        """One-hot slice membership vector of length H."""
-        e = np.zeros(self.n_slices)
-        e[self.slice_of(y)] = 1.0
-        return e
-
 
 class SliceFactor:
     """The p x H slice factor W = (S - m c^T) / t as a linear operator.

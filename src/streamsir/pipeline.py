@@ -57,6 +57,9 @@ from .kernel import KernelTracker, SliceGrid
 from .simulate import subspace_distance
 from .truncated import TruncatedGradient
 
+# Leading rows ``fit_online`` and the command line warm up on by default.
+DEFAULT_WARMUP = 100
+
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
 CHECKPOINT_FORMAT = 2
 
@@ -448,7 +451,7 @@ def _split_warmup(X, y, warmup_size: int):
 
 
 def fit_online(
-    X, y, config: SIRConfig = SIRConfig(), warmup_size: int = 100
+    X, y, config: SIRConfig = SIRConfig(), warmup_size: int = DEFAULT_WARMUP
 ) -> OnlineSparseSIR:
     """Warm up on the first ``warmup_size`` rows and stream the rest through
     ``fit_stream``; a warmup below 1 row or one that leaves no row to

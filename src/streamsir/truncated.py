@@ -16,7 +16,6 @@ layout is an implementation detail, not part of the API.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,20 +98,10 @@ class TruncatedGradient:
         self.step = 0
         self.truncation_zeros = 0  # coordinates zeroed across all truncations
 
-    def clone_unfitted(self, gravity: float | None = None) -> "TruncatedGradient":
-        return TruncatedGradient(
-            self.n_features,
-            self.n_targets,
-            rate=self.rate,
-            gravity=self.gravity if gravity is None else gravity,
-            threshold=self.threshold,
-            period=self.period,
-        )
-
     def update(self, x, targets) -> None:
         """One step.  x and targets are checked (shape, ``all_finite``) before
         any state changes, as the pipeline's kernel stage checks x: the stage
-        is public, and ``regularization_path`` drives it alone."""
+        is public and can be driven on its own."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.n_features:
             raise DataError(
@@ -140,48 +129,3 @@ class TruncatedGradient:
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.betas))
 
-
-@dataclass(frozen=True)
-class PathEntry:
-    gravity: float
-    model: TruncatedGradient
-    nonzeros: int
-    mean_squared_error: float
-
-
-def regularization_path(
-    template: TruncatedGradient, stream, gravities
-) -> list[PathEntry]:
-    """Fit one fresh model per gravity value on a shared replayed stream.
-
-    ``stream`` is a sequence of (x, targets) pairs; it is materialized once
-    so every gravity sees identical data.  Returns one entry per gravity in
-    the given order with the fitted model, its nonzero count, and the mean
-    squared prediction error measured along the stream (prediction before
-    each update).
-    """
-    gravities = list(gravities)
-    if not gravities:
-        raise ConfigurationError("need at least one gravity value")
-    if any(g < 0 for g in gravities):
-        raise ConfigurationError("gravities must be non-negative")
-    pairs = [(np.asarray(x, dtype=float), np.asarray(t, dtype=float)) for x, t in stream]
-    if not pairs:
-        raise ConfigurationError("stream is empty")
-    entries = []
-    for g in gravities:
-        model = template.clone_unfitted(gravity=g)
-        sq_err = 0.0
-        for x, targets in pairs:
-            resid = np.ravel(targets) - model.betas.T @ np.ravel(x)
-            sq_err += float(resid @ resid)
-            model.update(x, targets)
-        entries.append(
-            PathEntry(
-                gravity=float(g),
-                model=model,
-                nonzeros=model.nonzero_count(),
-                mean_squared_error=sq_err / len(pairs),
-            )
-        )
-    return entries

@@ -25,8 +25,17 @@ except ModuleNotFoundError:  # Python 3.10
 import numpy as np
 import pytest
 
-from streamsir import OnlineSparseSIR, SIRConfig, SimModelSpec, subspace_distance, true_betas
-from streamsir.cli import main, resolve_methods
+from streamsir import (
+    OnlineSparseSIR,
+    SIRConfig,
+    SimModelSpec,
+    fit_online,
+    sample,
+    subspace_distance,
+    true_betas,
+)
+from streamsir.cli import DEFAULT_GRAVITY, build_parser, main, resolve_methods
+from streamsir.pipeline import DEFAULT_WARMUP
 from streamsir.errors import ConfigurationError
 
 
@@ -305,6 +314,16 @@ def test_benchmark_failed_cells_become_na_rows(tmp_path):
     assert summaries["M7"]["ok"] == "2"
 
 
+def test_benchmark_has_no_tracker_flag(tmp_path, capsys):
+    # each method names its own tracker, so a --tracker flag would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--p", "10", "--n", "300", "--reps", "1", "--methods", "M3",
+              "--tracker", "sgd", "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert _stderr_json(capsys)["error"] == "argument-error"
+    assert not (tmp_path / "b").exists()
+
+
 def test_benchmark_unknown_method_errors(tmp_path, capsys):
     code = main(["benchmark", "--methods", "super-sir",
                  "--out", str(tmp_path / "b")])
@@ -392,6 +411,47 @@ def test_sweep_gravity_grid_flags_best_setting(tmp_path):
     assert float(stars[0]["distance"]) == min(distances)
 
 
+def _sweep_fit_distance(model_id, p, n, seed, config, warmup=DEFAULT_WARMUP):
+    """The distance string a sweep cell reports, computed from ``fit_online``
+    on the stream the sweep draws."""
+    spec = SimModelSpec(model_id, p)
+    X, y = sample(spec, n, np.random.default_rng(seed))
+    model = fit_online(X, y, config, warmup_size=warmup)
+    return f"{subspace_distance(true_betas(spec), model.directions()):.10f}"
+
+
+@pytest.mark.parametrize("p, gamma", [(20, "0.001"), (500, "0.0006")])
+def test_sweep_default_rate_is_the_rate_rule(tmp_path, p, gamma):
+    # the default grid is min(1e-3, 0.3/p), the rate fit applies: 1e-3
+    # below p = 300, 0.3/p above
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "1", "--p", str(p), "--n", "300",
+                 "--out", str(out)]) == 0
+    row, = _read_dicts(out)
+    assert row["gamma"] == gamma
+    assert float(gamma) == SIRConfig().resolve_rate(p)
+    assert row["distance"] == _sweep_fit_distance(1, p, 300, 0, SIRConfig(gravity=DEFAULT_GRAVITY))
+
+
+def test_sweep_cell_equals_fit_online_under_the_same_config(tmp_path):
+    # every shared flag reaches the cell's config: --H, --d, --period,
+    # --tracker and --warmup, plus the cell's own grid values; on this
+    # stream changing any one of them moves the distance
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", "2", "--p", "12", "--n", "400", "--seed", "4",
+                 "--H", "6", "--d", "1", "--period", "5", "--tracker", "sgd",
+                 "--warmup", "63", "--gamma-grid", "0.0005,0.002",
+                 "--gravity-grid", "0,0.00003", "--theta-grid", "0.000002",
+                 "--out", str(out)]) == 0
+    rows = _read_dicts(out)
+    assert len(rows) == 4
+    cell = rows[3]
+    assert (cell["gamma"], cell["gravity"], cell["theta"]) == ("0.002", "3e-05", "2e-06")
+    config = SIRConfig(n_slices=6, n_directions=1, tracker="sgd", learning_rate=0.002,
+                       gravity=3e-5, threshold=2e-6, period=5)
+    assert cell["distance"] == _sweep_fit_distance(2, 12, 400, 4, config, warmup=63)
+
+
 def test_sweep_rejects_nonpositive_learning_rate(tmp_path, capsys):
     code = main(["sweep", "--model", "1", "--p", "10",
                  "--gamma-grid", "0.001,0", "--out", str(tmp_path / "s.csv")])
@@ -411,6 +471,27 @@ def test_sweep_rejects_unparseable_grid(tmp_path, capsys):
 
 
 # -- parser plumbing ----------------------------------------------------------
+
+
+def test_shared_flags_take_one_set_of_defaults():
+    parser = build_parser()
+    common = {"H": SIRConfig.n_slices, "warmup": DEFAULT_WARMUP, "period": SIRConfig.period}
+    argvs = {
+        "fit": ["fit", "--input", "x.csv", "--out", "o"],
+        "benchmark": ["benchmark", "--out", "o"],
+        "sweep": ["sweep", "--model", "1", "--p", "5", "--out", "o"],
+    }
+    for command, argv in argvs.items():
+        args = vars(parser.parse_args(argv))
+        assert {k: args[k] for k in common} == common, command
+    for command in ("fit", "benchmark"):
+        args = parser.parse_args(argvs[command])
+        assert (args.gamma, args.gravity, args.theta) == (
+            SIRConfig.learning_rate, DEFAULT_GRAVITY, SIRConfig.threshold)
+    sweep = parser.parse_args(argvs["sweep"])
+    assert sweep.gamma_grid is None
+    assert float(sweep.gravity_grid) == DEFAULT_GRAVITY
+    assert float(sweep.theta_grid) == SIRConfig.threshold
 
 
 def test_usage_errors_exit_two(capsys):

@@ -58,12 +58,6 @@ def test_slice_of_matches_comparison_oracle(y, cuts):
     assert grid.slice_of(y) == slice_index_oracle(y, cuts)
 
 
-def test_indicator_is_one_hot():
-    grid = SliceGrid(np.array([0.0]))
-    np.testing.assert_array_equal(grid.indicator(-1.0), [1.0, 0.0])
-    np.testing.assert_array_equal(grid.indicator(1.0), [0.0, 1.0])
-
-
 def test_from_warmup_validation():
     with pytest.raises(ConfigurationError):
         SliceGrid.from_warmup(np.arange(10.0), 0)

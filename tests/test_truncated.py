@@ -12,7 +12,6 @@ from streamsir import (
     ConfigurationError,
     DataError,
     TruncatedGradient,
-    regularization_path,
     truncate,
 )
 
@@ -178,7 +177,7 @@ def test_update_accepts_finite_inputs_whose_squares_overflow():
     assert model.step == 1
 
 
-# -- regularization path ------------------------------------------------------------
+# -- gravity settings over one shared stream ----------------------------------------
 
 
 def _path_stream(seed=3, n=400, p=8):
@@ -190,30 +189,33 @@ def _path_stream(seed=3, n=400, p=8):
     return [(X[i], np.array([y[i]])) for i in range(n)]
 
 
+def _fitted(stream, gravity, period=4):
+    model = TruncatedGradient(8, 1, rate=0.02, gravity=gravity, period=period)
+    for x, t in stream:
+        model.update(x, t)
+    return model
+
+
 def test_zero_gravity_reduces_to_plain_sgd():
     stream = _path_stream()
-    template = TruncatedGradient(8, 1, rate=0.02, gravity=0.7, period=4)
-    (entry,) = regularization_path(template, stream, [0.0])
-    plain = TruncatedGradient(8, 1, rate=0.02)
-    for x, t in stream:
-        plain.update(x, t)
-    np.testing.assert_array_equal(entry.model.betas, plain.betas)
-    assert entry.nonzeros == 8
+    model = _fitted(stream, 0.0)
+    plain = _fitted(stream, 0.0, period=10)
+    np.testing.assert_array_equal(model.betas, plain.betas)
+    assert model.nonzero_count() == 8
 
 
 def test_huge_gravity_kills_every_coefficient():
     # each truncation event wipes the whole matrix; what survives to the
     # end is at most the raw gradient contribution of the last few steps
-    template = TruncatedGradient(8, 1, rate=0.02, period=4)
     stream = _path_stream()
-    (brutal,) = regularization_path(template, stream, [1e3])
+    brutal = _fitted(stream, 1e3)
     n_events = 400 // 4
-    assert brutal.model.truncation_zeros >= 8 * (n_events - 1)
+    assert brutal.truncation_zeros >= 8 * (n_events - 1)
     # the stream length is a multiple of the period, so the last event
     # wiped everything and the final state is one bare gradient step
     x_last, t_last = stream[-1]
     np.testing.assert_allclose(
-        brutal.model.betas, 2.0 * 0.02 * np.outer(x_last, t_last), atol=1e-12
+        brutal.betas, 2.0 * 0.02 * np.outer(x_last, t_last), atol=1e-12
     )
 
 
@@ -229,42 +231,10 @@ def test_first_truncation_zeroes_every_accumulated_coefficient():
 
 
 def test_sparsity_is_monotone_along_the_path():
-    template = TruncatedGradient(8, 1, rate=0.02, period=4)
-    entries = regularization_path(
-        template, _path_stream(), [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
-    )
-    nonzeros = [e.nonzeros for e in entries]
+    stream = _path_stream()
+    models = [_fitted(stream, g) for g in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
+    nonzeros = [m.nonzero_count() for m in models]
     assert nonzeros == sorted(nonzeros, reverse=True)
-    # every model sees identical data, so entries are reproducible
-    again = regularization_path(template, _path_stream(), [1e-3])
-    np.testing.assert_array_equal(again[0].model.betas, entries[1].model.betas)
-
-
-def test_path_reports_prediction_error():
-    template = TruncatedGradient(8, 1, rate=0.02)
-    gentle, brutal = regularization_path(
-        template, _path_stream(), [0.0, 1e3]
-    )
-    # the all-zero model predicts 0 everywhere; learning must beat that
-    assert gentle.mean_squared_error < brutal.mean_squared_error
-
-
-def test_path_validation():
-    template = TruncatedGradient(3, 1, rate=0.1)
-    with pytest.raises(ConfigurationError):
-        regularization_path(template, _path_stream(), [])
-    with pytest.raises(ConfigurationError):
-        regularization_path(template, _path_stream(), [-0.1])
-    with pytest.raises(ConfigurationError):
-        regularization_path(template, [], [0.1])
-
-
-def test_clone_unfitted_resets_state_but_keeps_hyperparameters():
-    model = TruncatedGradient(3, 1, rate=0.05, gravity=0.2, period=7)
-    model.update(np.ones(3), [1.0])
-    clone = model.clone_unfitted()
-    assert clone.step == 0
-    assert clone.rate == model.rate and clone.period == model.period
-    assert np.count_nonzero(clone.betas) == 0
-    override = model.clone_unfitted(gravity=0.9)
-    assert override.gravity == 0.9 and model.gravity == 0.2
+    # the stage is deterministic: the same stream gives the same fit
+    again = _fitted(_path_stream(), 1e-3)
+    np.testing.assert_array_equal(again.betas, models[1].betas)
