@@ -158,18 +158,19 @@ class EigenTracker:
 
     # -- one streaming observation ---------------------------------------------
 
-    def advance(self, kernel, factor, y) -> None:
+    def advance(self, kernel, factor, y) -> float:
         """The eigen stage of one observation, after ``kernel`` absorbed it:
         the strategy's step on the input it needs (ccipca, sgd and ipca the
         factor operator ``factor = kernel.factor()``, which the caller
         builds once per observation, perturbation the dense kernel), ipca's
-        slice bookkeeping, then sign alignment."""
-        previous = self.vectors.copy(order="K")
+        slice bookkeeping, then sign alignment, which ccipca does inside its
+        step.  Returns the smallest tracked eigenvalue."""
         t = kernel.t - 1
         strategy = self.config.strategy
         if strategy == "ccipca":
-            self.ccipca_step(factor, t)
-        elif strategy == "sgd":
+            return self.ccipca_step(factor, t)
+        previous = self.vectors.copy(order="K")
+        if strategy == "sgd":
             self.sgd_step(factor, t)
         elif strategy == "perturbation":
             self.perturbation_step(kernel.kernel_matrix(), t)
@@ -181,10 +182,11 @@ class EigenTracker:
             self.slice_y_sum[k] += y
             self.slice_y_count[k] += 1
         self.align_signs(previous)
+        return float(self.values.min())
 
     # -- strategy updates -----------------------------------------------------
 
-    def ccipca_step(self, factor, t: int) -> None:
+    def ccipca_step(self, factor, t: int) -> float:
         """Candid covariance-free update from the current p x H factor.
 
         Component j receives the weighted-average update
@@ -192,19 +194,24 @@ class EigenTracker:
         factor W_j = P_{j-1}...P_0 W, with P_k = I - u_k u_k' for the unit
         vectors u_k of the components before it.  The deflation is applied
         to vectors, W_j g = P_{j-1}...P_0 (W g) and W_j' u = W' (P_0...P_{j-1} u),
-        so ``factor`` may be an ndarray or a ``SliceFactor``.  Matrix-vector
-        products keep the cost at O(pdH).  Column j of ``raw_vectors`` is
-        updated in place and its unit vector written into column j of
-        ``vectors``; both are contiguous, and the deflation works on those
-        columns through one scratch buffer.  A component whose norm
-        collapses below 1e-12 is re-seeded from the largest remaining
-        deflated column and counted in ``reinit_count``.
+        so ``factor`` may be an ndarray or a ``SliceFactor``.  Each component
+        costs the two block products of ``SliceFactor.kernel_times``, with
+        the 1/|v|, 1/(t+1) and 1/H scales applied on the H-sized side.
+        Column j of ``raw_vectors`` is updated in place;
+        before its unit vector overwrites column j of ``vectors``, the new
+        column is negated when it points away from the old unit column, so
+        the step aligns its own signs (``align_signs``' rule).  The first
+        component builds no p-sized temporary besides W g; the deflated
+        ones share one scratch buffer.  A component whose norm collapses
+        below 1e-12 is re-seeded from the largest remaining deflated column
+        and counted in ``reinit_count``.  Returns the smallest eigenvalue.
         """
         w = SliceFactor.wrap(factor)
-        wt = w.T
         keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
+        per_slice = blend / w.counts.size
         scratch = np.empty(self.raw_vectors.shape[0]) if self.n_directions > 1 else None
         units = []  # columns of ``vectors`` already updated this step
+        smallest = math.inf
         for j in range(self.n_directions):
             v = self.raw_vectors[:, j]
             norm = math.sqrt(v.dot(v))
@@ -212,15 +219,16 @@ class EigenTracker:
                 seed = self._reseed_from(w, units)
                 norm = math.sqrt(seed @ seed)
                 if norm < _NORM_FLOOR:
-                    self.values[j] = 0.0
+                    self.values[j] = smallest = 0.0
                     continue
                 v[:] = seed
-            a = v / norm
-            for u in reversed(units):
-                a -= np.multiply(u, u.dot(a), out=scratch)
-            g = wt @ a
-            g *= blend / g.size  # scale the H-vector, not the p-length product
-            b = w @ g
+            if units:
+                a = v / norm
+                for u in reversed(units):
+                    a -= np.multiply(u, u.dot(a), out=scratch)
+                b = w.kernel_times(a, per_slice)
+            else:  # a = v/|v|: the 1/|v| scales the H-sized side instead
+                b = w.kernel_times(v, per_slice / norm)
             for u in units:
                 b -= np.multiply(u, u.dot(b), out=scratch)
             v *= keep
@@ -230,13 +238,18 @@ class EigenTracker:
                 v[:] = self._reseed_from(w, units)
                 norm = math.sqrt(v @ v)
                 if norm < _NORM_FLOOR:
-                    self.values[j] = 0.0
+                    self.values[j] = smallest = 0.0
                     continue
-            self.values[j] = norm
             unit = self.vectors[:, j]
+            if unit.dot(v) < 0.0:
+                v *= -1.0
+            self.values[j] = norm
             np.divide(v, norm, out=unit)
             units.append(unit)
+            if norm < smallest:
+                smallest = norm
         self.step += 1
+        return smallest
 
     def _reseed_from(self, factor, units) -> np.ndarray:
         self.reinit_count += 1

@@ -53,4 +53,6 @@ class EmptyStateError(StreamsirError, RuntimeError):
 
 
 class ConvergenceError(StreamsirError, RuntimeError):
-    """An iterative solver exhausted its iteration budget before reaching tolerance."""
+    """An iterative routine failed to converge: a solver exhausted its
+    iteration budget before reaching tolerance, or a streaming recursion
+    diverged (its coefficients no longer give a finite prediction)."""

@@ -7,15 +7,19 @@ the first t observations is recoverable from three running aggregates (count,
 covariate sum, covariate-by-slice sum), so a single pass over the stream is
 enough and each update costs O(pH).
 
-The factor itself, (cross_sum - mean counts^T) / t, is always centered at
-the current mean, so it is a set statistic of the sample (arrival order
+The two sums live in one column-major p x (H + 1) array, ``block``: its
+first H columns are the slice sums S (``cross_sum``) and its last column is
+the covariate sum (``x_sum``); both names are views of the block.  The
+factor W = (S - x_sum c^T / t) / t, c the slice counts, is always centered
+at the current mean, so it is a set statistic of the sample (arrival order
 does not matter).  It is never needed whole by the streaming path:
-``KernelTracker.factor`` hands out a ``SliceFactor`` operator whose product
-with a vector costs one pass over ``cross_sum`` and no p x H temporary.
+``KernelTracker.factor`` hands out a ``SliceFactor`` operator in O(1), and
+each of its products is one matrix-vector product with the block, centered
+on the (H + 1)-sized side, so no p-sized mean or p x H temporary is made.
 
-``cross_sum`` is stored column-major (Fortran order), so the per-observation
-``cross_sum[:, h] += x`` and every factor product walk contiguous memory.
-The layout is an implementation detail, not part of the API.
+Column-major storage makes the per-observation ``cross_sum[:, h] += x``,
+``x_sum += x`` and every block product walk contiguous memory.  The layout
+is an implementation detail, not part of the API.
 
 Slice boundaries are frozen after warmup: cut points are empirical quantiles
 of the warmup responses and never move again.  Intervals are right-closed,
@@ -109,51 +113,82 @@ class SliceGrid:
 
 
 class SliceFactor:
-    """The p x H slice factor W = (S - m c^T) / t as a linear operator.
+    """The p x H slice factor W = (S - x_sum c^T / t) / t as a linear operator.
 
-    S is the raw covariate-by-slice sum, m the covariate mean and c the
-    slice counts.  ``W @ a`` and ``W.T @ v`` for a of shape (H,) or (H, k)
-    and v of shape (p,) or (p, k) cost one product with S each and never
-    form W; ``np.asarray(W)`` forms it.  The operator reads the tracker's
-    arrays in place, so it is valid until the tracker's next update.
+    ``block`` is the tracker's p x (H + 1) array [S, x_sum]: S the raw
+    covariate-by-slice sums, x_sum the covariate sum; c holds the slice
+    counts.  ``W @ a`` and ``W.T @ v`` for a of shape (H,) or (H, k) and v of
+    shape (p,) or (p, k) cost one product with the block each and never form
+    W: W.T v is [S^T v; x_sum^T v] centered on that (H + 1)-vector, and W a
+    is the block times [a / t; -(c . a) / t^2].  ``np.asarray(W)`` forms W.
+    The operator reads the tracker's arrays in place, so it is valid until
+    the tracker's next update.
     """
 
-    __slots__ = ("sums", "mean", "counts", "t")
+    __slots__ = ("block", "counts", "t")
 
-    def __init__(self, sums: np.ndarray, mean: np.ndarray, counts: np.ndarray, t: int):
-        self.sums = sums
-        self.mean = mean
+    def __init__(self, block: np.ndarray, counts: np.ndarray, t: int):
+        self.block = block
         self.counts = counts
         self.t = t
 
     @classmethod
     def wrap(cls, w) -> "SliceFactor":
-        """``w``, or the p x H array ``w`` as an operator with w's products."""
+        """``w``, or the p x H array ``w`` as an operator with w's products
+        (a zero covariate sum, zero counts and t = 1)."""
         if isinstance(w, cls):
             return w
         w = np.asarray(w, dtype=float)
-        return cls(w, np.zeros(w.shape[0]), np.zeros(w.shape[1], dtype=np.int64), 1)
+        block = np.zeros((w.shape[0], w.shape[1] + 1), order="F")
+        block[:, :-1] = w
+        return cls(block, np.zeros(w.shape[1], dtype=np.int64), 1)
 
     def __matmul__(self, a):
         a = a / self.t  # 1/t scales the H-sized operand, not the p-sized result
-        out = self.sums.dot(a)
-        c = self.counts.dot(a)
-        out -= self.mean * c if a.ndim == 1 else np.multiply.outer(self.mean, c)
-        return out
+        coef = np.empty((a.shape[0] + 1,) + a.shape[1:])
+        coef[:-1] = a
+        coef[-1] = self.counts.dot(a)
+        coef[-1] /= -self.t
+        return self.block.dot(coef)
 
     @property
     def T(self) -> "_TransposedFactor":
         return _TransposedFactor(self)
 
+    def kernel_times(self, v: np.ndarray, scale: float) -> np.ndarray:
+        """scale * W (W' v) for a p-vector v, (p,), in two products with the
+        block (the slice kernel is W W' / H): [S' v; x_sum' v] is centered
+        and scaled on the (H + 1)-sized side, then made [g; -(c . g) / t] in
+        place, so nothing p-sized is built besides the result."""
+        t, counts = self.t, self.counts
+        r = self.block.T.dot(v)
+        g = r[:-1]
+        g -= counts * (r[-1] / t)
+        g *= scale / (t * t)
+        r[-1] = counts.dot(g) / -t
+        return self.block.dot(r)
+
+    def column_dot(self, h: int, vectors: np.ndarray) -> np.ndarray:
+        """W[:, h]' vectors for a (p, d) ``vectors``, (d,), from two dots with
+        the block's columns, (S_h' V - c_h x_sum' V / t) / t; the column is
+        never formed."""
+        block = self.block
+        out = block[:, h].dot(vectors)
+        out -= (self.counts[h] / self.t) * block[:, -1].dot(vectors)
+        out /= self.t
+        return out
+
     def column(self, h: int) -> np.ndarray:
         """Column h of W, (p,)."""
-        return (self.sums[:, h] - self.counts[h] * self.mean) / self.t
+        block = self.block
+        return (block[:, h] - (self.counts[h] / self.t) * block[:, -1]) / self.t
 
     def __array__(self, dtype=None, copy=None):
-        w = np.empty_like(self.sums)  # one p x H buffer, laid out like the sums
-        np.multiply(self.mean[:, None], self.counts, out=w)
-        np.subtract(self.sums, w, out=w)
-        w /= self.t
+        block, t = self.block, self.t
+        w = np.empty_like(block[:, :-1], order="F")  # laid out like the sums
+        np.multiply.outer(block[:, -1], self.counts / t, out=w)
+        np.subtract(block[:, :-1], w, out=w)
+        w /= t
         return w if dtype is None else w.astype(dtype, copy=False)
 
 
@@ -167,9 +202,9 @@ class _TransposedFactor:
 
     def __matmul__(self, v):
         w = self.factor
-        out = w.sums.T.dot(v)
-        m = w.mean.dot(v)
-        out -= w.counts * m if v.ndim == 1 else np.multiply.outer(w.counts, m)
+        r = w.block.T.dot(v)  # [S^T v; x_sum^T v]
+        out = r[:-1]
+        out -= np.multiply.outer(w.counts, r[-1] / w.t)
         out /= w.t
         return out
 
@@ -180,13 +215,15 @@ class KernelTracker:
     Maintains, over the first t observations:
 
     * ``t``            observation count,
-    * ``x_sum``        sum of covariate vectors (p,),
+    * ``block``        the column-major p x (H + 1) array of the sums below,
     * ``cross_sum``    sum of x e(y)^T where e is the one-hot slice
-                       indicator (p, H), column-major.
+                       indicator (p, H): the first H columns of ``block``,
+    * ``x_sum``        sum of covariate vectors (p,): its last column.
 
+    ``cross_sum`` and ``x_sum`` are views, so a loader fills them in place.
     ``factor()`` (an operator) and ``slice_cov`` (the p x H array)
     re-center on demand: column h is
-    (cross_sum[:, h] - counts[h] * mean) / t, which equals the batch
+    (cross_sum[:, h] - counts[h] * x_sum / t) / t, which equals the batch
     quantity (1/t) sum_i (x_i - mean_t) 1{y_i in slice h} exactly.
     """
 
@@ -196,13 +233,17 @@ class KernelTracker:
         self.grid = grid
         self.n_features = int(n_features)
         self.t = 0
-        self.x_sum = np.zeros(n_features)
-        self.cross_sum = np.zeros((n_features, grid.n_slices), order="F")
+        self.block = np.zeros((n_features, grid.n_slices + 1), order="F")
+        self.cross_sum = self.block[:, :-1]
+        self.x_sum = self.block[:, -1]
         self.dense_builds = 0  # how many times a p x p matrix was materialized
 
     # -- updates ------------------------------------------------------------
 
-    def _check_x(self, x) -> np.ndarray:
+    def check(self, x, y) -> tuple[np.ndarray, int]:
+        """``x`` as a float p-vector and the slice index of ``y``; a vector of
+        another length, a non-finite entry (found by ``all_finite``) or a
+        non-finite response raises ``DataError``.  Changes no state."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.n_features:
             raise DataError(
@@ -210,20 +251,21 @@ class KernelTracker:
             )
         if not all_finite(x):
             raise DataError("covariates must be finite")
-        return x
+        return x, self.grid.slice_of(y)
 
-    def update(self, x, y) -> int:
-        """Absorb one observation and return its slice index.
-
-        Both inputs are validated (x by ``all_finite``) before any state
-        changes.  O(pH) time, no p x p allocation.
-        """
-        x = self._check_x(x)
-        h = self.grid.slice_of(y)
+    def absorb(self, x: np.ndarray, h: int) -> None:
+        """Add the checked observation ``x`` of slice ``h`` (see ``check``)
+        to the sums.  O(p) time."""
         self.t += 1
         self.x_sum += x
         self.cross_sum[:, h] += x
         self.grid.counts[h] += 1
+
+    def update(self, x, y) -> int:
+        """Check one observation, absorb it and return its slice index.
+        Invalid input raises ``DataError`` before any state changes."""
+        x, h = self.check(x, y)
+        self.absorb(x, h)
         return h
 
     def replay(self, X, y) -> None:
@@ -242,10 +284,10 @@ class KernelTracker:
 
     def factor(self) -> SliceFactor:
         """The centered slice cross-covariance as an operator (see
-        ``SliceFactor``); costs one O(p) mean, never a p x H array."""
+        ``SliceFactor``) on the block itself: O(1), no p-sized array."""
         if self.t == 0:
             raise EmptyStateError("slice statistics requested before any observation")
-        return SliceFactor(self.cross_sum, self.mean, self.grid.counts, self.t)
+        return SliceFactor(self.block, self.grid.counts, self.t)
 
     @property
     def slice_cov(self) -> np.ndarray:

@@ -2,26 +2,37 @@
 
 One ``observe(x, y)`` call runs the full update chain:
 
-1. slice-kernel statistics absorb the observation (x and y are validated
-   here, before any stage changes, and the slice index is found once),
-2. the eigen-tracker takes one step on the updated slice statistics through
+1. x and y are checked once, by ``KernelTracker.check``, which also finds
+   the slice index; then the coefficient stage's prediction b' x is formed,
+   and a non-finite one (the coefficients diverged) raises
+   ``ConvergenceError``.  Both happen before any stage changes, so a
+   rejected observation leaves the model as it was.
+2. the slice statistics absorb the observation,
+3. the eigen-tracker takes one step on the updated slice statistics through
    ``EigenTracker.advance`` (signs stabilized against the previous step so
    downstream targets never flip),
-3. a d-vector artificial response is formed from the observation's slice,
-4. the truncated-gradient stage takes one step toward regressing that
-   response on x.
+4. a d-vector artificial response is formed from the observation's slice
+   (one that is not finite raises ``DataError``),
+5. the truncated-gradient stage takes one unchecked step
+   (``TruncatedGradient.advance``) toward regressing that response on x,
+   reusing the prediction of step 1 unless it truncates first.
 
-The sparse coefficient matrix of step 4 is the direction estimate.  Nothing
+The sparse coefficient matrix of step 5 is the direction estimate.  Nothing
 in the chain stores a p x p matrix unless the perturbation tracker is
-selected, and the default ccipca tracker sees the p x H slice factor only
-as an operator, so no p x H temporary is built per observation either and
-the default configuration streams comfortably at p in the thousands.
+selected.  The default ccipca tracker sees the slice factor only as an
+operator on the kernel's p x (H + 1) block of slice sums and covariate sum:
+each ccipca component costs two matrix-vector products with the block, the
+response two dot products with its columns, and no p x H or p-sized mean
+temporary is built per observation, so the default configuration streams
+comfortably at p in the thousands.
 
-Every p-sized array on the default path (the slice sums, the eigenvectors
-and the coefficients) is column-major with H or d columns, so each stage
-works on contiguous length-p columns in place; ``load`` restores each
-array in the layout a fresh model gives it, whatever order the file holds.
-Memory order is an implementation detail, not part of the API.
+Every p-sized array on the default path (the sum block, the eigenvectors
+and the coefficients) is column-major with H + 1 or d columns, so each stage
+works on contiguous length-p columns in place; ``load`` fills each array of
+a model built from the config in place, so it keeps the layout a fresh model
+gives it, whatever order the file holds, and ``cross_sum`` and ``x_sum`` stay
+views of the block.  Memory order is an implementation detail, not part of
+the API.
 
 ``warmup_stages`` is the front end this model shares with the dense
 baseline (``baselines.DenseOnlineSIR``): it checks the warmup batch,
@@ -52,7 +63,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .eigen import EigenTracker, TrackerConfig
-from .errors import ConfigurationError, DataError, as_rows
+from .errors import ConfigurationError, ConvergenceError, DataError, all_finite, as_rows
 from .kernel import KernelTracker, SliceGrid
 from .simulate import subspace_distance
 from .truncated import TruncatedGradient
@@ -175,27 +186,39 @@ class OnlineSparseSIR:
     def observe(self, x, y) -> "OnlineSparseSIR":
         """Absorb one observation and advance every stage once.
 
-        Invalid x or y raises ``DataError`` and leaves the model unchanged.
+        Invalid x or y raises ``DataError``, and coefficients whose
+        prediction b' x is not finite raise ``ConvergenceError``; both leave
+        the model unchanged.
         """
-        h = self.kernel.update(x, y)
-        factor = self.kernel.factor()
-        self.eigen.advance(self.kernel, factor, y)
-        response, dead = self._response_from(factor, h)
+        kernel, coef = self.kernel, self.coef
+        x, h = kernel.check(x, y)
+        prediction = coef.betas.T.dot(x)
+        if not all_finite(prediction):
+            raise ConvergenceError(
+                f"coefficients diverged: their prediction for observation "
+                f"t = {kernel.t + 1} is {prediction}"
+            )
+        kernel.absorb(x, h)
+        factor = kernel.factor()
+        smallest = self.eigen.advance(kernel, factor, y)
+        response, dead = self._response_from(factor, h, smallest)
         self.degenerate_responses += dead
-        self.coef.update(x, response)
+        if not all_finite(response):
+            raise DataError(f"synthetic response at t = {kernel.t} is not finite")
+        coef.advance(x, response, prediction)
         return self
 
-    def _response_from(self, factor, h: int) -> tuple[np.ndarray, int]:
+    def _response_from(self, factor, h: int, smallest: float) -> tuple[np.ndarray, int]:
         """Target for slice ``h`` and the number of its coordinates zeroed
-        at the eigenvalue floor."""
+        at the eigenvalue floor; ``smallest`` is the smallest eigenvalue."""
         # The extra 1/t anneals the target: its direction is fixed by the
         # slice statistics while its scale decays, so the coefficient stage
         # settles instead of rattling around a constant-variance floor.
-        proj = factor.column(h).dot(self.eigen.vectors)  # (d,)
+        proj = factor.column_dot(h, self.eigen.vectors)  # (d,)
         floor = self.config.eigenvalue_floor
         lams = self.eigen.values
         scale = self.kernel.t * self.kernel.grid.n_slices
-        if lams.min() > floor:  # nothing to clamp: bitwise the general case
+        if smallest > floor:  # nothing to clamp: bitwise the general case
             return proj / (scale * lams), 0
         response = proj / (scale * np.maximum(lams, floor))
         dead = lams <= floor
@@ -205,7 +228,7 @@ class OnlineSparseSIR:
         """The d-vector target the coefficient stage would regress on for a
         response ``y`` under the current state.  Pure read, no update."""
         h = self.kernel.grid.slice_of(y)
-        return self._response_from(self.kernel.factor(), h)[0]
+        return self._response_from(self.kernel.factor(), h, float(self.eigen.values.min()))[0]
 
     # -- results ------------------------------------------------------------------
 
@@ -380,19 +403,19 @@ def unit_columns(B: np.ndarray) -> np.ndarray:
 
 
 def _restored(path, key: str, stored: np.ndarray, empty):
-    """``stored`` as the type and memory layout of ``empty``, its twin in a
-    model built from the config, so a column-major array stays column-major
-    whatever order the file holds; another shape or kind of value raises
-    ``DataError``."""
-    want = np.asarray(empty)
+    """``stored`` copied into ``empty``, its twin in a model built from the
+    config, when that is an array, so a column-major array stays
+    column-major whatever order the file holds and a view (such as
+    ``KernelTracker.x_sum``) stays a view; a scalar comes back as the type
+    of ``empty``.  Another shape or kind of value raises ``DataError``."""
+    want = np.asarray(empty)  # ``empty`` itself when it is an array
     if stored.shape != want.shape:
         raise DataError(f"{path}: {key} has shape {stored.shape}, expected {want.shape}")
-    value = np.empty_like(want)
     try:
-        np.copyto(value, stored, casting="same_kind")
+        np.copyto(want, stored, casting="same_kind")
     except TypeError:
         raise DataError(f"{path}: {key} holds {stored.dtype}, expected {want.dtype}") from None
-    return value if isinstance(empty, np.ndarray) else value.item()
+    return empty if isinstance(empty, np.ndarray) else want.item()
 
 
 def _coefficient_stage(config: SIRConfig, p: int) -> TruncatedGradient:

@@ -61,9 +61,9 @@ class TruncatedGradient:
     period : truncation runs every ``period`` steps with the accumulated
         shrink gravity * rate * period.
 
-    Coefficients start at zero.  One ``update(x, targets)`` call performs,
-    in order: the step counter increment, truncation when the counter is a
-    multiple of ``period``, then one gradient step
+    Coefficients start at zero.  One ``update(x, targets)`` call checks its
+    inputs and runs ``advance``: the step counter increment, truncation when
+    the counter is a multiple of ``period``, then one gradient step
     b_j += 2 * rate * (target_j - b_j' x) * x for every target j.
     ``betas`` stays column-major through both.
     """
@@ -114,16 +114,22 @@ class TruncatedGradient:
             )
         if not (all_finite(x) and all_finite(targets)):
             raise DataError("inputs must be finite")
+        self.advance(x, targets, self.betas.T.dot(x))
 
+    def advance(self, x: np.ndarray, targets: np.ndarray, prediction: np.ndarray) -> None:
+        """``update`` without the checks, for a float p-vector ``x``, a float
+        d-vector of ``targets`` and the ``prediction`` betas' x under the
+        current betas, which a truncating step computes again."""
         self.step += 1
         if self.gravity > 0.0 and self.step % self.period == 0:
             self.betas, zeroed = _truncate(
                 self.betas, self.gravity * self.rate * self.period, self.threshold
             )
             self.truncation_zeros += zeroed
-        rows = self.betas.T  # (d, p) view; row j is column j of betas
-        resid = targets - rows.dot(x)  # (d,)
+            prediction = self.betas.T.dot(x)
+        resid = targets - prediction  # (d,)
         resid *= 2.0 * self.rate
+        rows = self.betas.T  # (d, p) view; row j is column j of betas
         rows += resid[:, None] * x
 
     def nonzero_count(self) -> int:

@@ -97,8 +97,10 @@ _CCIPCA_NORM_FLOOR = 1e-12
 
 def ccipca_step_reference(eigen, factor, t: int) -> None:
     """One ccipca step on a materialized p x H factor, deflated explicitly
-    as w <- w - u (u'w) after each component.  This is the algebra the
-    factor-free tracker must reproduce; it updates ``eigen`` in place."""
+    as w <- w - u (u'w) after each component, with each new component
+    negated when it points away from its previous unit vector.  This is the
+    algebra the factor-free tracker must reproduce; it updates ``eigen`` in
+    place."""
     w = np.asarray(factor, dtype=float)
     n_slices = w.shape[1]
     keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
@@ -126,6 +128,8 @@ def ccipca_step_reference(eigen, factor, t: int) -> None:
                 eigen.raw_vectors[:, j] = v
                 eigen.values[j] = 0.0
                 continue
+        if eigen.vectors[:, j] @ v < 0.0:
+            v = -v
         eigen.raw_vectors[:, j] = v
         eigen.values[j] = norm
         unit = v / norm
@@ -201,14 +205,146 @@ def eigen_chain_reference(eigen, kernel, y, slice_y_sum, slice_y_count) -> None:
 
 def observe_chain_reference(model, x, y) -> None:
     """One default (ccipca) ``observe`` of an ``OnlineSparseSIR``, written
-    out with every numpy call the stages made before they were trimmed:
+    out with every numpy call its stages make on the kernel's p x (H + 1)
+    block [S, x_sum] of slice sums and covariate sum: the input check
+    (``np.isfinite`` validation, ``np.searchsorted``), the prediction b'x
+    before any state changes, the ccipca step in two block products per
+    component (W'a centered on the (H + 1)-vector, W g as the block times
+    [g; -(c.g)/t]) with each component's sign checked against its old unit
+    vector before that is overwritten, the response from two dots with the
+    block's columns (always through ``np.maximum``) and the unchecked
+    coefficient step, which forms the prediction again only after a
+    truncation.  It calls none of the package's methods, so ``observe`` must
+    match it bit for bit; it updates ``model`` in place and returns
+    nothing."""
+    kernel, grid, eigen, coef = model.kernel, model.kernel.grid, model.eigen, model.coef
+
+    # input check and the prediction, before any state changes
+    x = np.asarray(x, dtype=float).ravel()
+    assert x.size == kernel.n_features and np.all(np.isfinite(x))
+    y = float(y)
+    assert np.isfinite(y)
+    h = int(np.searchsorted(grid.cuts, y, side="left"))
+    prediction = coef.betas.T @ x
+    assert np.all(np.isfinite(prediction))
+
+    # slice statistics
+    kernel.t += 1
+    kernel.x_sum += x
+    kernel.cross_sum[:, h] += x
+    grid.counts[h] += 1
+
+    # the factor W = (S - x_sum c'/t) / t as block products, never formed
+    t, block, counts = kernel.t, kernel.block, grid.counts
+    n_slices = counts.size
+
+    def reseed(units):
+        eigen.reinit_count += 1
+        w = np.empty((block.shape[0], n_slices), order="F")
+        np.multiply.outer(block[:, -1], counts / t, out=w)
+        np.subtract(block[:, :-1], w, out=w)
+        w /= t
+        for u in units:
+            w = w - np.outer(u, u @ w)
+        return w[:, int(np.argmax(np.linalg.norm(w, axis=0)))].copy()
+
+    def w_w_transposed_times(v, scale):
+        r = block.T @ v
+        g = r[:-1]
+        g -= counts * (r[-1] / t)
+        g *= scale / (t * t)
+        r[-1] = (counts @ g) / -t
+        return block @ r
+
+    # eigen stage: ccipca step with the sign check folded in
+    step_t = t - 1
+    keep, blend = step_t / (step_t + 1.0), 1.0 / (step_t + 1.0)
+    per_slice = blend / n_slices
+    scratch = np.empty(block.shape[0])
+    units = []
+    smallest = math.inf
+    for j in range(eigen.values.size):
+        v = eigen.raw_vectors[:, j]
+        norm = math.sqrt(v @ v)
+        if norm < _CCIPCA_NORM_FLOOR:
+            seed = reseed(units)
+            norm = math.sqrt(seed @ seed)
+            if norm < _CCIPCA_NORM_FLOOR:
+                eigen.values[j] = smallest = 0.0
+                continue
+            v[:] = seed
+        if units:
+            a = v / norm
+            for u in reversed(units):
+                a -= np.multiply(u, u @ a, out=scratch)
+            b = w_w_transposed_times(a, per_slice)
+        else:
+            b = w_w_transposed_times(v, per_slice / norm)
+        for u in units:
+            b -= np.multiply(u, u @ b, out=scratch)
+        v *= keep
+        v += b
+        norm = math.sqrt(v @ v)
+        if norm < _CCIPCA_NORM_FLOOR:
+            v[:] = reseed(units)
+            norm = math.sqrt(v @ v)
+            if norm < _CCIPCA_NORM_FLOOR:
+                eigen.values[j] = smallest = 0.0
+                continue
+        unit = eigen.vectors[:, j]
+        if unit @ v < 0.0:
+            v *= -1.0
+        eigen.values[j] = norm
+        np.divide(v, norm, out=unit)
+        units.append(unit)
+        smallest = min(smallest, norm)
+    eigen.step += 1
+    assert smallest == eigen.values.min()
+
+    # synthetic response
+    vectors = eigen.vectors
+    proj = block[:, h] @ vectors
+    proj -= (counts[h] / t) * (block[:, -1] @ vectors)
+    proj /= t
+    floor = model.config.eigenvalue_floor
+    lams = eigen.values
+    response = proj / (t * n_slices * np.maximum(lams, floor))
+    dead = lams <= floor
+    if dead.any():
+        response = np.where(dead, 0.0, response)
+        model.degenerate_responses += int(dead.sum())
+
+    # coefficient step, unchecked but for the target
+    assert np.all(np.isfinite(response))
+    coef.step += 1
+    if coef.gravity > 0.0 and coef.step % coef.period == 0:
+        shrink = coef.gravity * coef.rate * coef.period
+        mag = np.abs(coef.betas)
+        cut = mag <= min(shrink, coef.threshold)
+        out = np.maximum(mag - shrink, 0.0)
+        out *= np.sign(coef.betas)
+        out = np.where(mag <= coef.threshold, out, coef.betas)
+        coef.truncation_zeros += int(np.count_nonzero(cut) - np.count_nonzero(mag == 0.0))
+        coef.betas = out
+        prediction = coef.betas.T @ x
+    resid = response - prediction
+    resid *= 2.0 * coef.rate
+    rows = coef.betas.T
+    rows += resid[:, None] * x
+
+
+def observe_chain_reference_mean_centered(model, x, y) -> None:
+    """The default (ccipca) ``observe`` chain as it ran before the slice sums
+    and the covariate sum shared one block: every numpy call of
     ``KernelTracker.update`` (``np.isfinite`` validation, ``np.searchsorted``),
     ``EigenTracker.advance`` (the factor-free ccipca step through a factor
-    operator, signs aligned by ``einsum``), ``_response_from`` (always through
-    ``np.maximum``) and ``TruncatedGradient.update`` (validation again, then
-    truncation and the gradient step).  It calls none of the package's
-    methods, so ``observe`` must match it bit for bit; it updates ``model``
-    in place and returns nothing."""
+    operator centered with a p-sized mean, signs aligned by ``einsum`` after
+    the step), the response (always through ``np.maximum``, from the
+    materialized factor column) and ``TruncatedGradient.update``
+    (validation again, then truncation and the gradient step).  The block
+    chain reorders the arithmetic, so ``observe`` stays within round-off of
+    this one rather than bit for bit; it updates ``model`` in place and
+    returns nothing."""
     kernel, grid, eigen, coef = model.kernel, model.kernel.grid, model.eigen, model.coef
 
     # slice statistics

@@ -13,6 +13,7 @@ import pytest
 from streamsir import (
     STRATEGIES,
     ConfigurationError,
+    ConvergenceError,
     DataError,
     DegenerateDataError,
     EigenTracker,
@@ -34,6 +35,7 @@ from .helpers import (
     assert_same_state,
     ccipca_observe_reference,
     observe_chain_reference,
+    observe_chain_reference_mean_centered,
     principal_angle,
     response_oracle,
 )
@@ -148,8 +150,10 @@ def test_zero_slice_statistic_gives_zero_response():
     X, y = _model_one(n=150)
     model = OnlineSparseSIR.warmup(X[:150], y[:150], SIRConfig(n_slices=5))
     h = model.kernel.grid.slice_of(y[0])
-    # surgically erase slice h's centered statistic
-    model.kernel.cross_sum[:, h] = model.kernel.grid.counts[h] * model.kernel.mean
+    # surgically erase slice h's centered statistic S_h - c_h x_sum / t: with
+    # S_h and x_sum zero it is zero in any order of the arithmetic
+    model.kernel.cross_sum[:, h] = 0.0
+    model.kernel.x_sum[:] = 0.0
     np.testing.assert_array_equal(model.artificial_response(y[0]), [0.0])
 
 
@@ -179,10 +183,19 @@ def test_observing_the_running_mean_is_harmless():
     model.check_counters()
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_factor_free_ccipca_matches_the_materialized_algebra(d):
+@pytest.mark.parametrize(
+    "d, offset",
+    [(1, 0.0), (2, 0.0), (3, 0.0), (1, 1e3), (2, 1e3), (3, 1e3)],
+    ids=["1", "2", "3", "1-offset", "2-offset", "3-offset"],
+)
+def test_factor_free_ccipca_matches_the_materialized_algebra(d, offset):
+    # at a covariate offset of 1e3 the block's raw sums cancel to the
+    # centered factor; the rate keeps the coefficient stage finite there
     X, y = sample(SimModelSpec(3, 200), 2100, rng=d)
+    X += offset
     cfg = SIRConfig(n_directions=d, **BENCH)
+    if offset:
+        cfg = replace(cfg, learning_rate=1e-10)
     fused = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     dense = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     for i in range(100, 2100):
@@ -270,6 +283,36 @@ def test_observe_is_bitwise_the_reference_chain(p, d):
     assert lean.directions().tobytes() == ref.directions().tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [20, 200])
+def test_observe_stays_within_round_off_of_the_mean_centered_chain(p, d):
+    # the chain before the sums shared one block: same stream, same negation
+    # and floor change as the bitwise test, within 1e-12
+    X, y = sample(SimModelSpec(3, p), 2100, rng=p + d)
+    cfg = SIRConfig(n_directions=d, **BENCH)
+    lean = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    old = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    for i in range(100, 2100):
+        if i == 600:
+            for model in (lean, old):
+                model.eigen.raw_vectors[:, -1] *= -1.0
+        if i == 1100:
+            floor = 2.0 * float(lean.eigen.values.min())
+            for model in (lean, old):
+                model.config = replace(model.config, eigenvalue_floor=floor)
+        lean.observe(X[i], y[i])
+        observe_chain_reference_mean_centered(old, X[i], y[i])
+    assert lean.degenerate_responses == old.degenerate_responses > 0
+    assert lean.coef.truncation_zeros == old.coef.truncation_zeros > 0
+    assert lean.eigen.reinit_count == old.eigen.reinit_count
+    for (key, owner, attr), (_, twin, _) in zip(lean._checkpointed(), old._checkpointed()):
+        if getattr(owner, attr) is not None:
+            np.testing.assert_allclose(
+                getattr(owner, attr), getattr(twin, attr), rtol=0, atol=1e-12, err_msg=key
+            )
+    np.testing.assert_allclose(lean.directions(), old.directions(), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "bad", ["non-finite x", "wrong-length x", "NaN y", "-inf x", "inf y"]
 )
@@ -298,6 +341,30 @@ def test_rejected_observation_leaves_the_state_unchanged(tmp_path, bad, tracker)
             assert before[key].dtype == after[key].dtype, key
             assert before[key].tobytes() == after[key].tobytes(), key
     model.check_counters()
+
+
+@pytest.mark.parametrize("tracker", STRATEGIES)
+def test_diverged_coefficients_raise_and_leave_the_state_unchanged(tmp_path, tracker):
+    X, y = _model_one(n=200)
+    model = fit_online(X[:150], y[:150], SIRConfig(tracker=tracker, **BENCH), 100)
+    model.coef.betas[:] = 1e308 * np.sign(X[150])[:, None]  # b'x overflows
+    model.save(tmp_path / "before.npz")
+    with pytest.raises(ConvergenceError, match="t = 151"):
+        model.observe(X[150], y[150])
+    model.save(tmp_path / "after.npz")
+    with np.load(tmp_path / "before.npz") as before, np.load(tmp_path / "after.npz") as after:
+        assert before.files == after.files
+        for key in before.files:
+            assert before[key].tobytes() == after[key].tobytes(), key
+    model.check_counters()
+
+
+def test_a_diverging_stream_raises_instead_of_returning_nan():
+    # the coefficient step is LMS on uncentered x: with every covariate
+    # shifted by 1e4, rate |mean|^2 > 1 and the recursion diverges
+    X, y = sample(SimModelSpec(1, 10), 400, rng=0)
+    with pytest.raises(ConvergenceError, match="diverged"):
+        fit_online(X + 1e4, y)
 
 
 def test_model_one_stream_recovers_the_direction():
@@ -552,6 +619,26 @@ def _saved_arrays(tmp_path, tracker="ipca"):
         return {key: handle[key] for key in handle.files}
 
 
+def test_loaded_sums_are_views_of_one_block(tmp_path):
+    # load fills the block in place, so cross_sum and x_sum stay its views,
+    # whatever order the file holds, and a resumed stream equals the live one
+    X, y = _model_one(n=600)
+    model = fit_online(X[:300], y[:300], SIRConfig(**BENCH), warmup_size=100)
+    model.save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as handle:
+        arrays = {key: handle[key].copy(order="C") for key in handle.files}
+    np.savez(tmp_path / "c_order.npz", **arrays)
+    resumed = [OnlineSparseSIR.load(tmp_path / name) for name in ("model.npz", "c_order.npz")]
+    fit_stream(model, X[300:], y[300:])
+    for restored in resumed:
+        kernel = restored.kernel
+        assert np.shares_memory(kernel.cross_sum, kernel.block)
+        assert np.shares_memory(kernel.x_sum, kernel.block)
+        fit_stream(restored, X[300:], y[300:])
+        assert np.shares_memory(kernel.x_sum, kernel.block)
+        assert_same_state(model, restored)
+
+
 def test_checkpoint_stores_the_config_once(tmp_path):
     assert sorted(_saved_arrays(tmp_path, "ccipca")) == sorted(
         ["pipe_format", "pipe_config", "pipe_warmup_size", "pipe_degenerate_responses",
@@ -759,6 +846,7 @@ def _assert_column_major(model, when):
     """The p-sized arrays of the ccipca path are column-major.  With d = 2
     and H = 10 none of them is both C- and F-contiguous, so the check bites."""
     hot = {
+        "block": model.kernel.block,
         "cross_sum": model.kernel.cross_sum,
         "vectors": model.eigen.vectors,
         "raw_vectors": model.eigen.raw_vectors,
