@@ -227,23 +227,14 @@ def lasso_coordinate_descent(
     )
 
 
-def batch_lasso_sir(
-    X,
-    y,
-    n_slices: int,
-    d: int,
-    penalty=None,
-    *,
-    penalty_scale: float = 1.0,
-    tol: float = 1e-8,
-    max_sweeps: int = 100_000,
-) -> np.ndarray:
+def batch_lasso_sir(X, y, n_slices: int, d: int, penalty=None) -> np.ndarray:
     """Sparse batch directions via l1-penalized regression on slice targets.
 
     ``penalty`` may be a scalar, one value per direction, or None, in which
-    case direction i uses penalty_scale * sqrt(log(p) / (n * lam_i)).
-    Returns the raw (p, d) sparse coefficient matrix; callers normalize if
-    they need unit columns.
+    case direction i uses sqrt(log(p) / (n * lam_i)).  Each regression runs
+    ``lasso_coordinate_descent`` with its default tolerance and sweep
+    budget.  Returns the raw (p, d) sparse coefficient matrix; callers
+    normalize if they need unit columns.
     """
     M, labels, Xc = slice_mean_matrix(X, y, n_slices)
     n, p = Xc.shape
@@ -251,14 +242,12 @@ def batch_lasso_sir(
         raise ConfigurationError(f"need 1 <= d <= min(p, H) = {min(p, n_slices)}")
     targets, eta, lams, _ = _lasso_targets(M, labels, Xc, n_slices, d)
     if penalty is None:
-        mus = penalty_scale * np.sqrt(np.log(p) / (n * lams))
+        mus = np.sqrt(np.log(p) / (n * lams))
     else:
         mus = np.broadcast_to(np.asarray(penalty, dtype=float), (d,)).copy()
     if np.any(mus < 0):
         raise ConfigurationError("penalties must be non-negative")
     B = np.empty((p, d))
     for i in range(d):
-        B[:, i] = lasso_coordinate_descent(
-            Xc, targets[:, i], float(mus[i]), tol=tol, max_sweeps=max_sweeps
-        )
+        B[:, i] = lasso_coordinate_descent(Xc, targets[:, i], float(mus[i]))
     return B

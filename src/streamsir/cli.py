@@ -44,6 +44,7 @@ from .errors import ConfigurationError, DataError, StreamsirError
 from .pipeline import (DEFAULT_WARMUP, OnlineSparseSIR, SIRConfig, _split_warmup, fit_online,
                        fit_stream)
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
+from .truncated import active_features
 
 # The CLI's truncation strength; ``SIRConfig`` itself defaults to none.
 DEFAULT_GRAVITY = 3e-4
@@ -101,9 +102,10 @@ def _at_least_one(**counts):
 def _fit_one(method, X, y, config, warmup):
     """Fit one method on (X, y) under ``config``, for ``benchmark`` cells and
     ``sweep`` settings alike; the method, not ``config``, names the tracker.
-    Returns (directions, nonzeros). The streaming methods warm up on the
-    first ``warmup`` rows under ``fit_online``'s checks and stream the rest
-    through ``fit_stream``."""
+    Returns (directions, nonzeros), nonzeros being ``active_features`` of
+    the sparse coefficients and None for the other methods. The streaming
+    methods warm up on the first ``warmup`` rows under ``fit_online``'s
+    checks and stream the rest through ``fit_stream``."""
     H, d = config.n_slices, config.n_directions
     if method.kind == "sparse":
         model = fit_online(X, y, replace(config, tracker=method.tracker), warmup_size=warmup)
@@ -115,7 +117,7 @@ def _fit_one(method, X, y, config, warmup):
     if method.kind == "batch-sir":
         return batch_sir(X, y, H, d), None
     betas = batch_lasso_sir(X, y, H, d)
-    return betas, int(np.count_nonzero(np.any(betas != 0.0, axis=1)))
+    return betas, active_features(betas)
 
 
 def run_benchmark_cell(method, model_id, p, n, n_slices, n_directions, gamma, gravity,
@@ -397,8 +399,9 @@ def cmd_sweep(args):
     thetas = _parse_grid(args.theta_grid, "--theta-grid")
     if any(g <= 0 for g in gammas):
         raise ConfigurationError("--gamma-grid: learning rates must be positive")
-    if any(g < 0 for g in gravities):
-        raise ConfigurationError("--gravity-grid: gravity cannot be negative")
+    # every cell's config, so an invalid grid value fails before any sampling
+    cells = [replace(base, learning_rate=gamma, gravity=gravity, threshold=theta)
+             for gamma in gammas for gravity in gravities for theta in thetas]
 
     rng = np.random.default_rng(args.seed)
     X, y = sample(spec, args.n, rng)
@@ -406,20 +409,17 @@ def cmd_sweep(args):
 
     method = _METHOD_LOOKUP[f"sparse-{args.tracker}"]
     rows = []
-    for gamma in gammas:
-        for gravity in gravities:
-            for theta in thetas:
-                start = time.perf_counter()
-                cell = replace(base, learning_rate=gamma, gravity=gravity, threshold=theta)
-                betas, nonzeros = _fit_one(method, X, y, cell, args.warmup)
-                rows.append({
-                    "gamma": f"{gamma:g}", "gravity": f"{gravity:g}",
-                    "theta": f"{theta:g}",
-                    "distance": f"{subspace_distance(truth, betas):.10f}",
-                    "nonzeros": nonzeros,
-                    "seconds": f"{time.perf_counter() - start:.6f}",
-                    "best": "",
-                })
+    for cell in cells:
+        start = time.perf_counter()
+        betas, nonzeros = _fit_one(method, X, y, cell, args.warmup)
+        rows.append({
+            "gamma": f"{cell.learning_rate:g}", "gravity": f"{cell.gravity:g}",
+            "theta": f"{cell.threshold:g}",
+            "distance": f"{subspace_distance(truth, betas):.10f}",
+            "nonzeros": nonzeros,
+            "seconds": f"{time.perf_counter() - start:.6f}",
+            "best": "",
+        })
     best = min(rows, key=lambda r: float(r["distance"]))
     best["best"] = "*"
     out = Path(args.out)

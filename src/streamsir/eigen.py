@@ -164,12 +164,16 @@ class EigenTracker:
         factor operator ``factor = kernel.factor()``, which the caller
         builds once per observation, perturbation the dense kernel), ipca's
         slice bookkeeping, then sign alignment, which ccipca does inside its
-        step.  Returns the smallest tracked eigenvalue."""
+        step.  Returns the smallest tracked eigenvalue.
+
+        The sgd, perturbation and ipca steps never write into ``vectors``:
+        each rebinds it to a new array, so the array it replaced is the
+        previous step's basis that signs are aligned against, uncopied."""
         t = kernel.t - 1
         strategy = self.config.strategy
         if strategy == "ccipca":
             return self.ccipca_step(factor, t)
-        previous = self.vectors.copy(order="K")
+        previous = self.vectors
         if strategy == "sgd":
             self.sgd_step(factor, t)
         elif strategy == "perturbation":
@@ -357,9 +361,9 @@ class EigenTracker:
 
     def align_signs(self, reference: np.ndarray) -> None:
         """Flip column signs so each vector has non-negative overlap with
-        its counterpart in ``reference`` (the previous step's basis)."""
+        its counterpart in ``reference`` (the previous step's basis).  Only
+        ``vectors`` is touched: ccipca, the one strategy with
+        ``raw_vectors``, aligns inside its own step."""
         for j in range(self.n_directions):
             if reference[:, j].dot(self.vectors[:, j]) < 0.0:
                 self.vectors[:, j] *= -1.0
-                if self.raw_vectors is not None:
-                    self.raw_vectors[:, j] *= -1.0

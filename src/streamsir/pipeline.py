@@ -65,7 +65,6 @@ import numpy as np
 from .eigen import EigenTracker, TrackerConfig
 from .errors import ConfigurationError, ConvergenceError, DataError, all_finite, as_rows
 from .kernel import KernelTracker, SliceGrid
-from .simulate import subspace_distance
 from .truncated import TruncatedGradient
 
 # Leading rows ``fit_online`` and the command line warm up on by default.
@@ -98,6 +97,19 @@ CHECKPOINT_LAYOUT = {
 }
 
 
+def _coefficient_stage(config: SIRConfig, p: int) -> TruncatedGradient:
+    """The coefficient stage ``config`` implies for ``p`` features; building
+    it runs the stage's own checks of gravity, threshold and period."""
+    return TruncatedGradient(
+        p,
+        config.n_directions,
+        rate=config.resolve_rate(p),
+        gravity=config.gravity,
+        threshold=config.threshold,
+        period=config.period,
+    )
+
+
 @dataclass(frozen=True)
 class SIRConfig:
     """Hyperparameters of the streaming estimator.
@@ -128,6 +140,7 @@ class SIRConfig:
         self.tracker_config()  # validates the tracker fields
         if self.learning_rate is not None and not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning_rate must lie in (0, 1)")
+        _coefficient_stage(self, 1)  # validates gravity, threshold and period
         if self.min_warmup is not None and self.min_warmup < 1:
             raise ConfigurationError("min_warmup must be a positive integer")
         if self.eigenvalue_floor <= 0:
@@ -237,22 +250,19 @@ class OnlineSparseSIR:
         betas = self.coef.betas
         return np.add.reduce(betas * betas, axis=0) == 0.0  # as directions() finds a zero norm
 
-    def directions(self, normalize: bool = True) -> np.ndarray:
-        """Current direction estimate, (p, d).
-
-        Columns are unit-normalized by default; an all-zero column (possible
-        under heavy truncation) is returned as zeros and flagged through
-        ``zero_direction_flags``.  The result is always a new array, also
-        with ``normalize=False``.
-        """
-        betas = self.coef.betas
-        return unit_columns(betas) if normalize else betas.copy(order="K")
+    def directions(self) -> np.ndarray:
+        """Current direction estimate, (p, d), with unit columns, as a new
+        array; an all-zero column (possible under heavy truncation) is
+        returned as zeros and flagged through ``zero_direction_flags``.  The
+        raw coefficients are ``coef.betas``."""
+        return unit_columns(self.coef.betas)
 
     def diagnostics(self) -> dict:
         """The model's state at a glance, as a new dict: the observation
-        count ``t``, a copy of the tracked ``eigenvalues``, the number of
-        ``nonzeros`` coefficients, the eigen tracker's ``reinit_count`` and
-        the ``degenerate_responses`` zeroed at the eigenvalue floor."""
+        count ``t``, a copy of the tracked ``eigenvalues``, the ``nonzeros``
+        count of features with any nonzero coefficient (``nonzero_count``),
+        the eigen tracker's ``reinit_count`` and the
+        ``degenerate_responses`` zeroed at the eigenvalue floor."""
         return {
             "t": self.t,
             "eigenvalues": self.eigen.values.copy(),
@@ -418,32 +428,21 @@ def _restored(path, key: str, stored: np.ndarray, empty):
     return empty if isinstance(empty, np.ndarray) else want.item()
 
 
-def _coefficient_stage(config: SIRConfig, p: int) -> TruncatedGradient:
-    return TruncatedGradient(
-        p,
-        config.n_directions,
-        rate=config.resolve_rate(p),
-        gravity=config.gravity,
-        threshold=config.threshold,
-        period=config.period,
-    )
-
-
 def fit_stream(
     model: OnlineSparseSIR,
     X,
     y,
     progress=None,
     progress_every: int = 100,
-    reference_directions=None,
 ) -> OnlineSparseSIR:
     """Feed a stream row by row, optionally reporting periodic diagnostics;
     the package's one streaming loop, for any model with ``observe`` when
     ``progress`` is None.
 
     ``progress`` receives ``model.diagnostics()`` each time ``model.t`` reaches
-    a multiple of ``progress_every``, plus the subspace ``distance`` to
-    ``reference_directions`` when they are given.
+    a multiple of ``progress_every``.  A caller that wants more, such as the
+    subspace distance to known directions, computes it in ``progress`` from
+    the model it holds.
     """
     X, y = as_rows(X, y, "stream X")
     if progress_every < 1:
@@ -451,12 +450,7 @@ def fit_stream(
     for i in range(X.shape[0]):
         model.observe(X[i], y[i])
         if progress is not None and model.t % progress_every == 0:
-            info = model.diagnostics()
-            if reference_directions is not None:
-                info["distance"] = subspace_distance(
-                    reference_directions, model.directions()
-                )
-            progress(info)
+            progress(model.diagnostics())
     return model
 
 

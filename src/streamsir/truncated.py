@@ -22,6 +22,13 @@ import numpy as np
 from .errors import ConfigurationError, DataError, all_finite
 
 
+def active_features(betas: np.ndarray) -> int:
+    """Number of features with any nonzero coefficient: the rows of the
+    p x d ``betas`` that are not all zero.  The one support count of every
+    estimator; at d = 1 it is the number of nonzero coefficients."""
+    return int(np.count_nonzero(np.any(betas != 0.0, axis=1)))
+
+
 def truncate(v, shrink: float, threshold: float = math.inf):
     """Pull values toward zero by ``shrink``, zeroing the band [-shrink, shrink].
 
@@ -133,5 +140,6 @@ class TruncatedGradient:
         rows += resid[:, None] * x
 
     def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.betas))
+        """``active_features`` of the coefficients."""
+        return active_features(self.betas)
 

@@ -142,7 +142,8 @@ def ccipca_observe_reference(model, x, y) -> None:
     """One ccipca ``observe`` of an ``OnlineSparseSIR`` with every p x H
     temporary materialized: dense factor, explicit deflation, signs aligned
     by multiplying every column, response from a column of the dense
-    factor."""
+    factor with its coordinates at the eigenvalue floor zeroed and counted
+    in ``degenerate_responses``."""
     kernel, eigen = model.kernel, model.eigen
     kernel.update(x, y)
     factor = kernel.slice_cov
@@ -158,7 +159,9 @@ def ccipca_observe_reference(model, x, y) -> None:
     response = (factor[:, h] @ eigen.vectors) / (
         kernel.t * kernel.grid.n_slices * np.maximum(lams, floor)
     )
-    model.coef.update(x, np.where(lams <= floor, 0.0, response))
+    dead = lams <= floor
+    model.degenerate_responses += int(dead.sum())
+    model.coef.update(x, np.where(dead, 0.0, response))
 
 
 def ipca_sums_reference(y, cuts) -> tuple[np.ndarray, np.ndarray]:
@@ -328,126 +331,6 @@ def observe_chain_reference(model, x, y) -> None:
         coef.betas = out
         prediction = coef.betas.T @ x
     resid = response - prediction
-    resid *= 2.0 * coef.rate
-    rows = coef.betas.T
-    rows += resid[:, None] * x
-
-
-def observe_chain_reference_mean_centered(model, x, y) -> None:
-    """The default (ccipca) ``observe`` chain as it ran before the slice sums
-    and the covariate sum shared one block: every numpy call of
-    ``KernelTracker.update`` (``np.isfinite`` validation, ``np.searchsorted``),
-    ``EigenTracker.advance`` (the factor-free ccipca step through a factor
-    operator centered with a p-sized mean, signs aligned by ``einsum`` after
-    the step), the response (always through ``np.maximum``, from the
-    materialized factor column) and ``TruncatedGradient.update``
-    (validation again, then truncation and the gradient step).  The block
-    chain reorders the arithmetic, so ``observe`` stays within round-off of
-    this one rather than bit for bit; it updates ``model`` in place and
-    returns nothing."""
-    kernel, grid, eigen, coef = model.kernel, model.kernel.grid, model.eigen, model.coef
-
-    # slice statistics
-    x = np.asarray(x, dtype=float).ravel()
-    assert x.size == kernel.n_features and np.all(np.isfinite(x))
-    y = float(y)
-    assert np.isfinite(y)
-    h = int(np.searchsorted(grid.cuts, y, side="left"))
-    kernel.t += 1
-    kernel.x_sum += x
-    kernel.cross_sum[:, h] += x
-    grid.counts[h] += 1
-
-    # the factor W = (S - m c') / t as products, never formed on this path
-    t, sums, counts = kernel.t, kernel.cross_sum, grid.counts
-    mean = kernel.x_sum / t
-
-    def w_times(a):
-        a = a / t
-        out = sums @ a
-        out -= (counts @ a) * mean
-        return out
-
-    def w_transposed_times(v):
-        return (sums.T @ v - counts * (mean @ v)) / t
-
-    def reseed(units):
-        eigen.reinit_count += 1
-        w = np.empty_like(sums)
-        np.multiply(mean[:, None], counts, out=w)
-        np.subtract(sums, w, out=w)
-        w /= t
-        for u in units:
-            w = w - np.outer(u, u @ w)
-        return w[:, int(np.argmax(np.linalg.norm(w, axis=0)))].copy()
-
-    # eigen stage: ccipca step, then sign alignment
-    previous = eigen.vectors.copy(order="K")
-    step_t = t - 1
-    keep, blend = step_t / (step_t + 1.0), 1.0 / (step_t + 1.0)
-    scratch = np.empty(eigen.raw_vectors.shape[0])
-    units = []
-    for j in range(eigen.values.size):
-        v = eigen.raw_vectors[:, j]
-        norm = math.sqrt(v @ v)
-        if norm < _CCIPCA_NORM_FLOOR:
-            seed = reseed(units)
-            norm = math.sqrt(seed @ seed)
-            if norm < _CCIPCA_NORM_FLOOR:
-                eigen.values[j] = 0.0
-                continue
-            v[:] = seed
-        a = v / norm
-        for u in reversed(units):
-            a -= np.multiply(u, u @ a, out=scratch)
-        g = w_transposed_times(a)
-        g *= blend / g.size
-        b = w_times(g)
-        for u in units:
-            b -= np.multiply(u, u @ b, out=scratch)
-        v *= keep
-        v += b
-        norm = math.sqrt(v @ v)
-        if norm < _CCIPCA_NORM_FLOOR:
-            v[:] = reseed(units)
-            norm = math.sqrt(v @ v)
-            if norm < _CCIPCA_NORM_FLOOR:
-                eigen.values[j] = 0.0
-                continue
-        eigen.values[j] = norm
-        unit = eigen.vectors[:, j]
-        np.divide(v, norm, out=unit)
-        units.append(unit)
-    eigen.step += 1
-    flipped = np.einsum("ij,ij->j", previous, eigen.vectors) < 0.0
-    if flipped.any():
-        eigen.vectors[:, flipped] *= -1.0
-        eigen.raw_vectors[:, flipped] *= -1.0
-
-    # synthetic response
-    proj = ((sums[:, h] - counts[h] * mean) / t) @ eigen.vectors
-    floor = model.config.eigenvalue_floor
-    lams = eigen.values
-    response = proj / (t * grid.n_slices * np.maximum(lams, floor))
-    dead = lams <= floor
-    if dead.any():
-        response = np.where(dead, 0.0, response)
-        model.degenerate_responses += int(dead.sum())
-
-    # coefficient step
-    targets = np.asarray(response, dtype=float).ravel()
-    assert np.all(np.isfinite(x)) and np.all(np.isfinite(targets))
-    coef.step += 1
-    if coef.gravity > 0.0 and coef.step % coef.period == 0:
-        shrink = coef.gravity * coef.rate * coef.period
-        mag = np.abs(coef.betas)
-        cut = mag <= min(shrink, coef.threshold)
-        out = np.maximum(mag - shrink, 0.0)
-        out *= np.sign(coef.betas)
-        out = np.where(mag <= coef.threshold, out, coef.betas)
-        coef.truncation_zeros += int(np.count_nonzero(cut) - np.count_nonzero(mag == 0.0))
-        coef.betas = out
-    resid = targets - coef.betas.T @ x
     resid *= 2.0 * coef.rate
     rows = coef.betas.T
     rows += resid[:, None] * x

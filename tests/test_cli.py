@@ -12,6 +12,7 @@ keep the suite fast.
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -125,6 +126,24 @@ def test_fit_recovers_model_one_direction(tmp_path, capsys):
         "reinits": str(info["reinit_count"]),
         "degenerate_responses": str(info["degenerate_responses"]),
     }
+
+
+def test_fit_counts_active_features_not_coefficients(tmp_path, capsys):
+    # at d = 2 a feature used by both directions is one active feature, so
+    # the count never exceeds p, and the message, every checkpoints.csv row
+    # and the written directions agree on it
+    stream = _simulate(tmp_path, model=3, p=30, n=600)
+    out_dir = tmp_path / "fitted"
+    assert main(["fit", "--input", str(stream), "--out", str(out_dir), "--d", "2",
+                 "--checkpoint-every", "250"]) == 0
+    active = int(re.search(r"; (\d+)/30 features active;", capsys.readouterr().out)[1])
+    _, rows = _read_csv(out_dir / "directions.csv")
+    betas = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert betas.shape == (30, 2)
+    assert active == np.count_nonzero(np.any(betas != 0.0, axis=1)) <= 30
+    checkpoints = _read_dicts(out_dir / "checkpoints.csv")
+    assert all(0 <= int(c["nonzeros"]) <= 30 for c in checkpoints)
+    assert int(checkpoints[-1]["nonzeros"]) == active
 
 
 def test_fit_reads_named_target_column(tmp_path):
@@ -459,6 +478,26 @@ def test_sweep_rejects_nonpositive_learning_rate(tmp_path, capsys):
     payload = _stderr_json(capsys)
     assert payload["error"] == "ConfigurationError"
     assert "learning rates must be positive" in payload["message"]
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--gravity-grid", "0.0003,-1", "gravity"),
+    ("--theta-grid", "-1", "threshold"),
+    ("--period", "0", "period"),
+])
+def test_sweep_builds_every_cell_config_before_sampling(tmp_path, capsys, monkeypatch,
+                                                        flag, value, field):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sweep sampled data before checking its grid")
+
+    monkeypatch.setattr("streamsir.cli.sample", no_sampling)
+    code = main(["sweep", "--model", "1", "--p", "10", flag, value,
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert field in payload["message"]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_rejects_unparseable_grid(tmp_path, capsys):

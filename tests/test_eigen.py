@@ -498,11 +498,31 @@ def test_ccipca_step_aligns_its_own_signs(monkeypatch):
     np.testing.assert_array_equal(tracker.vectors, flipped)
 
 
-def test_align_signs_flips_vectors_and_raw_state():
+def test_align_signs_flips_vectors():
     rng = np.random.default_rng(11)
-    tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((4, 3))), 2, _cfg())
+    kernel = _stub_kernel(rng.standard_normal((4, 3)))
+    tracker = EigenTracker.from_kernel(kernel, 2, _cfg("sgd"))
     reference = tracker.vectors * np.array([-1.0, 1.0])
-    vecs, raw = tracker.vectors.copy(), tracker.raw_vectors.copy()
+    vecs = tracker.vectors.copy()
     tracker.align_signs(reference)
-    np.testing.assert_allclose(tracker.vectors, vecs * [-1.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(tracker.raw_vectors, raw * [-1.0, 1.0], atol=1e-15)
+    np.testing.assert_array_equal(tracker.vectors, vecs * [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("strategy", ["sgd", "ipca", "perturbation"])
+def test_advance_rebinds_the_basis_and_leaves_the_old_one_intact(strategy):
+    # advance aligns signs against the array the step replaced, uncopied,
+    # so no step of these strategies may write into it
+    rng = np.random.default_rng(17)
+    X, y = random_stream(rng, 160, 6)
+    kernel = KernelTracker(SliceGrid.from_warmup(y[:60], 4), 6)
+    kernel.replay(X[:60], y[:60])
+    tracker = EigenTracker.from_kernel(
+        kernel, 2, _cfg(strategy, orthonormalize_every=7), y[:60]
+    )
+    for i in range(60, 160):
+        old = tracker.vectors
+        snapshot = old.copy()
+        kernel.update(X[i], y[i])
+        tracker.advance(kernel, kernel.factor(), y[i])
+        assert not np.shares_memory(tracker.vectors, old)
+        np.testing.assert_array_equal(old, snapshot)

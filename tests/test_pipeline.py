@@ -30,12 +30,12 @@ from streamsir import (
     true_betas,
 )
 from streamsir.kernel import SliceFactor
+from streamsir.truncated import active_features
 
 from .helpers import (
     assert_same_state,
     ccipca_observe_reference,
     observe_chain_reference,
-    observe_chain_reference_mean_centered,
     principal_angle,
     response_oracle,
 )
@@ -106,6 +106,13 @@ def test_config_validation():
         SIRConfig(sgd_rate_constant=0)
     with pytest.raises(ConfigurationError):
         SIRConfig(orthonormalize_every=0)
+    # and so do the coefficient stage's fields, through its own checks
+    with pytest.raises(ConfigurationError, match="period"):
+        SIRConfig(period=0)
+    with pytest.raises(ConfigurationError, match="gravity"):
+        SIRConfig(gravity=-1.0)
+    with pytest.raises(ConfigurationError, match="threshold"):
+        SIRConfig(threshold=-1.0)
     assert SIRConfig(learning_rate=None).resolve_rate(25) == 1e-3
 
 
@@ -285,32 +292,33 @@ def test_observe_is_bitwise_the_reference_chain(p, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [20, 200])
-def test_observe_stays_within_round_off_of_the_mean_centered_chain(p, d):
-    # the chain before the sums shared one block: same stream, same negation
-    # and floor change as the bitwise test, within 1e-12
+def test_observe_stays_within_round_off_of_the_materialized_chain(p, d):
+    # the materialized-algebra oracle (dense factor, explicit deflation):
+    # same stream, same negation and floor change as the bitwise test,
+    # within 1e-12
     X, y = sample(SimModelSpec(3, p), 2100, rng=p + d)
     cfg = SIRConfig(n_directions=d, **BENCH)
     lean = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
-    old = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
+    dense = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     for i in range(100, 2100):
         if i == 600:
-            for model in (lean, old):
+            for model in (lean, dense):
                 model.eigen.raw_vectors[:, -1] *= -1.0
         if i == 1100:
             floor = 2.0 * float(lean.eigen.values.min())
-            for model in (lean, old):
+            for model in (lean, dense):
                 model.config = replace(model.config, eigenvalue_floor=floor)
         lean.observe(X[i], y[i])
-        observe_chain_reference_mean_centered(old, X[i], y[i])
-    assert lean.degenerate_responses == old.degenerate_responses > 0
-    assert lean.coef.truncation_zeros == old.coef.truncation_zeros > 0
-    assert lean.eigen.reinit_count == old.eigen.reinit_count
-    for (key, owner, attr), (_, twin, _) in zip(lean._checkpointed(), old._checkpointed()):
+        ccipca_observe_reference(dense, X[i], y[i])
+    assert lean.degenerate_responses == dense.degenerate_responses > 0
+    assert lean.coef.truncation_zeros == dense.coef.truncation_zeros > 0
+    assert lean.eigen.reinit_count == dense.eigen.reinit_count
+    for (key, owner, attr), (_, twin, _) in zip(lean._checkpointed(), dense._checkpointed()):
         if getattr(owner, attr) is not None:
             np.testing.assert_allclose(
                 getattr(owner, attr), getattr(twin, attr), rtol=0, atol=1e-12, err_msg=key
             )
-    np.testing.assert_allclose(lean.directions(), old.directions(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lean.directions(), dense.directions(), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -446,9 +454,17 @@ def test_directions_are_unit_normalized():
     expected = np.zeros((20, 1))
     expected[0, 0] = 1.0
     np.testing.assert_allclose(out, expected, atol=1e-15)
-    raw = model.directions(normalize=False)
-    assert raw[0, 0] == 2.0
-    assert not np.shares_memory(raw, model.coef.betas)  # a copy, not a view
+    assert not np.shares_memory(out, model.coef.betas)  # a new array, not a view
+
+
+def test_nonzeros_count_features_not_coefficients():
+    # one support rule: a feature counts once, however many directions use it
+    X, y = sample(SimModelSpec(3, 10), 150, rng=2)
+    model = OnlineSparseSIR.warmup(X, y, SIRConfig(n_slices=5, n_directions=2))
+    model.coef.betas[0, :] = [1.0, -2.0]
+    model.coef.betas[3, 1] = 0.5
+    assert active_features(model.coef.betas) == model.coef.nonzero_count() == 2
+    assert model.diagnostics()["nonzeros"] == 2
 
 
 def test_zero_column_is_flagged_not_normalized():
@@ -531,10 +547,12 @@ def test_progress_reporting():
     beta = true_betas(SimModelSpec(1, 20))
     seen = []
     model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(**BENCH))
-    fit_stream(
-        model, X[100:600], y[100:600],
-        progress=seen.append, progress_every=100, reference_directions=beta,
-    )
+
+    def report(info):  # the callback holds the model, so it adds the distance
+        info["distance"] = subspace_distance(beta, model.directions())
+        seen.append(info)
+
+    fit_stream(model, X[100:600], y[100:600], progress=report, progress_every=100)
     assert [info["t"] for info in seen] == [200, 300, 400, 500, 600]
     assert all(np.isfinite(info["distance"]) for info in seen)
     assert all(info["eigenvalues"].shape == (1,) for info in seen)
