@@ -28,11 +28,10 @@ comfortably at p in the thousands.
 
 Every p-sized array on the default path (the sum block, the eigenvectors
 and the coefficients) is column-major with H + 1 or d columns, so each stage
-works on contiguous length-p columns in place; ``load`` fills each array of
-a model built from the config in place, so it keeps the layout a fresh model
-gives it, whatever order the file holds, and ``cross_sum`` and ``x_sum`` stay
-views of the block.  Memory order is an implementation detail, not part of
-the API.
+works on contiguous length-p columns in place; ``load`` copies the stored
+state into the arrays of a model built from the config, so it keeps the
+layout a fresh model gives it, and ``cross_sum`` and ``x_sum`` stay views of
+the block.  Memory order is an implementation detail, not part of the API.
 
 ``warmup_stages`` is the front end this model shares with the dense
 baseline (``baselines.DenseOnlineSIR``): it checks the warmup batch,
@@ -46,9 +45,10 @@ is the one record of the model's state, which ``fit_stream`` reports as
 progress and the ``fit`` command writes to ``checkpoints.csv``.
 
 ``save`` writes a checkpoint that holds the config once and the state that
-``CHECKPOINT_LAYOUT`` lists; ``load`` rebuilds the stages from the config
-and checks every stored array's shape against them.  A file that does not
-decode raises ``DataError``, as every other damaged checkpoint does.
+``CHECKPOINT_LAYOUT`` lists, packed into one float and one integer vector;
+``load`` rebuilds the stages from the config and checks each vector's length
+against them.  A file that does not decode raises ``DataError``, as every
+other damaged checkpoint does.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .truncated import TruncatedGradient
 DEFAULT_WARMUP = 100
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 # What decoding a damaged checkpoint raises, from zipfile, numpy's .npy
 # reader, json and the config's own checks; ``load`` turns it into DataError.
@@ -80,13 +80,18 @@ _UNDECODABLE = (
     ValueError,
 )
 
-# The checkpoint layout: the state each stage keeps in a checkpoint, stored
-# under "<stage>_<attribute>" next to "pipe_format" and "pipe_config".  The
-# config is the only copy of the hyperparameters, so ``load`` rebuilds the
-# stages from it; an attribute that is None for the configured tracker is
-# neither written nor read.
+# The checkpoint layout: the state each stage keeps in a checkpoint, in the
+# order it is stored.  A checkpoint has four members: "pipe_format",
+# "pipe_config" (the only copy of the hyperparameters, so ``load`` rebuilds
+# the stages from it), "pipe_floats" (every float attribute below, raveled in
+# column-major order, as one float64 vector) and "pipe_ints" (the feature
+# count p, then every integer attribute below, as one int64 vector).  Each
+# npz member costs its own zip entry and .npy header, which is why the state
+# is packed instead of stored one array per attribute.  An attribute that is
+# None for the configured tracker is neither written nor read; "<stage>_<attr>"
+# names an entry in error messages.
 CHECKPOINT_LAYOUT = {
-    "kernel": ("t", "x_sum", "cross_sum"),
+    "kernel": ("t", "block"),
     "grid": ("cuts", "counts"),
     "eigen": (
         "values", "vectors", "step", "reinit_count", "raw_vectors",
@@ -133,16 +138,17 @@ class SIRConfig:
     eigenvalue_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.n_slices < 1:
-            raise ConfigurationError("n_slices must be a positive integer")
-        if self.n_directions < 1:
-            raise ConfigurationError("n_directions must be a positive integer")
+        for name in ("n_slices", "n_directions", "period", "orthonormalize_every", "min_warmup"):
+            value = getattr(self, name)
+            if name == "min_warmup" and value is None:
+                continue
+            # a stage given 2.5 would run as 2 while the config still says 2.5
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
         self.tracker_config()  # validates the tracker fields
         if self.learning_rate is not None and not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning_rate must lie in (0, 1)")
         _coefficient_stage(self, 1)  # validates gravity, threshold and period
-        if self.min_warmup is not None and self.min_warmup < 1:
-            raise ConfigurationError("min_warmup must be a positive integer")
         if self.eigenvalue_floor <= 0:
             raise ConfigurationError("eigenvalue_floor must be positive")
 
@@ -283,7 +289,8 @@ class OnlineSparseSIR:
     # -- persistence ----------------------------------------------------------------
 
     def _checkpointed(self):
-        """(key, owner, attribute) for every entry of ``CHECKPOINT_LAYOUT``."""
+        """(name, owner, attribute, value) for every entry of
+        ``CHECKPOINT_LAYOUT`` whose value is not None, in table order."""
         owners = {
             "kernel": self.kernel,
             "grid": self.kernel.grid,
@@ -292,24 +299,36 @@ class OnlineSparseSIR:
             "pipe": self,
         }
         for stage, attrs in CHECKPOINT_LAYOUT.items():
+            owner = owners[stage]
             for attr in attrs:
-                yield f"{stage}_{attr}", owners[stage], attr
+                value = getattr(owner, attr)
+                if value is not None:
+                    yield f"{stage}_{attr}", owner, attr, value
 
     def save(self, path) -> None:
         """Write a checkpoint to ``path`` (``.npz`` is appended when the name
         lacks it).  The file appears whole or not at all: it is written
-        next to its final name and moved into place."""
-        arrays = {
-            "pipe_format": np.asarray(CHECKPOINT_FORMAT),
-            "pipe_config": np.asarray(json.dumps(asdict(self.config))),
-        }
-        for key, owner, attr in self._checkpointed():
-            value = getattr(owner, attr)
-            if value is not None:
-                arrays[key] = np.asarray(value)
+        next to its final name and moved into place.  State that is not
+        finite raises ``ConvergenceError`` and writes nothing."""
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
+        entries = list(self._checkpointed())
+        floats, ints = [], [np.ravel(self.n_features)]
+        for _, _, _, value in entries:
+            packed = floats if _member(value) == "pipe_floats" else ints
+            packed.append(np.ravel(value, order="F"))
+        floats = np.concatenate(floats, dtype=np.float64)
+        if not all_finite(floats):
+            raise ConvergenceError(
+                f"{path}: not written, {_first_non_finite(entries)} is not finite"
+            )
+        arrays = {
+            "pipe_format": np.asarray(CHECKPOINT_FORMAT),
+            "pipe_config": np.asarray(json.dumps(asdict(self.config))),
+            "pipe_floats": floats,
+            "pipe_ints": np.concatenate(ints, dtype=np.int64),
+        }
         fd, tmp = tempfile.mkstemp(
             prefix=os.path.basename(path) + ".", suffix=".tmp",
             dir=os.path.dirname(path) or ".",
@@ -328,11 +347,12 @@ class OnlineSparseSIR:
 
         The stages are rebuilt from the stored config and the feature count,
         then filled from the file.  A file of another checkpoint format, a
-        missing key, stored config fields that differ from ``SIRConfig``'s,
-        an array whose shape the config does not imply or a file that does
+        missing member, stored config fields that differ from
+        ``SIRConfig``'s, a float or integer vector whose dtype or length the
+        config does not imply, a non-finite stored value or a file that does
         not decode at all (truncated, corrupted) raise ``DataError`` naming
-        the file; keys outside ``CHECKPOINT_LAYOUT`` are ignored.  A missing
-        or unreadable file raises ``OSError``.
+        the file; members other than the four that ``save`` writes are
+        ignored.  A missing or unreadable file raises ``OSError``.
         """
         with open(path, "rb") as handle:
             try:
@@ -346,27 +366,33 @@ class OnlineSparseSIR:
     @classmethod
     def _decoded(cls, path, handle) -> "OnlineSparseSIR":
         with np.load(handle, allow_pickle=False) as npz:
-            arrays = {key: npz[key] for key in npz.files}
-        version = int(arrays["pipe_format"]) if "pipe_format" in arrays else None
-        if version != CHECKPOINT_FORMAT:
-            raise DataError(
-                f"{path}: checkpoint format {version}, but only format "
-                f"{CHECKPOINT_FORMAT} can be loaded"
-            )
-        try:
-            raw = json.loads(str(arrays["pipe_config"]))
-            names = {f.name for f in fields(SIRConfig)}
-            if set(raw) != names:
-                raise DataError(f"{path}: stored config fields {sorted(set(raw) ^ names)} "
-                                "are unknown or missing")
-            raw["threshold"] = float(raw["threshold"])  # inf round-trips as Infinity
-            model = cls._empty(SIRConfig(**raw), arrays["kernel_x_sum"].size)
-            for key, owner, attr in model._checkpointed():
-                empty = getattr(owner, attr)
-                if empty is not None:
-                    setattr(owner, attr, _restored(path, key, arrays[key], empty))
-        except KeyError as exc:
-            raise DataError(f"{path}: checkpoint lacks the key {exc.args[0]!r}") from None
+            stored = npz.files
+            version = int(npz["pipe_format"]) if "pipe_format" in stored else None
+            if version != CHECKPOINT_FORMAT:
+                raise DataError(
+                    f"{path}: checkpoint format {version}, but only format "
+                    f"{CHECKPOINT_FORMAT} can be loaded"
+                )
+            for key in ("pipe_config", "pipe_floats", "pipe_ints"):
+                if key not in stored:
+                    raise DataError(f"{path}: checkpoint lacks the key {key!r}")
+            text, floats, ints = npz["pipe_config"], npz["pipe_floats"], npz["pipe_ints"]
+        raw = json.loads(str(text))
+        names = {f.name for f in fields(SIRConfig)}
+        if set(raw) != names:
+            raise DataError(f"{path}: stored config fields {sorted(set(raw) ^ names)} "
+                            "are unknown or missing")
+        raw["threshold"] = float(raw["threshold"])  # inf round-trips as Infinity
+        config = SIRConfig(**raw)
+        p = int(ints[0]) if ints.ndim == 1 and ints.size else 0
+        if not 1 <= p <= floats.size:  # every layout stores at least p floats
+            raise DataError(f"{path}: pipe_ints must start with the feature count, "
+                            f"between 1 and the length of pipe_floats ({floats.size})")
+        model = cls._empty(config, p)
+        entries = list(model._checkpointed())
+        _unpack(path, entries, {"pipe_floats": floats, "pipe_ints": ints})
+        if not all_finite(floats):
+            raise DataError(f"{path}: {_first_non_finite(entries)} holds a non-finite value")
         try:
             SliceGrid(model.kernel.grid.cuts)  # the stored cut points must be valid
         except (ConfigurationError, DataError) as exc:
@@ -412,20 +438,45 @@ def unit_columns(B: np.ndarray) -> np.ndarray:
     return B / np.where(norms > 0, norms, 1.0)  # x / 1 is x, bit for bit
 
 
-def _restored(path, key: str, stored: np.ndarray, empty):
-    """``stored`` copied into ``empty``, its twin in a model built from the
-    config, when that is an array, so a column-major array stays
-    column-major whatever order the file holds and a view (such as
-    ``KernelTracker.x_sum``) stays a view; a scalar comes back as the type
-    of ``empty``.  Another shape or kind of value raises ``DataError``."""
-    want = np.asarray(empty)  # ``empty`` itself when it is an array
-    if stored.shape != want.shape:
-        raise DataError(f"{path}: {key} has shape {stored.shape}, expected {want.shape}")
-    try:
-        np.copyto(want, stored, casting="same_kind")
-    except TypeError:
-        raise DataError(f"{path}: {key} holds {stored.dtype}, expected {want.dtype}") from None
-    return empty if isinstance(empty, np.ndarray) else want.item()
+def _member(value) -> str:
+    """The checkpoint member a layout entry's value is packed into."""
+    return "pipe_floats" if np.asarray(value).dtype.kind == "f" else "pipe_ints"
+
+
+def _first_non_finite(entries) -> str:
+    """Name of the first float entry of ``entries`` (as ``_checkpointed``
+    yields them) that holds a non-finite value."""
+    return next(name for name, _, _, value in entries
+                if _member(value) == "pipe_floats" and not np.isfinite(value).all())
+
+
+def _unpack(path, entries, vectors: dict) -> None:
+    """Copy the packed ``vectors`` (member name to stored vector) into the
+    values of ``entries``, the zeroed state of a model built from the config,
+    in table order; ``pipe_ints`` starts after its leading feature count.
+    Each array is filled in place, so a column-major array stays
+    column-major, a view (such as ``KernelTracker.x_sum``) stays a view and
+    no restored array is a view of the decoded vectors; a scalar is set as a
+    Python number.  A vector of another dtype or length than the entries
+    imply raises ``DataError`` before anything is copied."""
+    offsets = {"pipe_floats": 0, "pipe_ints": 1}
+    wanted = dict(offsets)
+    for _, _, _, empty in entries:
+        wanted[_member(empty)] += np.size(empty)
+    for key, dtype in (("pipe_floats", np.float64), ("pipe_ints", np.int64)):
+        vector = vectors[key]
+        if vector.dtype != dtype or vector.shape != (wanted[key],):
+            raise DataError(f"{path}: {key} holds {vector.dtype} of shape {vector.shape}, "
+                            f"the config implies {np.dtype(dtype)} of length {wanted[key]}")
+    for _, owner, attr, empty in entries:
+        key = _member(empty)
+        start = offsets[key]
+        offsets[key] = stop = start + np.size(empty)
+        stored = vectors[key][start:stop]
+        if isinstance(empty, np.ndarray):
+            np.copyto(empty, stored.reshape(empty.shape, order="F"))
+        else:
+            setattr(owner, attr, stored[0].item())
 
 
 def fit_stream(

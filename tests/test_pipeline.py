@@ -5,7 +5,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -114,6 +114,16 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="threshold"):
         SIRConfig(threshold=-1.0)
     assert SIRConfig(learning_rate=None).resolve_rate(25) == 1e-3
+
+
+@pytest.mark.parametrize(
+    "field", ["n_slices", "n_directions", "period", "orthonormalize_every", "min_warmup"]
+)
+def test_integer_config_fields_reject_non_integers(field):
+    # a stage would run with int(2.5) = 2 while the config says 2.5
+    with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer, got 2.5"):
+        SIRConfig(**{field: 2.5})
+    assert getattr(SIRConfig(**{field: np.int64(2)}), field) == 2
 
 
 # -- artificial response ------------------------------------------------------------
@@ -256,11 +266,7 @@ def test_sgd_and_ipca_observe_build_no_slice_factor(monkeypatch, tracker):
 
 def _state(model) -> dict:
     """Every checkpointed attribute of ``model`` as raw bytes."""
-    return {
-        key: np.asarray(getattr(owner, attr)).tobytes()
-        for key, owner, attr in model._checkpointed()
-        if getattr(owner, attr) is not None
-    }
+    return {key: np.asarray(value).tobytes() for key, _, _, value in model._checkpointed()}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -313,11 +319,8 @@ def test_observe_stays_within_round_off_of_the_materialized_chain(p, d):
     assert lean.degenerate_responses == dense.degenerate_responses > 0
     assert lean.coef.truncation_zeros == dense.coef.truncation_zeros > 0
     assert lean.eigen.reinit_count == dense.eigen.reinit_count
-    for (key, owner, attr), (_, twin, _) in zip(lean._checkpointed(), dense._checkpointed()):
-        if getattr(owner, attr) is not None:
-            np.testing.assert_allclose(
-                getattr(owner, attr), getattr(twin, attr), rtol=0, atol=1e-12, err_msg=key
-            )
+    for (key, _, _, value), (_, _, _, twin) in zip(lean._checkpointed(), dense._checkpointed()):
+        np.testing.assert_allclose(value, twin, rtol=0, atol=1e-12, err_msg=key)
     np.testing.assert_allclose(lean.directions(), dense.directions(), rtol=0, atol=1e-12)
 
 
@@ -629,60 +632,167 @@ def test_checkpoint_round_trips_every_strategy(tmp_path, tracker, threshold):
     restored.check_counters()
 
 
-def _saved_arrays(tmp_path, tracker="ipca"):
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("tracker", STRATEGIES)
+def test_checkpoint_round_trips_bitwise_into_owned_arrays(tmp_path, tracker, d):
+    X, y = sample(SimModelSpec(3, 20), 300, rng=5)
+    model = fit_online(X, y, SIRConfig(tracker=tracker, n_directions=d, **BENCH), 100)
+    model.save(tmp_path / "model.npz")
+    restored = OnlineSparseSIR.load(tmp_path / "model.npz")
+    assert_same_state(model, restored)
+    restored.save(tmp_path / "again.npz")
+    with np.load(tmp_path / "model.npz") as first, np.load(tmp_path / "again.npz") as again:
+        assert first.files == again.files
+        for key in first.files:
+            assert first[key].dtype == again[key].dtype, key
+            assert first[key].tobytes() == again[key].tobytes(), key
+    # no restored array is a view of a decoded vector (whose memory would be
+    # larger than the array) or shares memory with another, apart from the
+    # two views of the slice-sum block
+    kernel = restored.kernel
+    stages = (kernel, kernel.grid, restored.eigen, restored.coef)
+    arrays = {name: value for stage in stages for name, value in vars(stage).items()
+              if isinstance(value, np.ndarray)}
+    views = {"block": {"block", "cross_sum", "x_sum"},
+             "cross_sum": {"block", "cross_sum"}, "x_sum": {"block", "x_sum"}}
+    for name, array in arrays.items():
+        root = array
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        assert root is kernel.block if name in views else root.nbytes == array.nbytes, name
+        shared = {other for other, value in arrays.items() if np.shares_memory(array, value)}
+        assert shared == views.get(name, {name}), name
+
+
+def test_save_of_a_non_finite_state_raises_and_writes_nothing(tmp_path):
+    X, y = _model_one(n=300)
+    model = fit_online(X, y, SIRConfig(**BENCH), warmup_size=100)
+    path = tmp_path / "model.npz"
+    model.save(path)
+    before = path.read_bytes()
+    model.coef.betas[3, 0] = np.inf
+    with pytest.raises(ConvergenceError, match="coef_betas is not finite"):
+        model.save(path)
+    assert os.listdir(tmp_path) == ["model.npz"]
+    assert path.read_bytes() == before
+    with pytest.raises(ConvergenceError):
+        model.save(tmp_path / "fresh.npz")
+    assert os.listdir(tmp_path) == ["model.npz"]
+
+
+def test_checkpoint_with_a_non_finite_value_fails_loudly(tmp_path):
+    model, arrays = _saved(tmp_path, "ccipca")
+    floats = arrays["pipe_floats"]
+    betas = floats[-model.coef.betas.size:]
+    np.testing.assert_array_equal(betas, model.coef.betas.ravel(order="F"))
+    betas[3] = np.inf
+    path = tmp_path / "broken.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: coef_betas holds a non-finite value")):
+        OnlineSparseSIR.load(path)
+
+
+def test_checkpoint_with_a_non_integer_config_field_fails_loudly(tmp_path):
+    arrays = _saved_arrays(tmp_path)
+    raw = json.loads(str(arrays["pipe_config"]))
+    raw["period"] = 2.5
+    arrays["pipe_config"] = np.asarray(json.dumps(raw))
+    path = tmp_path / "broken.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape("period must be a positive integer, got 2.5")):
+        OnlineSparseSIR.load(path)
+
+
+def _saved(tmp_path, tracker="ipca"):
+    """A model streamed past its warmup, and the members of its checkpoint."""
     X, y = _model_one(n=300)
     model = fit_online(X, y, SIRConfig(tracker=tracker, **BENCH), warmup_size=100)
     model.save(tmp_path / "model.npz")
     with np.load(tmp_path / "model.npz") as handle:
-        return {key: handle[key] for key in handle.files}
+        return model, {key: handle[key] for key in handle.files}
+
+
+def _saved_arrays(tmp_path, tracker="ipca"):
+    return _saved(tmp_path, tracker)[1]
+
+
+def _format_2_arrays(model):
+    """The checkpoint format 2 wrote: one member per attribute, with the
+    slice sums and the covariate sum as two arrays."""
+    kernel, grid, eigen, coef = model.kernel, model.kernel.grid, model.eigen, model.coef
+    arrays = {
+        "pipe_format": np.asarray(2),
+        "pipe_config": np.asarray(json.dumps(asdict(model.config))),
+        "pipe_warmup_size": np.asarray(model.warmup_size),
+        "pipe_degenerate_responses": np.asarray(model.degenerate_responses),
+        "kernel_t": np.asarray(kernel.t),
+        "kernel_x_sum": kernel.x_sum.copy(),
+        "kernel_cross_sum": kernel.cross_sum.copy(),
+        "grid_cuts": grid.cuts,
+        "grid_counts": grid.counts,
+        "eigen_values": eigen.values,
+        "eigen_vectors": eigen.vectors,
+        "eigen_step": np.asarray(eigen.step),
+        "eigen_reinit_count": np.asarray(eigen.reinit_count),
+        "coef_betas": coef.betas,
+        "coef_step": np.asarray(coef.step),
+        "coef_truncation_zeros": np.asarray(coef.truncation_zeros),
+    }
+    for attr in ("raw_vectors", "averaged_kernel", "slice_y_sum", "slice_y_count"):
+        if getattr(eigen, attr) is not None:
+            arrays[f"eigen_{attr}"] = getattr(eigen, attr)
+    return arrays
+
+
+def _length_error(key, stored, implied, dtype):
+    return (f"{key} holds {stored.dtype} of shape {stored.shape}, "
+            f"the config implies {dtype} of length {implied}")
 
 
 def test_loaded_sums_are_views_of_one_block(tmp_path):
     # load fills the block in place, so cross_sum and x_sum stay its views,
-    # whatever order the file holds, and a resumed stream equals the live one
+    # and a resumed stream equals the live one
     X, y = _model_one(n=600)
     model = fit_online(X[:300], y[:300], SIRConfig(**BENCH), warmup_size=100)
     model.save(tmp_path / "model.npz")
-    with np.load(tmp_path / "model.npz") as handle:
-        arrays = {key: handle[key].copy(order="C") for key in handle.files}
-    np.savez(tmp_path / "c_order.npz", **arrays)
-    resumed = [OnlineSparseSIR.load(tmp_path / name) for name in ("model.npz", "c_order.npz")]
+    restored = OnlineSparseSIR.load(tmp_path / "model.npz")
     fit_stream(model, X[300:], y[300:])
-    for restored in resumed:
-        kernel = restored.kernel
-        assert np.shares_memory(kernel.cross_sum, kernel.block)
-        assert np.shares_memory(kernel.x_sum, kernel.block)
-        fit_stream(restored, X[300:], y[300:])
-        assert np.shares_memory(kernel.x_sum, kernel.block)
-        assert_same_state(model, restored)
+    kernel = restored.kernel
+    assert np.shares_memory(kernel.cross_sum, kernel.block)
+    assert np.shares_memory(kernel.x_sum, kernel.block)
+    fit_stream(restored, X[300:], y[300:])
+    assert np.shares_memory(kernel.x_sum, kernel.block)
+    assert_same_state(model, restored)
 
 
 def test_checkpoint_stores_the_config_once(tmp_path):
-    assert sorted(_saved_arrays(tmp_path, "ccipca")) == sorted(
-        ["pipe_format", "pipe_config", "pipe_warmup_size", "pipe_degenerate_responses",
-         "kernel_t", "kernel_x_sum", "kernel_cross_sum", "grid_cuts", "grid_counts",
-         "eigen_values", "eigen_vectors", "eigen_step", "eigen_reinit_count",
-         "eigen_raw_vectors", "coef_betas", "coef_step", "coef_truncation_zeros"]
-    )
+    model, arrays = _saved(tmp_path, "ccipca")
+    assert sorted(arrays) == ["pipe_config", "pipe_floats", "pipe_format", "pipe_ints"]
+    assert arrays["pipe_format"] == 3
+    assert arrays["pipe_floats"].dtype == np.float64 and arrays["pipe_ints"].dtype == np.int64
+    assert arrays["pipe_ints"][0] == model.n_features
 
 
+# each case cuts a packed vector short or extends it, as a stored array of
+# another shape would: p = 20, H = 10 and d = 1
 @pytest.mark.parametrize(
     "tracker, key, cut",
     [
-        ("ccipca", "kernel_cross_sum", lambda a: a[:, :5]),
-        ("ccipca", "coef_betas", lambda a: a[:10]),
-        ("ccipca", "eigen_vectors", lambda a: np.hstack([a, a])),
-        ("ipca", "grid_counts", lambda a: a[:-1]),
-        ("perturbation", "eigen_averaged_kernel", lambda a: a[:-1, :-1]),
+        ("ccipca", "pipe_floats", lambda a: a[:-5 * 20]),  # five slice-sum columns
+        ("ccipca", "pipe_floats", lambda a: a[:-10]),  # ten coefficient rows
+        ("ccipca", "pipe_floats", lambda a: np.concatenate([a, a[-20:]])),  # d = 2
+        ("ipca", "pipe_ints", lambda a: a[:-1]),
+        ("perturbation", "pipe_floats", lambda a: a[:-(2 * 20 - 1)]),  # 19 x 19 kernel
+        ("ccipca", "pipe_ints", lambda a: a.astype(float)),
     ],
-    ids=["columns_cut", "rows_cut", "wrong_d", "wrong_length", "perturbation"],
+    ids=["columns_cut", "rows_cut", "wrong_d", "wrong_length", "perturbation", "wrong_dtype"],
 )
 def test_checkpoint_with_a_wrong_shape_fails_loudly(tmp_path, tracker, key, cut):
     arrays = _saved_arrays(tmp_path, tracker)
-    expected = arrays[key].shape
+    implied, dtype = arrays[key].size, arrays[key].dtype
     arrays[key] = cut(arrays[key])
     np.savez(tmp_path / "broken.npz", **arrays)
-    message = f"{key} has shape {arrays[key].shape}, expected {expected}"
+    message = _length_error(key, arrays[key], implied, dtype)
     with pytest.raises(DataError, match=re.escape(message)):
         OnlineSparseSIR.load(tmp_path / "broken.npz")
 
@@ -697,37 +807,23 @@ def test_checkpoint_with_a_wrong_shape_fails_loudly(tmp_path, tracker, key, cut)
     ids=["reversed", "nan", "inf"],
 )
 def test_checkpoint_with_invalid_grid_cuts_fails_loudly(tmp_path, edit):
-    arrays = _saved_arrays(tmp_path, "ccipca")
-    arrays["grid_cuts"] = edit(arrays["grid_cuts"])
+    model, arrays = _saved(tmp_path, "ccipca")
+    cuts = arrays["pipe_floats"][model.kernel.block.size:][:model.kernel.grid.cuts.size]
+    np.testing.assert_array_equal(cuts, model.kernel.grid.cuts)  # the slice after the block
+    cuts[:] = edit(cuts.copy())
     path = tmp_path / "broken.npz"
     np.savez(path, **arrays)
     with pytest.raises(DataError, match=re.escape(f"{path}: grid_cuts")):
         OnlineSparseSIR.load(path)
 
 
-def test_checkpoint_in_the_earlier_format_2_layout_loads(tmp_path):
-    # format-2 files written before the config was stored once also carry
-    # seven copies of config fields; load ignores them, a stale one too
-    X, y = _model_one(n=300)
-    cfg = SIRConfig(threshold=5.0, **BENCH)
-    model = fit_online(X, y, cfg, warmup_size=100)
-    model.save(tmp_path / "model.npz")
-    with np.load(tmp_path / "model.npz") as handle:
-        arrays = {key: handle[key] for key in handle.files}
-    arrays.update(
-        eigen_strategy=np.asarray("ccipca"),
-        eigen_sgd_rate_constant=np.asarray(5.0),
-        eigen_orthonormalize_every=np.asarray(50),
-        coef_rate=np.asarray(model.coef.rate),
-        coef_gravity=np.asarray(0.5),  # the parent wrote 3e-4 here
-        coef_threshold=np.asarray(5.0),
-        coef_period=np.asarray(10),
-    )
-    assert len(arrays) == 24
-    np.savez(tmp_path / "earlier.npz", **arrays)
-    earlier = OnlineSparseSIR.load(tmp_path / "earlier.npz")
-    assert_same_state(earlier, OnlineSparseSIR.load(tmp_path / "model.npz"))
-    assert earlier.coef.gravity == cfg.gravity
+def test_checkpoint_in_the_format_2_layout_fails_loudly(tmp_path):
+    model, _ = _saved(tmp_path, "ccipca")
+    arrays = _format_2_arrays(model)
+    assert len(arrays) == 17
+    np.savez(tmp_path / "format2.npz", **arrays)
+    with pytest.raises(DataError, match="checkpoint format 2, but only format 3"):
+        OnlineSparseSIR.load(tmp_path / "format2.npz")
 
 
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -762,14 +858,52 @@ def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
         ("ipca", "pipe_config"),
         ("ccipca", "eigen_raw_vectors"),
         ("perturbation", "eigen_averaged_kernel"),
+        ("ipca", "pipe_format"),
+        ("ipca", "pipe_floats"),
+        ("ipca", "pipe_ints"),
     ],
 )
 def test_checkpoint_missing_a_key_fails_loudly(tmp_path, tracker, key):
-    arrays = _saved_arrays(tmp_path, tracker)
-    del arrays[key]
+    # a missing member fails by name; state missing from a packed vector
+    # fails by that vector's length
+    model, arrays = _saved(tmp_path, tracker)
+    if key in arrays:
+        del arrays[key]
+        message = "format None" if key == "pipe_format" else f"lacks the key '{key}'"
+    else:
+        stage, attr = key.split("_", 1)
+        state = getattr(getattr(model, stage), attr)
+        member = "pipe_floats" if state.dtype.kind == "f" else "pipe_ints"
+        implied = arrays[member].size
+        arrays[member] = arrays[member][: implied - state.size]
+        message = _length_error(member, arrays[member], implied, arrays[member].dtype)
     np.savez(tmp_path / "broken.npz", **arrays)
-    with pytest.raises(DataError, match=key):
+    with pytest.raises(DataError, match=re.escape(message)):
         OnlineSparseSIR.load(tmp_path / "broken.npz")
+
+
+@pytest.mark.parametrize("p", [0, -3, 10**12])
+def test_checkpoint_with_an_impossible_feature_count_fails_loudly(tmp_path, p):
+    # checked against the stored floats before a model of that size is built
+    arrays = _saved_arrays(tmp_path, "ccipca")
+    arrays["pipe_ints"][0] = p
+    np.savez(tmp_path / "broken.npz", **arrays)
+    with pytest.raises(DataError, match="pipe_ints must start with the feature count"):
+        OnlineSparseSIR.load(tmp_path / "broken.npz")
+
+
+def test_checkpoint_relabelled_to_another_tracker_fails_loudly(tmp_path):
+    # a perturbation file holds a p x p averaged kernel and no raw vectors,
+    # so read as ccipca its float vector has the wrong length
+    model, arrays = _saved(tmp_path, "perturbation")
+    raw = json.loads(str(arrays["pipe_config"]))
+    raw["tracker"] = "ccipca"
+    arrays["pipe_config"] = np.asarray(json.dumps(raw))
+    np.savez(tmp_path / "relabelled.npz", **arrays)
+    p, floats = model.n_features, arrays["pipe_floats"]
+    message = _length_error("pipe_floats", floats, floats.size - p * p + p, floats.dtype)
+    with pytest.raises(DataError, match=re.escape(message)):
+        OnlineSparseSIR.load(tmp_path / "relabelled.npz")
 
 
 def test_checkpoint_with_an_unknown_config_field_fails_loudly(tmp_path):
@@ -782,7 +916,7 @@ def test_checkpoint_with_an_unknown_config_field_fails_loudly(tmp_path):
         OnlineSparseSIR.load(tmp_path / "broken.npz")
 
 
-@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("version", [1, 4])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
     arrays = _saved_arrays(tmp_path)
     arrays["pipe_format"] = np.asarray(version)
@@ -794,7 +928,7 @@ def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
 def test_checkpoint_in_the_layout_before_format_numbers_fails_loudly(tmp_path):
     # the earlier layout: no format key, ipca's slice sums under pipe_*,
     # a kernel centering mode and a centering field in the stored config
-    arrays = _saved_arrays(tmp_path)
+    arrays = _format_2_arrays(_saved(tmp_path)[0])
     del arrays["pipe_format"]
     arrays["pipe_slice_y_sum"] = arrays.pop("eigen_slice_y_sum")
     arrays["pipe_slice_y_count"] = arrays.pop("eigen_slice_y_count")
@@ -903,17 +1037,15 @@ def test_hot_state_stays_column_major(tmp_path):
     _assert_column_major(restored, "after load")
     assert_same_state(model, restored)
 
-    # a file that holds every array in C order, as earlier versions wrote it
+    # the float vector holds each array raveled in column-major order: the
+    # block first, the coefficients last
     with np.load(path) as handle:
-        arrays = {key: handle[key].copy(order="C") for key in handle.files}
-    np.savez(tmp_path / "c_order.npz", **arrays)
-    with np.load(tmp_path / "c_order.npz") as handle:
-        assert not handle["coef_betas"].flags.f_contiguous
-    from_c = OnlineSparseSIR.load(tmp_path / "c_order.npz")
-    _assert_column_major(from_c, "after load of a C-ordered file")
-    assert_same_state(from_c, restored)
+        floats = handle["pipe_floats"]
+    block, betas = model.kernel.block, model.coef.betas
+    np.testing.assert_array_equal(floats[:block.size], block.ravel(order="F"))
+    np.testing.assert_array_equal(floats[-betas.size:], betas.ravel(order="F"))
 
     fit_stream(model, X[300:], y[300:])
-    fit_stream(from_c, X[300:], y[300:])
-    _assert_column_major(from_c, "after streaming on from a C-ordered file")
-    assert_same_state(model, from_c)
+    fit_stream(restored, X[300:], y[300:])
+    _assert_column_major(restored, "after streaming on from a loaded model")
+    assert_same_state(model, restored)
