@@ -344,8 +344,11 @@ def cmd_fit(args):
 
     # rows at the warmup, at every multiple of the cadence, and at the end
     record(model.diagnostics())
-    fit_stream(model, X[args.warmup:], y[args.warmup:], progress=record,
-               progress_every=args.checkpoint_every)
+    # a diverging fit overflows the prediction that detects it; the
+    # ConvergenceError it raises is the report, so numpy's warning is noise
+    with np.errstate(over="ignore"):
+        fit_stream(model, X[args.warmup:], y[args.warmup:], progress=record,
+                   progress_every=args.checkpoint_every)
     if n % args.checkpoint_every:
         record(model.diagnostics())
 

@@ -8,8 +8,10 @@ the perturbation strategy alone, the dense matrix):
                     deflation between components.  O(pdH) per step, the
                     default and the only one that scales past p ~ 10^3.
 * ``perturbation``  first-order eigenpair correction around the running
-                    average of kernel matrices.  O(p^3 + p^2 d) per step;
-                    kept as the accuracy yardstick at small p.
+                    average of kernel matrices.  One ``eigvalsh`` of the
+                    average per step, plus one p x p solve per direction
+                    and one per resonant pair, each O(p^3); kept as the
+                    accuracy yardstick at small p.
 * ``sgd``           stochastic gradient ascent on the Rayleigh quotient
                     with a first-order deflation term; periodic
                     Gram-Schmidt repair.
@@ -55,6 +57,10 @@ _NORM_FLOOR = 1e-12
 # and inverting it amplifies the per-step innovation enough to throw the
 # vector onto a different eigenpair, so the tolerance is deliberately coarse.
 _PINV_CUTOFF = 1e-3
+# Inverse iteration shifts off the computed eigenvalue by this fraction of the
+# largest shift, about its own rounding error: an exact eigenvalue of a small
+# matrix can give A - mu I an exactly zero pivot.
+_SHIFT_NUDGE = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -269,24 +275,25 @@ class EigenTracker:
         With A the current average and K the new dense kernel, each pair
         moves by -1/(t+1) times (v'(A - K)v for the value, and the
         pseudo-inverse of (lam I - A) applied to (A - K)v for the vector).
-        One eigendecomposition of A per step makes every shifted
-        pseudo-inverse an O(p^2) product; shifts within a small fraction
-        of the largest are treated as singular and dropped, which covers
-        the tracked pair's own direction once it has converged.
+        Shifts lam - mu within a small fraction of the largest are treated
+        as singular and dropped, which covers the tracked pair's own
+        direction once it has converged.  The pseudo-inverse is applied
+        by solves (``_shift_solves``): one ``eigvalsh`` of A per step, one
+        solve per direction and one more per resonant pair.  The cases
+        that route cannot settle go to one eigendecomposition
+        (``_eigh_shift_inverse``).  State changes only after every
+        product is formed, so an error leaves the tracker as it was.
         """
         gap = self.averaged_kernel - np.asarray(kernel_dense, dtype=float)
         rate = 1.0 / (t + 1.0)
-        base_vals, base_vecs = np.linalg.eigh(self.averaged_kernel)
         gv = gap @ self.vectors  # (p, d)
         new_values = self.values - rate * np.einsum("ij,ij->j", self.vectors, gv)
+        deltas = _shift_solves(self.averaged_kernel, self.values, self.vectors, gv)
+        if deltas is None:
+            deltas = _eigh_shift_inverse(self.averaged_kernel, self.values, gv)
         new_vectors = np.empty_like(self.vectors)
         for j in range(self.n_directions):
-            shifts = self.values[j] - base_vals
-            cutoff = _PINV_CUTOFF * float(np.abs(shifts).max())
-            inv = np.where(np.abs(shifts) > cutoff, 1.0, 0.0)
-            inv = np.divide(inv, shifts, out=np.zeros_like(shifts), where=inv > 0)
-            delta = base_vecs @ (inv * (base_vecs.T @ gv[:, j]))
-            v = self.vectors[:, j] - rate * delta
+            v = self.vectors[:, j] - rate * deltas[:, j]
             norm = float(np.linalg.norm(v))
             new_vectors[:, j] = v / norm if norm > _NORM_FLOOR else self.vectors[:, j]
         self.values = new_values
@@ -367,3 +374,81 @@ class EigenTracker:
         for j in range(self.n_directions):
             if reference[:, j].dot(self.vectors[:, j]) < 0.0:
                 self.vectors[:, j] *= -1.0
+
+
+# -- the perturbation step's pseudo-inverse ---------------------------------------
+
+
+def _resonant(shifts: np.ndarray) -> tuple[np.ndarray, float]:
+    """The perturbation step's resonance predicate: which shifts lie within
+    ``_PINV_CUTOFF`` of the largest in magnitude, and that largest."""
+    size = np.abs(shifts)
+    scale = float(size.max())
+    return size <= _PINV_CUTOFF * scale, scale
+
+
+def _eigh_shift_inverse(average, values, gv) -> np.ndarray:
+    """Column j of ``gv`` under the cut-off pseudo-inverse of
+    (values[j] I - average), through one eigendecomposition of the average:
+    the route for every case ``_shift_solves`` leaves open."""
+    base_vals, base_vecs = np.linalg.eigh(average)
+    deltas = np.empty_like(gv)
+    for j in range(values.size):
+        shifts = values[j] - base_vals
+        resonant, _ = _resonant(shifts)
+        inv = np.divide(1.0, shifts, out=np.zeros_like(shifts), where=~resonant)
+        deltas[:, j] = base_vecs @ (inv * (base_vecs.T @ gv[:, j]))
+    return deltas
+
+
+def _shift_solves(average, values, vectors, gv) -> np.ndarray | None:
+    """``_eigh_shift_inverse`` by linear solves, with only the eigenvalues
+    mu of the average A (``eigvalsh``).
+
+    A direction with no resonant shift takes one solve with lam I - A, whose
+    condition number the cut-off keeps below 1/_PINV_CUTOFF.  With one
+    resonant mu_k, an inverse-iteration solve with A - mu_k I, started from
+    the tracked vector, gives mu_k's unit eigenvector q (Stewart & Sun
+    1990).  Adding c qq', c the largest shift, moves mu_k's shift to about c
+    and leaves the bound intact, so one solve on the right-hand side with q
+    projected off, projected off again, applies the pseudo-inverse that
+    drops mu_k.  Returns None, leaving the step to the eigendecomposition,
+    when a direction has more than one resonant shift, when its resonant
+    eigenvalue lies within the cut-off of a neighbour (too close for inverse
+    iteration to separate), or when a solve finds its matrix singular.
+    """
+    eigvals = np.linalg.eigvalsh(average)  # ascending
+    p = eigvals.size
+    deltas = np.empty_like(gv)
+    try:
+        for j in range(values.size):
+            resonant, scale = _resonant(values[j] - eigvals)
+            shifted = np.negative(average)
+            shifted.flat[:: p + 1] += values[j]
+            hits = np.flatnonzero(resonant)
+            if hits.size == 0:
+                deltas[:, j] = np.linalg.solve(shifted, gv[:, j])
+                continue
+            if hits.size > 1:
+                return None
+            k = int(hits[0])
+            mu = eigvals[k]
+            below = mu - eigvals[k - 1] if k > 0 else math.inf
+            above = eigvals[k + 1] - mu if k + 1 < p else math.inf
+            if min(below, above) <= _PINV_CUTOFF * scale:
+                return None
+            iterate = average.copy()
+            iterate.flat[:: p + 1] -= mu + _SHIFT_NUDGE * scale
+            q = np.linalg.solve(iterate, vectors[:, j])
+            norm = float(np.linalg.norm(q))
+            if not 0.0 < norm < math.inf:
+                return None
+            q /= norm
+            shifted += np.multiply.outer(q, scale * q)
+            g = gv[:, j]
+            delta = np.linalg.solve(shifted, g - q * q.dot(g))
+            delta -= q * q.dot(delta)
+            deltas[:, j] = delta
+    except np.linalg.LinAlgError:
+        return None
+    return deltas

@@ -91,8 +91,9 @@ def random_stream(rng, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-# Components whose norm falls below this are re-seeded (the tracker's floor).
-_CCIPCA_NORM_FLOOR = 1e-12
+# The tracker's norm floor: ccipca re-seeds a component that falls below it,
+# perturbation keeps the previous vector.
+_NORM_FLOOR = 1e-12
 
 
 def ccipca_step_reference(eigen, factor, t: int) -> None:
@@ -112,19 +113,19 @@ def ccipca_step_reference(eigen, factor, t: int) -> None:
     for j in range(eigen.values.size):
         v = eigen.raw_vectors[:, j]
         norm = float(np.linalg.norm(v))
-        if norm < _CCIPCA_NORM_FLOOR:
+        if norm < _NORM_FLOOR:
             v = reseed(w)
             norm = float(np.linalg.norm(v))
-            if norm < _CCIPCA_NORM_FLOOR:
+            if norm < _NORM_FLOOR:
                 eigen.values[j] = 0.0
                 continue
         unit = v / norm
         v = keep * v + blend * (w @ (w.T @ unit)) / n_slices
         norm = float(np.linalg.norm(v))
-        if norm < _CCIPCA_NORM_FLOOR:
+        if norm < _NORM_FLOOR:
             v = reseed(w)
             norm = float(np.linalg.norm(v))
-            if norm < _CCIPCA_NORM_FLOOR:
+            if norm < _NORM_FLOOR:
                 eigen.raw_vectors[:, j] = v
                 eigen.values[j] = 0.0
                 continue
@@ -162,6 +163,38 @@ def ccipca_observe_reference(model, x, y) -> None:
     dead = lams <= floor
     model.degenerate_responses += int(dead.sum())
     model.coef.update(x, np.where(dead, 0.0, response))
+
+
+# Shifts within this fraction of the largest count as resonant (the
+# perturbation tracker's cut-off).
+PINV_CUTOFF = 1e-3
+
+
+def perturbation_step_reference(eigen, kernel_dense, t: int) -> None:
+    """One perturbation step through a full eigendecomposition of the
+    running average A: each pair moves by -1/(t+1) times v'(A - K)v for the
+    value and, for the vector, the cut-off pseudo-inverse of (lam I - A),
+    built from A's eigenpairs, applied to (A - K)v.  This is the step the
+    solve-based tracker must reproduce; it updates ``eigen`` in place."""
+    gap = eigen.averaged_kernel - np.asarray(kernel_dense, dtype=float)
+    rate = 1.0 / (t + 1.0)
+    base_vals, base_vecs = np.linalg.eigh(eigen.averaged_kernel)
+    gv = gap @ eigen.vectors  # (p, d)
+    new_values = eigen.values - rate * np.einsum("ij,ij->j", eigen.vectors, gv)
+    new_vectors = np.empty_like(eigen.vectors)
+    for j in range(eigen.values.size):
+        shifts = eigen.values[j] - base_vals
+        cutoff = PINV_CUTOFF * float(np.abs(shifts).max())
+        inv = np.where(np.abs(shifts) > cutoff, 1.0, 0.0)
+        inv = np.divide(inv, shifts, out=np.zeros_like(shifts), where=inv > 0)
+        delta = base_vecs @ (inv * (base_vecs.T @ gv[:, j]))
+        v = eigen.vectors[:, j] - rate * delta
+        norm = float(np.linalg.norm(v))
+        new_vectors[:, j] = v / norm if norm > _NORM_FLOOR else eigen.vectors[:, j]
+    eigen.values = new_values
+    eigen.vectors = new_vectors
+    eigen.averaged_kernel -= rate * gap
+    eigen.step += 1
 
 
 def ipca_sums_reference(y, cuts) -> tuple[np.ndarray, np.ndarray]:
@@ -269,10 +302,10 @@ def observe_chain_reference(model, x, y) -> None:
     for j in range(eigen.values.size):
         v = eigen.raw_vectors[:, j]
         norm = math.sqrt(v @ v)
-        if norm < _CCIPCA_NORM_FLOOR:
+        if norm < _NORM_FLOOR:
             seed = reseed(units)
             norm = math.sqrt(seed @ seed)
-            if norm < _CCIPCA_NORM_FLOOR:
+            if norm < _NORM_FLOOR:
                 eigen.values[j] = smallest = 0.0
                 continue
             v[:] = seed
@@ -288,10 +321,10 @@ def observe_chain_reference(model, x, y) -> None:
         v *= keep
         v += b
         norm = math.sqrt(v @ v)
-        if norm < _CCIPCA_NORM_FLOOR:
+        if norm < _NORM_FLOOR:
             v[:] = reseed(units)
             norm = math.sqrt(v @ v)
-            if norm < _CCIPCA_NORM_FLOOR:
+            if norm < _NORM_FLOOR:
                 eigen.values[j] = smallest = 0.0
                 continue
         unit = eigen.vectors[:, j]

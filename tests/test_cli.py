@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 try:
@@ -204,6 +205,27 @@ def test_fit_needs_rows_beyond_warmup(tmp_path, capsys):
     assert payload["error"] == "DataError"
     assert "need more than 100 rows" in payload["message"]
     assert "found 50" in payload["message"]
+
+
+def test_fit_that_diverges_writes_only_the_json_error_line(tmp_path, capsys):
+    # covariates shifted by 1e4 make the default rate diverge; the
+    # ConvergenceError line is the whole report, with no overflow warning
+    # from the prediction that detected it
+    header, rows = _read_csv(_simulate(tmp_path, p=10, n=400))
+    shifted = tmp_path / "shifted.csv"
+    with open(shifted, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([r[0]] + [repr(float(v) + 1e4) for v in r[1:]] for r in rows)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--input", str(shifted), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConvergenceError"
 
 
 @pytest.mark.parametrize("every", ["0", "-5"])

@@ -2,26 +2,36 @@
 
 import copy
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsir import (
     STRATEGIES,
     ConfigurationError,
     DegenerateDataError,
     DataError,
+    DenseOnlineSIR,
     EigenTracker,
     KernelTracker,
+    SIRConfig,
+    SimModelSpec,
     SliceGrid,
     TrackerConfig,
     dense_top_eigen,
+    fit_online,
+    sample,
 )
 from streamsir.kernel import SliceFactor
 from .helpers import (
+    PINV_CUTOFF,
     ccipca_step_reference,
     eigen_chain_reference,
     ipca_sums_reference,
+    perturbation_step_reference,
     principal_angle,
     random_stream,
     top_eigen_oracle,
@@ -250,6 +260,177 @@ def test_perturbation_tracks_its_running_average():
         tracker.perturbation_step(kernel.kernel_matrix(), kernel.t - 1)
     _, ref = top_eigen_oracle(tracker.averaged_kernel)
     assert principal_angle(tracker.vectors[:, 0], ref[:, 0]) < 0.05
+
+
+# -- perturbation: the solves against the eigendecomposition they replace ----
+
+
+def _assert_matches_the_reference(stream):
+    """Run ``stream()``, which builds and streams a perturbation model, with
+    the tracker's step and again with the eigh reference step; the final
+    eigen states and directions agree to 1e-12, and the solves, not the
+    eigendecomposition they fall back to, carried nine steps in ten."""
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        model = stream()
+    with mock.patch.object(EigenTracker, "perturbation_step", perturbation_step_reference):
+        reference = stream()
+    for name in ("values", "vectors", "averaged_kernel"):
+        np.testing.assert_allclose(
+            getattr(model.eigen, name), getattr(reference.eigen, name),
+            rtol=0, atol=1e-12, err_msg=name,
+        )
+    np.testing.assert_allclose(model.directions(), reference.directions(), rtol=0, atol=1e-12)
+    assert 10 * eigh.call_count < model.eigen.step
+
+
+def test_perturbation_matches_the_eigh_reference_on_criterion_2_streams():
+    cfg = SIRConfig(
+        n_slices=10, n_directions=1, tracker="perturbation",
+        learning_rate=1e-3, gravity=0.0, sgd_rate_constant=20.0,
+    )
+    for seed in range(10):
+        X, y = sample(SimModelSpec(1, 20), 5000, rng=seed)
+        _assert_matches_the_reference(lambda: fit_online(X, y, cfg, warmup_size=100))
+
+
+def _dense_stream(X, y, d, warmup):
+    model = DenseOnlineSIR.warmup(X[:warmup], y[:warmup], 10, d, "perturbation")
+    for i in range(warmup, X.shape[0]):
+        model.observe(X[i], y[i])
+    return model
+
+
+@pytest.mark.parametrize("estimator", ["sparse", "dense"])
+@pytest.mark.parametrize("model_id, d", [(1, 1), (3, 2)])
+def test_perturbation_matches_the_eigh_reference_at_p_100(estimator, model_id, d):
+    X, y = sample(SimModelSpec(model_id, 100), 1000, rng=7)
+    if estimator == "sparse":
+        cfg = SIRConfig(n_directions=d, tracker="perturbation")
+        _assert_matches_the_reference(lambda: fit_online(X, y, cfg, warmup_size=100))
+    else:
+        _assert_matches_the_reference(lambda: _dense_stream(X, y, d, 100))
+
+
+def test_perturbation_matches_the_eigh_reference_on_a_criterion_4_stream():
+    # criterion 4's first M5 cell: model 1, p = 500, 200 warmup rows of 1000
+    rng = np.random.default_rng(np.random.SeedSequence([0, 1, 500, 0]))
+    X, y = sample(SimModelSpec(1, 500), 1000, rng)
+    _assert_matches_the_reference(lambda: _dense_stream(X, y, 1, 200))
+
+
+# resonant eigenvalues of each planted case, and whether the step must fall
+# back to the eigendecomposition
+_PLANTED = {"free": (0, False), "one": (1, False), "exact": (1, False),
+            "two": (2, True), "neighbour": (1, True)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 8),
+    case=st.sampled_from(sorted(_PLANTED)),
+    d=st.integers(1, 2),
+    t=st.integers(20, 2000),
+)
+def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, case, d, t):
+    # A = Q diag(mu) Q' with eigenvalues at least 0.5 apart; the first
+    # tracked value is placed against eigenvalue k so that the cut-off C
+    # (1e-3 of the largest shift) sees the planted case: far from every
+    # eigenvalue, within C/2 of one, exactly on one, within C of two, or
+    # within C of one whose neighbour sits C/2 from it but over C from the
+    # value.  A second direction, when drawn, sits midway between two
+    # eigenvalues.
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    mu = np.cumsum(rng.uniform(0.5, 1.5, p))
+    k = int(rng.integers(0, p - 1))
+    moved = k + 1 if k + 1 < p - 1 else k  # an interior one: the spread stays
+    anchor = k if moved == k + 1 else k + 1
+    side = 1.0 if moved > anchor else -1.0
+    cut = PINV_CUTOFF * max(mu[anchor] - mu[0], mu[-1] - mu[anchor])
+    if case == "two":
+        mu[moved] = mu[anchor] + side * 0.5 * cut
+        lam = mu[anchor] + side * 0.25 * cut
+    elif case == "neighbour":
+        mu[moved] = mu[anchor] + side * 0.5 * cut
+        lam = mu[anchor] - side * 0.9 * cut
+    elif case == "one":
+        lam = mu[anchor] + rng.uniform(-0.5, 0.5) * cut
+    else:
+        lam = (mu[k] + mu[k + 1]) / 2.0
+    average = (basis * mu) @ basis.T
+    average = (average + average.T) / 2.0
+    eigvals = np.linalg.eigvalsh(average)
+    if case == "exact":
+        lam = eigvals[anchor]
+    values = np.array([lam, (mu[0] + mu[1]) / 2.0][:d])
+    vectors = basis[:, [anchor, 0][:d]] + 0.3 * rng.standard_normal((p, d))
+    vectors /= np.linalg.norm(vectors, axis=0)
+    noise = rng.standard_normal((p, p))
+    kernel_dense = average + 0.01 * (noise + noise.T)
+
+    resonant, falls_back = _PLANTED[case]
+    shifts = np.abs(lam - eigvals)
+    assert np.count_nonzero(shifts <= PINV_CUTOFF * shifts.max()) == resonant
+
+    tracker = EigenTracker(values, vectors, _cfg("perturbation"))
+    tracker.averaged_kernel = average.copy()
+    reference = copy.deepcopy(tracker)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        tracker.perturbation_step(kernel_dense, t)
+    assert eigh.called == falls_back
+    perturbation_step_reference(reference, kernel_dense, t)
+    for name in ("values", "vectors", "averaged_kernel"):
+        np.testing.assert_allclose(
+            getattr(tracker, name), getattr(reference, name), rtol=0, atol=1e-12, err_msg=name
+        )
+
+
+def _perturbation_stream(seed, p=8, n=160, warmup=60):
+    rng = np.random.default_rng(seed)
+    X, y = random_stream(rng, n, p)
+    kernel = KernelTracker(SliceGrid.from_warmup(y[:warmup], 5), p)
+    kernel.replay(X[:warmup], y[:warmup])
+    tracker = EigenTracker.from_kernel(kernel, 2, _cfg("perturbation"))
+    return kernel, tracker, X[warmup:], y[warmup:]
+
+
+def test_perturbation_falls_back_to_the_eigh_reference_when_a_solve_fails(monkeypatch):
+    kernel, tracker, X, y = _perturbation_stream(21)
+    reference = copy.deepcopy(tracker)
+    attempts = []
+
+    def singular(*args, **kwargs):
+        attempts.append(1)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for x_i, y_i in zip(X, y):
+        kernel.update(x_i, y_i)
+        tracker.perturbation_step(kernel.kernel_matrix(), kernel.t - 1)
+        perturbation_step_reference(reference, kernel.kernel_matrix(), kernel.t - 1)
+    assert len(attempts) == len(y)
+    for name in ("values", "vectors", "averaged_kernel"):
+        np.testing.assert_allclose(
+            getattr(tracker, name), getattr(reference, name), rtol=0, atol=1e-12, err_msg=name
+        )
+    assert tracker.step == reference.step == len(y)
+
+
+def test_perturbation_step_that_raises_leaves_the_tracker_unchanged(monkeypatch):
+    kernel, tracker, X, y = _perturbation_stream(22)
+    kernel.update(X[0], y[0])
+    before = copy.deepcopy(tracker)
+
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+    with pytest.raises(np.linalg.LinAlgError):
+        tracker.perturbation_step(kernel.kernel_matrix(), kernel.t - 1)
+    for name in ("values", "vectors", "averaged_kernel"):
+        np.testing.assert_array_equal(getattr(tracker, name), getattr(before, name), err_msg=name)
+    assert tracker.step == before.step
 
 
 # -- sgd ------------------------------------------------------------
