@@ -40,7 +40,7 @@ import numpy as np
 from .baselines import DenseOnlineSIR
 from .batch import batch_lasso_sir, batch_sir
 from .eigen import STRATEGIES
-from .errors import ConfigurationError, DataError, StreamsirError
+from .errors import ConfigurationError, ConvergenceError, DataError, StreamsirError, all_finite
 from .pipeline import (DEFAULT_WARMUP, OnlineSparseSIR, SIRConfig, _split_warmup, fit_online,
                        fit_stream)
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
@@ -344,11 +344,15 @@ def cmd_fit(args):
 
     # rows at the warmup, at every multiple of the cadence, and at the end
     record(model.diagnostics())
-    # a diverging fit overflows the prediction that detects it; the
-    # ConvergenceError it raises is the report, so numpy's warning is noise
+    # a diverging fit overflows the prediction that detects it, or, on the
+    # last row, the coefficients themselves; the ConvergenceError is the
+    # report, so numpy's overflow warning is noise
     with np.errstate(over="ignore"):
         fit_stream(model, X[args.warmup:], y[args.warmup:], progress=record,
                    progress_every=args.checkpoint_every)
+    if not all_finite(model.coef.betas):
+        raise ConvergenceError(
+            f"coefficients diverged on the last observation, t = {model.t}")
     if n % args.checkpoint_every:
         record(model.diagnostics())
 

@@ -8,9 +8,10 @@ the perturbation strategy alone, the dense matrix):
                     deflation between components.  O(pdH) per step, the
                     default and the only one that scales past p ~ 10^3.
 * ``perturbation``  first-order eigenpair correction around the running
-                    average of kernel matrices.  One ``eigvalsh`` of the
-                    average per step, plus one p x p solve per direction
-                    and one per resonant pair, each O(p^3); kept as the
+                    average of kernel matrices.  O(p^3) per step: one
+                    ``eigh`` of the average, or, for one direction at
+                    p >= 40, one ``eigvalsh`` plus one p x p solve, and
+                    one more when the pair is resonant; kept as the
                     accuracy yardstick at small p.
 * ``sgd``           stochastic gradient ascent on the Rayleigh quotient
                     with a first-order deflation term; periodic
@@ -61,6 +62,9 @@ _PINV_CUTOFF = 1e-3
 # largest shift, about its own rounding error: an exact eigenvalue of a small
 # matrix can give A - mu I an exactly zero pivot.
 _SHIFT_NUDGE = 4 * np.finfo(float).eps
+# The perturbation step's solves replace its eigh for one direction from
+# this many features on (see ``_solves_pay``).
+_SOLVE_MIN_P = 40
 
 
 @dataclass(frozen=True)
@@ -277,18 +281,21 @@ class EigenTracker:
         pseudo-inverse of (lam I - A) applied to (A - K)v for the vector).
         Shifts lam - mu within a small fraction of the largest are treated
         as singular and dropped, which covers the tracked pair's own
-        direction once it has converged.  The pseudo-inverse is applied
-        by solves (``_shift_solves``): one ``eigvalsh`` of A per step, one
-        solve per direction and one more per resonant pair.  The cases
-        that route cannot settle go to one eigendecomposition
-        (``_eigh_shift_inverse``).  State changes only after every
-        product is formed, so an error leaves the tracker as it was.
+        direction once it has converged.  Where ``_solves_pay`` (one
+        direction, p >= 40), the pseudo-inverse is applied by solves
+        (``_shift_solves``): one ``eigvalsh`` of A, one solve, and one more
+        when the pair is resonant.  Otherwise, and in the cases the solves
+        cannot settle, it comes from one eigendecomposition of A
+        (``_eigh_shift_inverse``).  State changes only after every product
+        is formed, so an error leaves the tracker as it was.
         """
         gap = self.averaged_kernel - np.asarray(kernel_dense, dtype=float)
         rate = 1.0 / (t + 1.0)
         gv = gap @ self.vectors  # (p, d)
         new_values = self.values - rate * np.einsum("ij,ij->j", self.vectors, gv)
-        deltas = _shift_solves(self.averaged_kernel, self.values, self.vectors, gv)
+        deltas = None
+        if _solves_pay(*self.vectors.shape):
+            deltas = _shift_solves(self.averaged_kernel, self.values, self.vectors, gv)
         if deltas is None:
             deltas = _eigh_shift_inverse(self.averaged_kernel, self.values, gv)
         new_vectors = np.empty_like(self.vectors)
@@ -387,10 +394,28 @@ def _resonant(shifts: np.ndarray) -> tuple[np.ndarray, float]:
     return size <= _PINV_CUTOFF * scale, scale
 
 
+def _solves_pay(p: int, d: int) -> bool:
+    """Whether the perturbation step's solves cost less than the ``eigh``
+    they replace, for p features and d directions.
+
+    ``eigvalsh`` costs about 0.4 of ``eigh``, and each direction adds one
+    or two solves plus a fallback to ``eigh`` when its resonant eigenvalue
+    has a close neighbour.  Time per observation through ``fit_online``,
+    solves over eigh (one thread of a 2-core Xeon, median of five
+    interleaved runs): for d = 1, 1.16 at p = 20, 0.99 at 30, 0.92 at 40,
+    0.66 at 100, 0.81 at 200 and 0.96 at 500; for d = 2, 1.43 at p = 20,
+    0.87 at 80, 0.98 at 100, 1.26 at 200 and 1.38 at 500, where noise
+    eigenvalues crowd the second pair's and the fallback is frequent.  So
+    the solves run for one direction from ``_SOLVE_MIN_P`` features on.
+    """
+    return d == 1 and p >= _SOLVE_MIN_P
+
+
 def _eigh_shift_inverse(average, values, gv) -> np.ndarray:
     """Column j of ``gv`` under the cut-off pseudo-inverse of
     (values[j] I - average), through one eigendecomposition of the average:
-    the route for every case ``_shift_solves`` leaves open."""
+    the route where the solves do not pay, and for every case
+    ``_shift_solves`` leaves open."""
     base_vals, base_vecs = np.linalg.eigh(average)
     deltas = np.empty_like(gv)
     for j in range(values.size):

@@ -228,6 +228,38 @@ def test_fit_that_diverges_writes_only_the_json_error_line(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "ConvergenceError"
 
 
+def test_fit_whose_last_row_overflows_the_coefficients_exits_1(tmp_path, capsys):
+    # no later prediction catches coefficients that overflow on the last
+    # row; fit reports them as a ConvergenceError and writes no directions
+    header, rows = _read_csv(_simulate(tmp_path, p=10, n=400, seed=2))
+    rows = [[r[0]] + [repr(float(v) + 1e4) for v in r[1:]] for r in rows]
+    data = np.array(rows, dtype=float)
+    y, X = data[:, 0], data[:, 1:]
+    model = OnlineSparseSIR.warmup(X[:DEFAULT_WARMUP], y[:DEFAULT_WARMUP],
+                                   SIRConfig(gravity=DEFAULT_GRAVITY))
+    with np.errstate(over="ignore"):
+        for last in range(DEFAULT_WARMUP, y.size):
+            model.observe(X[last], y[last])
+            if not np.isfinite(model.coef.betas).all():
+                break
+    assert not np.isfinite(model.coef.betas).all()
+    truncated = tmp_path / "truncated.csv"
+    with open(truncated, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows[: last + 1])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--input", str(truncated), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConvergenceError"
+    assert f"t = {last + 1}" in payload["message"]
+    assert not (tmp_path / "o" / "directions.csv").exists()
+
+
 @pytest.mark.parametrize("every", ["0", "-5"])
 def test_fit_rejects_checkpoint_every_below_one(tmp_path, capsys, every):
     # rejected before warmup, as --period 0 is: one JSON error line and no

@@ -25,6 +25,7 @@ from streamsir import (
     fit_online,
     sample,
 )
+from streamsir import eigen as eigen_module
 from streamsir.kernel import SliceFactor
 from .helpers import (
     PINV_CUTOFF,
@@ -265,12 +266,18 @@ def test_perturbation_tracks_its_running_average():
 # -- perturbation: the solves against the eigendecomposition they replace ----
 
 
+def _solves_forced():
+    """Send every perturbation step to the solves, whatever p and d."""
+    return mock.patch.object(eigen_module, "_solves_pay", lambda p, d: True)
+
+
 def _assert_matches_the_reference(stream):
-    """Run ``stream()``, which builds and streams a perturbation model, with
-    the tracker's step and again with the eigh reference step; the final
-    eigen states and directions agree to 1e-12, and the solves, not the
-    eigendecomposition they fall back to, carried nine steps in ten."""
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+    """Run ``stream()``, which builds and streams a perturbation model,
+    with the solves at every p and d and again with the eigh reference step;
+    the final eigen states and directions agree to 1e-12, and the solves,
+    not the eigendecomposition they fall back to, carried nine steps in
+    ten."""
+    with _solves_forced(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         model = stream()
     with mock.patch.object(EigenTracker, "perturbation_step", perturbation_step_reference):
         reference = stream()
@@ -376,7 +383,7 @@ def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, cas
     tracker = EigenTracker(values, vectors, _cfg("perturbation"))
     tracker.averaged_kernel = average.copy()
     reference = copy.deepcopy(tracker)
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+    with _solves_forced(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         tracker.perturbation_step(kernel_dense, t)
     assert eigh.called == falls_back
     perturbation_step_reference(reference, kernel_dense, t)
@@ -404,6 +411,7 @@ def test_perturbation_falls_back_to_the_eigh_reference_when_a_solve_fails(monkey
         attempts.append(1)
         raise np.linalg.LinAlgError("Singular matrix")
 
+    monkeypatch.setattr(eigen_module, "_solves_pay", lambda p, d: True)
     monkeypatch.setattr(np.linalg, "solve", singular)
     for x_i, y_i in zip(X, y):
         kernel.update(x_i, y_i)
@@ -417,6 +425,19 @@ def test_perturbation_falls_back_to_the_eigh_reference_when_a_solve_fails(monkey
     assert tracker.step == reference.step == len(y)
 
 
+@pytest.mark.parametrize("model_id, p, d, solves", [
+    (1, 20, 1, False), (1, 39, 1, False), (1, 40, 1, True), (1, 100, 1, True), (3, 100, 2, False),
+])
+def test_perturbation_takes_the_solves_for_one_direction_from_p_40(model_id, p, d, solves):
+    # below 40 features, or with more than one direction, the eigh costs
+    # less than the eigvalsh and solves that would replace it
+    X, y = sample(SimModelSpec(model_id, p), 140, rng=3)
+    cfg = SIRConfig(n_directions=d, tracker="perturbation")
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        model = fit_online(X, y, cfg, warmup_size=100)
+    assert eigvalsh.call_count == (model.eigen.step if solves else 0)
+
+
 def test_perturbation_step_that_raises_leaves_the_tracker_unchanged(monkeypatch):
     kernel, tracker, X, y = _perturbation_stream(22)
     kernel.update(X[0], y[0])
@@ -425,6 +446,7 @@ def test_perturbation_step_that_raises_leaves_the_tracker_unchanged(monkeypatch)
     def unconverged(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    monkeypatch.setattr(eigen_module, "_solves_pay", lambda p, d: True)
     monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
     with pytest.raises(np.linalg.LinAlgError):
         tracker.perturbation_step(kernel.kernel_matrix(), kernel.t - 1)
