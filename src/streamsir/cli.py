@@ -40,7 +40,7 @@ import numpy as np
 from .baselines import DenseOnlineSIR
 from .batch import batch_lasso_sir, batch_sir
 from .eigen import STRATEGIES
-from .errors import ConfigurationError, ConvergenceError, DataError, StreamsirError, all_finite
+from .errors import ConfigurationError, DataError, StreamsirError
 from .pipeline import (DEFAULT_WARMUP, OnlineSparseSIR, SIRConfig, _split_warmup, fit_online,
                        fit_stream)
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
@@ -350,9 +350,6 @@ def cmd_fit(args):
     with np.errstate(over="ignore"):
         fit_stream(model, X[args.warmup:], y[args.warmup:], progress=record,
                    progress_every=args.checkpoint_every)
-    if not all_finite(model.coef.betas):
-        raise ConvergenceError(
-            f"coefficients diverged on the last observation, t = {model.t}")
     if n % args.checkpoint_every:
         record(model.diagnostics())
 

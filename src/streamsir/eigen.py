@@ -10,8 +10,10 @@ the perturbation strategy alone, the dense matrix):
 * ``perturbation``  first-order eigenpair correction around the running
                     average of kernel matrices.  O(p^3) per step: one
                     ``eigh`` of the average, or, for one direction at
-                    p >= 40, one ``eigvalsh`` plus one p x p solve, and
-                    one more when the pair is resonant; kept as the
+                    p >= 40, no eigendecomposition: one p x p solve and
+                    one Cholesky factorization that proves which shift
+                    is resonant, plus one or two solves of Rayleigh
+                    quotient iteration when the pair is; kept as the
                     accuracy yardstick at small p.
 * ``sgd``           stochastic gradient ascent on the Rayleigh quotient
                     with a first-order deflation term; periodic
@@ -58,10 +60,20 @@ _NORM_FLOOR = 1e-12
 # and inverting it amplifies the per-step innovation enough to throw the
 # vector onto a different eigenpair, so the tolerance is deliberately coarse.
 _PINV_CUTOFF = 1e-3
-# Inverse iteration shifts off the computed eigenvalue by this fraction of the
-# largest shift, about its own rounding error: an exact eigenvalue of a small
-# matrix can give A - mu I an exactly zero pivot.
-_SHIFT_NUDGE = 4 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+# Rayleigh quotient iteration shifts off mu by this fraction of the largest
+# shift, about mu's own rounding error: once mu is exact to rounding, A - mu I
+# can have an exactly zero pivot.
+_SHIFT_NUDGE = 4 * _EPS
+# Rayleigh quotient iteration stops once the residual is this fraction of the
+# largest shift: the eigenvector it leaves in the pseudo-inverse is then off
+# by at most this over the eigengap.  Over criterion 4's first M5 stream
+# (p = 500, 800 steps) the tracker ends 3e-12 from the eigh reference at
+# 1e-10, 4e-15 at 1e-12 and 4e-16 here; the iteration, cubically convergent,
+# gets there from the tracked vector in one or two solves, and gives up after
+# ``_RAYLEIGH_SOLVES``.
+_RESIDUAL_TOL = 1e-13
+_RAYLEIGH_SOLVES = 4
 # The perturbation step's solves replace its eigh for one direction from
 # this many features on (see ``_solves_pay``).
 _SOLVE_MIN_P = 40
@@ -283,11 +295,13 @@ class EigenTracker:
         as singular and dropped, which covers the tracked pair's own
         direction once it has converged.  Where ``_solves_pay`` (one
         direction, p >= 40), the pseudo-inverse is applied by solves
-        (``_shift_solves``): one ``eigvalsh`` of A, one solve, and one more
-        when the pair is resonant.  Otherwise, and in the cases the solves
-        cannot settle, it comes from one eigendecomposition of A
-        (``_eigh_shift_inverse``).  State changes only after every product
-        is formed, so an error leaves the tracker as it was.
+        (``_shift_solves``): one solve, one Cholesky factorization that
+        certifies which shift is resonant, and, when the pair is, one or
+        two solves of Rayleigh quotient iteration.  Otherwise, and in the
+        cases the certificate cannot settle, it comes from one
+        eigendecomposition of A (``_eigh_shift_inverse``).  State changes
+        only after every product is formed, so an error leaves the tracker
+        as it was.
         """
         gap = self.averaged_kernel - np.asarray(kernel_dense, dtype=float)
         rate = 1.0 / (t + 1.0)
@@ -386,27 +400,19 @@ class EigenTracker:
 # -- the perturbation step's pseudo-inverse ---------------------------------------
 
 
-def _resonant(shifts: np.ndarray) -> tuple[np.ndarray, float]:
-    """The perturbation step's resonance predicate: which shifts lie within
-    ``_PINV_CUTOFF`` of the largest in magnitude, and that largest."""
-    size = np.abs(shifts)
-    scale = float(size.max())
-    return size <= _PINV_CUTOFF * scale, scale
-
-
 def _solves_pay(p: int, d: int) -> bool:
     """Whether the perturbation step's solves cost less than the ``eigh``
     they replace, for p features and d directions.
 
-    ``eigvalsh`` costs about 0.4 of ``eigh``, and each direction adds one
-    or two solves plus a fallback to ``eigh`` when its resonant eigenvalue
-    has a close neighbour.  Time per observation through ``fit_online``,
-    solves over eigh (one thread of a 2-core Xeon, median of five
-    interleaved runs): for d = 1, 1.16 at p = 20, 0.99 at 30, 0.92 at 40,
-    0.66 at 100, 0.81 at 200 and 0.96 at 500; for d = 2, 1.43 at p = 20,
-    0.87 at 80, 0.98 at 100, 1.26 at 200 and 1.38 at 500, where noise
-    eigenvalues crowd the second pair's and the fallback is frequent.  So
-    the solves run for one direction from ``_SOLVE_MIN_P`` features on.
+    For one direction a step takes one solve and one Cholesky
+    factorization, plus one or two solves when the pair is resonant.  Time
+    per observation through ``fit_online``, solves over eigh (one thread of
+    a 2-core Xeon, model 1, medians of interleaved runs, three sets): 1.37,
+    1.39 and 1.47 at p = 20; 1.00, 0.93 and 1.32 at 30; 0.74, 0.64 and 0.70
+    at 40; 0.48, 0.70 and 0.60 at 100.  With two or more directions the
+    certificate settles the first alone, so every step would pay for the
+    solves and then for ``eigh``.  So the solves run for one direction from
+    ``_SOLVE_MIN_P`` features on.
     """
     return d == 1 and p >= _SOLVE_MIN_P
 
@@ -415,65 +421,123 @@ def _eigh_shift_inverse(average, values, gv) -> np.ndarray:
     """Column j of ``gv`` under the cut-off pseudo-inverse of
     (values[j] I - average), through one eigendecomposition of the average:
     the route where the solves do not pay, and for every case
-    ``_shift_solves`` leaves open."""
+    ``_shift_solves`` leaves open.  The resonance predicate: a shift is
+    resonant within ``_PINV_CUTOFF`` of the largest in magnitude."""
     base_vals, base_vecs = np.linalg.eigh(average)
     deltas = np.empty_like(gv)
     for j in range(values.size):
         shifts = values[j] - base_vals
-        resonant, _ = _resonant(shifts)
+        size = np.abs(shifts)
+        resonant = size <= _PINV_CUTOFF * size.max()
         inv = np.divide(1.0, shifts, out=np.zeros_like(shifts), where=~resonant)
         deltas[:, j] = base_vecs @ (inv * (base_vecs.T @ gv[:, j]))
     return deltas
 
 
 def _shift_solves(average, values, vectors, gv) -> np.ndarray | None:
-    """``_eigh_shift_inverse`` by linear solves, with only the eigenvalues
-    mu of the average A (``eigvalsh``).
+    """``_eigh_shift_inverse`` by linear solves and no eigendecomposition:
+    which shift is resonant is proved instead of read off the spectrum.
 
-    A direction with no resonant shift takes one solve with lam I - A, whose
-    condition number the cut-off keeps below 1/_PINV_CUTOFF.  With one
-    resonant mu_k, an inverse-iteration solve with A - mu_k I, started from
-    the tracked vector, gives mu_k's unit eigenvector q (Stewart & Sun
-    1990).  Adding c qq', c the largest shift, moves mu_k's shift to about c
-    and leaves the bound intact, so one solve on the right-hand side with q
-    projected off, projected off again, applies the pseudo-inverse that
-    drops mu_k.  Returns None, leaving the step to the eigendecomposition,
-    when a direction has more than one resonant shift, when its resonant
-    eigenvalue lies within the cut-off of a neighbour (too close for inverse
-    iteration to separate), or when a solve finds its matrix singular.
+    For a unit q with Rayleigh quotient mu = q'Aq and residual r = Aq - mu q,
+    A has an eigenvalue within |r| of mu (Parlett 1998).  The average is a
+    mean of PSD kernels, so every eigenvalue lies above -p eps tr A, and the
+    smallest is at most min_i A_ii.  Once mu's eigenvalue is known to be the
+    top one, or every eigenvalue to lie below lam, these bound the cut-off C
+    (``_PINV_CUTOFF`` times the largest |lam - eigenvalue|) above by ``cut``
+    and below.  One Cholesky factorization proves the rest: A is
+    (b - cut) I - F + c qq' for F = (b - cut) I - A + c qq', so when F is
+    positive definite and c >= 0, Cauchy interlacing puts every eigenvalue
+    of A but the top one below b - cut, and with c = 0 every one, however
+    rough q is.  For lam = values[j], from the tracked vector:
+
+    * lam more than the cut-off from mu's eigenvalue (|lam - mu| - |r| >
+      cut; b = lam, c = mu above lam and 0 below): no shift is resonant,
+      and one solve with lam I - A applies the inverse, the eigh route's
+      formula in exact arithmetic;
+    * otherwise Rayleigh quotient iteration refines (mu, q) until |r| is at
+      most ``_RESIDUAL_TOL`` of the largest shift, or the first case holds.
+      The top shift is the one resonant shift when |lam - mu| + |r| is
+      within C's lower bound, or within the one that a failed Cholesky
+      factorization of A - sI gives (``_has_eigenvalue_below``).  b =
+      min(lam, mu) also keeps the other eigenvalues over the cut-off below
+      mu, and one solve with lam I - A + c qq', c the bound on the largest
+      shift, on the right-hand side with q projected off, projected off
+      again, applies the pseudo-inverse that drops it (Stewart & Sun 1990).
+
+    Returns None, leaving the step to the eigendecomposition, in every case
+    this does not settle: a failed certificate (an eigenvalue other than the
+    top one within the cut-off of lam or of mu, as for a second direction),
+    an iteration short of the tolerance after ``_RAYLEIGH_SOLVES`` solves or
+    drawn to another eigenpair, a top shift whose resonance the bounds leave
+    open, or a singular solve.
     """
-    eigvals = np.linalg.eigvalsh(average)  # ascending
-    p = eigvals.size
+    p = average.shape[0]
+    floor = -p * _EPS * float(np.trace(average))  # below every eigenvalue
+    ceiling = float(average.diagonal().min())  # at or above the smallest
     deltas = np.empty_like(gv)
     try:
         for j in range(values.size):
-            resonant, scale = _resonant(values[j] - eigvals)
-            shifted = np.negative(average)
-            shifted.flat[:: p + 1] += values[j]
-            hits = np.flatnonzero(resonant)
-            if hits.size == 0:
-                deltas[:, j] = np.linalg.solve(shifted, gv[:, j])
-                continue
-            if hits.size > 1:
-                return None
-            k = int(hits[0])
-            mu = eigvals[k]
-            below = mu - eigvals[k - 1] if k > 0 else math.inf
-            above = eigvals[k + 1] - mu if k + 1 < p else math.inf
-            if min(below, above) <= _PINV_CUTOFF * scale:
-                return None
-            iterate = average.copy()
-            iterate.flat[:: p + 1] -= mu + _SHIFT_NUDGE * scale
-            q = np.linalg.solve(iterate, vectors[:, j])
-            norm = float(np.linalg.norm(q))
-            if not 0.0 < norm < math.inf:
-                return None
-            q /= norm
-            shifted += np.multiply.outer(q, scale * q)
+            lam = float(values[j])
+            mu, q, res = _rayleigh(average, vectors[:, j])
+            solves = 0
+            while True:
+                width = max(lam - floor, mu + res - lam)  # the largest shift, or above
+                cut = _PINV_CUTOFF * width
+                if abs(mu - lam) - res > cut or res <= _RESIDUAL_TOL * width:
+                    break
+                if solves == _RAYLEIGH_SOLVES:
+                    return None
+                iterate = average.copy()
+                iterate.flat[:: p + 1] -= mu + _SHIFT_NUDGE * width
+                mu, q, res = _rayleigh(average, np.linalg.solve(iterate, q))
+                solves += 1
             g = gv[:, j]
-            delta = np.linalg.solve(shifted, g - q * q.dot(g))
-            delta -= q * q.dot(delta)
-            deltas[:, j] = delta
+            # the top shift is resonant once the largest shift is this or more
+            reach = (abs(lam - mu) + res) / _PINV_CUTOFF
+            if abs(mu - lam) - res > cut:
+                bound = lam
+                shifted = np.negative(average)
+                shifted.flat[:: p + 1] += lam
+                deltas[:, j] = np.linalg.solve(shifted, g)
+                if mu > lam:  # else c = 0 proves every eigenvalue below
+                    shifted += np.multiply.outer(q, mu * q)
+            elif reach <= max(lam - ceiling, mu - res - lam) or _has_eigenvalue_below(
+                average, lam - reach
+            ):
+                bound = min(lam, mu)
+                shifted = np.multiply.outer(q, width * q)
+                shifted -= average
+                shifted.flat[:: p + 1] += lam
+                delta = np.linalg.solve(shifted, g - q * q.dot(g))
+                delta -= q * q.dot(delta)
+                deltas[:, j] = delta
+            else:
+                return None
+            # the certificate: (bound - cut) I - A plus a PSD multiple of qq'
+            shifted.flat[:: p + 1] -= lam - bound + cut
+            np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return None
     return deltas
+
+
+def _rayleigh(average, x) -> tuple[float, np.ndarray, float]:
+    """``(mu, q, |r|)``: the Rayleigh quotient mu of the unit q along x, and
+    the norm of the residual r = Aq - mu q."""
+    q = x / np.linalg.norm(x)
+    aq = average @ q
+    mu = float(q.dot(aq))
+    aq -= mu * q
+    return mu, q, float(np.linalg.norm(aq))
+
+
+def _has_eigenvalue_below(average, level: float) -> bool:
+    """Whether the average has an eigenvalue below ``level``: whether a
+    Cholesky factorization of A - level I fails."""
+    shifted = average.copy()
+    shifted.flat[:: shifted.shape[0] + 1] -= level
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return True
+    return False

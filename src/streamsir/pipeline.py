@@ -494,6 +494,11 @@ def fit_stream(
     a multiple of ``progress_every``.  A caller that wants more, such as the
     subspace distance to known directions, computes it in ``progress`` from
     the model it holds.
+
+    ``observe`` sees diverged coefficients only through the next row's
+    prediction, so coefficients that overflow on the last row are checked
+    here, once, for a model that has them: ``ConvergenceError``, not
+    ``nan`` directions.
     """
     X, y = as_rows(X, y, "stream X")
     if progress_every < 1:
@@ -502,6 +507,10 @@ def fit_stream(
         model.observe(X[i], y[i])
         if progress is not None and model.t % progress_every == 0:
             progress(model.diagnostics())
+    coef = getattr(model, "coef", None)
+    if coef is not None and not all_finite(coef.betas):
+        raise ConvergenceError(
+            f"coefficients diverged on the last observation, t = {model.t}")
     return model
 
 

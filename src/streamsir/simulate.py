@@ -77,18 +77,17 @@ def sample(spec: SimModelSpec, n: int, rng=None) -> tuple[np.ndarray, np.ndarray
 
     The AR(1) covariance is sampled by the exact recursion
     x_1 = z_1, x_j = rho x_{j-1} + sqrt(1 - rho^2) z_j with z iid standard
-    normal, which reproduces cov = rho^|i-j| without forming a p x p factor.
+    normal, which reproduces cov = rho^|i-j| without forming a p x p factor;
+    x overwrites z in place, so a draw allocates one n x p array.
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(rng)
     p = spec.n_features
-    z = rng.standard_normal((n, p))
-    x = np.empty((n, p))
-    x[:, 0] = z[:, 0]
+    x = rng.standard_normal((n, p))  # z, overwritten column by column
     scale = np.sqrt(1.0 - spec.rho**2)
     for j in range(1, p):
-        x[:, j] = spec.rho * x[:, j - 1] + scale * z[:, j]
+        x[:, j] = spec.rho * x[:, j - 1] + scale * x[:, j]
 
     betas = true_betas(spec)
     eps = spec.noise_sd * rng.standard_normal(n)

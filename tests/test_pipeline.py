@@ -30,6 +30,7 @@ from streamsir import (
     true_betas,
 )
 from streamsir.kernel import SliceFactor
+from streamsir.pipeline import DEFAULT_WARMUP
 from streamsir.truncated import active_features
 
 from .helpers import (
@@ -376,6 +377,24 @@ def test_a_diverging_stream_raises_instead_of_returning_nan():
     X, y = sample(SimModelSpec(1, 10), 400, rng=0)
     with pytest.raises(ConvergenceError, match="diverged"):
         fit_online(X + 1e4, y)
+
+
+def test_a_stream_whose_last_row_overflows_the_coefficients_raises():
+    # no later prediction catches coefficients that overflow on the last
+    # row; fit_stream checks them after the loop
+    X, y = sample(SimModelSpec(1, 10), 400, rng=2)
+    X = X + 1e4
+    model = OnlineSparseSIR.warmup(X[:DEFAULT_WARMUP], y[:DEFAULT_WARMUP], SIRConfig())
+    with np.errstate(over="ignore"):
+        for last in range(DEFAULT_WARMUP, y.size):
+            model.observe(X[last], y[last])
+            if not np.isfinite(model.coef.betas).all():
+                break
+    assert not np.isfinite(model.coef.betas).all()
+    with np.errstate(over="ignore"), pytest.raises(
+        ConvergenceError, match=f"last observation, t = {last + 1}$"
+    ):
+        fit_online(X[: last + 1], y[: last + 1])
 
 
 def test_model_one_stream_recovers_the_direction():
