@@ -65,8 +65,8 @@ class DenseOnlineSIR:
         return self.kernel.t
 
     def observe(self, x, y) -> "DenseOnlineSIR":
-        x = np.asarray(x, dtype=float).ravel()
-        self.kernel.update(x, y)
+        x, h = self.kernel.check(x, y)
+        self.kernel.absorb(x, h)
         self.eigen.advance(self.kernel, self.kernel.factor(), y)
         self.xx_sum += np.outer(x, x)
         return self

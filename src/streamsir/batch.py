@@ -97,8 +97,9 @@ def _between_slice_cov(M: np.ndarray, Xc: np.ndarray, n_slices: int) -> np.ndarr
         raise DegenerateDataError(
             "all slice means vanish; between-slice covariance is zero"
         )
-    G = M @ M.T / n_slices
-    return (G + G.T) / 2.0
+    G = M @ M.T  # numpy forms this product with syrk: exactly symmetric
+    G /= n_slices
+    return G
 
 
 def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
@@ -174,19 +175,18 @@ def _lasso_targets(M, labels, Xc, n_slices: int, d: int):
     return targets, eta, lams, G
 
 
-def lasso_coordinate_descent(
-    X: np.ndarray,
-    y: np.ndarray,
-    penalty: float,
-    *,
-    tol: float = 1e-8,
-    max_sweeps: int = 100_000,
-) -> np.ndarray:
+# ``lasso_coordinate_descent`` stops once its duality gap is below this, and
+# gives up after this many sweeps.
+_LASSO_TOL = 1e-8
+_LASSO_MAX_SWEEPS = 100_000
+
+
+def lasso_coordinate_descent(X: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
     """Cyclic coordinate descent for (1/2n) ||y - X b||^2 + penalty * ||b||_1.
 
-    Runs until the duality gap drops below ``tol`` (for penalty 0, until the
-    gradient's sup-norm does).  Raises ConvergenceError with the last gap if
-    the sweep budget runs out.
+    Runs until the duality gap drops below ``_LASSO_TOL`` (for penalty 0,
+    until the gradient's sup-norm does).  Raises ConvergenceError with the
+    last gap if ``_LASSO_MAX_SWEEPS`` sweeps do not get there.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -209,7 +209,7 @@ def lasso_coordinate_descent(
         dual = float(theta @ y) - 0.5 * n * float(theta @ theta)
         return primal - dual
 
-    for _ in range(max_sweeps):
+    for _ in range(_LASSO_MAX_SWEEPS):
         for j in range(p):
             if col_sq[j] == 0.0:
                 continue
@@ -219,34 +219,27 @@ def lasso_coordinate_descent(
             if new != old:
                 beta[j] = new
                 resid += X[:, j] * (old - new)
-        if gap() <= tol:
+        if gap() <= _LASSO_TOL:
             return beta
     raise ConvergenceError(
-        f"coordinate descent not converged after {max_sweeps} sweeps "
-        f"(gap {gap():.3e}, tol {tol:.1e})"
+        f"coordinate descent not converged after {_LASSO_MAX_SWEEPS} sweeps "
+        f"(gap {gap():.3e}, tol {_LASSO_TOL:.1e})"
     )
 
 
-def batch_lasso_sir(X, y, n_slices: int, d: int, penalty=None) -> np.ndarray:
+def batch_lasso_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     """Sparse batch directions via l1-penalized regression on slice targets.
 
-    ``penalty`` may be a scalar, one value per direction, or None, in which
-    case direction i uses sqrt(log(p) / (n * lam_i)).  Each regression runs
-    ``lasso_coordinate_descent`` with its default tolerance and sweep
-    budget.  Returns the raw (p, d) sparse coefficient matrix; callers
-    normalize if they need unit columns.
+    Direction i's regression runs ``lasso_coordinate_descent`` with the
+    penalty sqrt(log(p) / (n * lam_i)).  Returns the raw (p, d) sparse
+    coefficient matrix; callers normalize if they need unit columns.
     """
     M, labels, Xc = slice_mean_matrix(X, y, n_slices)
     n, p = Xc.shape
     if not 1 <= d <= min(p, n_slices):
         raise ConfigurationError(f"need 1 <= d <= min(p, H) = {min(p, n_slices)}")
     targets, eta, lams, _ = _lasso_targets(M, labels, Xc, n_slices, d)
-    if penalty is None:
-        mus = np.sqrt(np.log(p) / (n * lams))
-    else:
-        mus = np.broadcast_to(np.asarray(penalty, dtype=float), (d,)).copy()
-    if np.any(mus < 0):
-        raise ConfigurationError("penalties must be non-negative")
+    mus = np.sqrt(np.log(p) / (n * lams))
     B = np.empty((p, d))
     for i in range(d):
         B[:, i] = lasso_coordinate_descent(Xc, targets[:, i], float(mus[i]))

@@ -77,13 +77,15 @@ _RAYLEIGH_SOLVES = 4
 # The perturbation step's solves replace its eigh for one direction from
 # this many features on (see ``_solves_pay``).
 _SOLVE_MIN_P = 40
+# The sgd step replaces its first-order deflation by an exact Gram-Schmidt
+# pass every this many steps.
+_ORTHONORMALIZE_EVERY = 50
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
     strategy: str = "ccipca"
     sgd_rate_constant: float = 5.0  # step size C/t for the sgd strategy
-    orthonormalize_every: int = 50  # sgd basis repair period
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -92,8 +94,6 @@ class TrackerConfig:
             )
         if self.sgd_rate_constant <= 0:
             raise ConfigurationError("sgd_rate_constant must be positive")
-        if self.orthonormalize_every < 1:
-            raise ConfigurationError("orthonormalize_every must be a positive integer")
 
 
 class EigenTracker:
@@ -317,9 +317,10 @@ class EigenTracker:
             v = self.vectors[:, j] - rate * deltas[:, j]
             norm = float(np.linalg.norm(v))
             new_vectors[:, j] = v / norm if norm > _NORM_FLOOR else self.vectors[:, j]
+        gap *= rate
         self.values = new_values
         self.vectors = new_vectors
-        self.averaged_kernel -= rate * gap
+        self.averaged_kernel -= gap
         self.step += 1
 
     def sgd_step(self, factor, t: int) -> None:
@@ -328,7 +329,7 @@ class EigenTracker:
         Writing phi_j = W' v_j, the value moves toward phi_j'phi_j and the
         vector takes a gradient step along W phi_j minus the self and
         lower-component corrections (coefficient 2 on the latter).  Every
-        ``orthonormalize_every`` steps the correction is replaced by an
+        ``_ORTHONORMALIZE_EVERY`` steps the correction is replaced by an
         exact Gram-Schmidt pass.  Step size is C/(t+1).
         """
         w = SliceFactor.wrap(factor)
@@ -338,7 +339,7 @@ class EigenTracker:
         self.values = self.values + gamma * (np.diag(gram) - self.values)
         self.step += 1
         drive = w @ phi  # (p, d)
-        if self.step % self.config.orthonormalize_every == 0:
+        if self.step % _ORTHONORMALIZE_EVERY == 0:
             q, r = np.linalg.qr(self.vectors + gamma * drive)
             signs = np.sign(np.diag(r))
             signs[signs == 0] = 1.0
@@ -378,7 +379,7 @@ class EigenTracker:
             basis = self.vectors
         z = (w.T @ basis).T  # (d+1, H) compressed factor
         small = z @ z.T / n_slices
-        vals, vecs = np.linalg.eigh((small + small.T) / 2.0)
+        vals, vecs = np.linalg.eigh(small)  # z @ z.T is exactly symmetric
         order = np.argsort(vals)[::-1][: self.n_directions]
         self.values = vals[order]
         self.vectors = basis @ vecs[:, order]

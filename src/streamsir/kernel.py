@@ -76,15 +76,14 @@ class SliceGrid:
         return self.counts.size
 
     @classmethod
-    def from_warmup(cls, y, n_slices: int, allow_collapse: bool = False) -> "SliceGrid":
+    def from_warmup(cls, y, n_slices: int) -> "SliceGrid":
         """Build a grid from warmup responses.
 
         Cut points are the interior empirical quantiles at levels
         1/H, ..., (H-1)/H with the usual linear (midpoint-style)
         interpolation.  Duplicate quantiles mean the warmup responses
-        cannot support H distinct slices; that raises unless
-        ``allow_collapse`` is set, in which case duplicates are dropped
-        and the grid ends up with fewer slices.
+        cannot support H distinct slices, which raises
+        ``DegenerateDataError``.
         """
         y = np.asarray(y, dtype=float).ravel()
         if n_slices < 1:
@@ -98,12 +97,10 @@ class SliceGrid:
         levels = np.arange(1, n_slices) / n_slices
         cuts = np.quantile(y, levels) if levels.size else np.empty(0)
         if np.unique(cuts).size != cuts.size:
-            if not allow_collapse:
-                raise DegenerateDataError(
-                    "duplicate quantiles in warmup responses; "
-                    "fewer distinct values than requested slices"
-                )
-            cuts = np.unique(cuts)
+            raise DegenerateDataError(
+                "duplicate quantiles in warmup responses; "
+                "fewer distinct values than requested slices"
+            )
         return cls(cuts)
 
     def slice_of(self, y) -> int:
@@ -304,5 +301,6 @@ class KernelTracker:
             raise EmptyStateError("kernel matrix requested before any observation")
         c = self.slice_cov
         self.dense_builds += 1
-        k = c @ c.T / self.grid.n_slices
-        return (k + k.T) / 2.0
+        k = c @ c.T  # numpy forms this product with syrk: exactly symmetric
+        k /= self.grid.n_slices
+        return k

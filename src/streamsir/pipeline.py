@@ -71,7 +71,11 @@ from .truncated import TruncatedGradient
 DEFAULT_WARMUP = 100
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
+
+# A tracked eigenvalue at or below this zeroes its coordinate of the
+# synthetic response instead of dividing by it.
+_EIGENVALUE_FLOOR = 1e-12
 
 # What decoding a damaged checkpoint raises, from zipfile, numpy's .npy
 # reader, json and the config's own checks; ``load`` turns it into DataError.
@@ -133,12 +137,10 @@ class SIRConfig:
     threshold: float = math.inf
     period: int = 10
     sgd_rate_constant: float = TrackerConfig.sgd_rate_constant
-    orthonormalize_every: int = TrackerConfig.orthonormalize_every
     min_warmup: int | None = None
-    eigenvalue_floor: float = 1e-12
 
     def __post_init__(self):
-        for name in ("n_slices", "n_directions", "period", "orthonormalize_every", "min_warmup"):
+        for name in ("n_slices", "n_directions", "period", "min_warmup"):
             value = getattr(self, name)
             if name == "min_warmup" and value is None:
                 continue
@@ -149,15 +151,9 @@ class SIRConfig:
         if self.learning_rate is not None and not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning_rate must lie in (0, 1)")
         _coefficient_stage(self, 1)  # validates gravity, threshold and period
-        if self.eigenvalue_floor <= 0:
-            raise ConfigurationError("eigenvalue_floor must be positive")
 
     def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(
-            strategy=self.tracker,
-            sgd_rate_constant=self.sgd_rate_constant,
-            orthonormalize_every=self.orthonormalize_every,
-        )
+        return TrackerConfig(strategy=self.tracker, sgd_rate_constant=self.sgd_rate_constant)
 
     def resolve_rate(self, n_features: int) -> float:
         if self.learning_rate is not None:
@@ -234,7 +230,7 @@ class OnlineSparseSIR:
         # slice statistics while its scale decays, so the coefficient stage
         # settles instead of rattling around a constant-variance floor.
         proj = factor.column_dot(h, self.eigen.vectors)  # (d,)
-        floor = self.config.eigenvalue_floor
+        floor = _EIGENVALUE_FLOOR
         lams = self.eigen.values
         scale = self.kernel.t * self.kernel.grid.n_slices
         if smallest > floor:  # nothing to clamp: bitwise the general case

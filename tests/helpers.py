@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from streamsir import pipeline
+
 
 def slice_index_oracle(y: float, cuts) -> int:
     """Right-closed slice lookup by plain comparison.
@@ -156,7 +158,7 @@ def ccipca_observe_reference(model, x, y) -> None:
     eigen.raw_vectors = eigen.raw_vectors * flips
     h = slice_index_oracle(float(y), kernel.grid.cuts)
     lams = eigen.values
-    floor = model.config.eigenvalue_floor
+    floor = pipeline._EIGENVALUE_FLOOR
     response = (factor[:, h] @ eigen.vectors) / (
         kernel.t * kernel.grid.n_slices * np.maximum(lams, floor)
     )
@@ -342,7 +344,7 @@ def observe_chain_reference(model, x, y) -> None:
     proj = block[:, h] @ vectors
     proj -= (counts[h] / t) * (block[:, -1] @ vectors)
     proj /= t
-    floor = model.config.eigenvalue_floor
+    floor = pipeline._EIGENVALUE_FLOOR
     lams = eigen.values
     response = proj / (t * n_slices * np.maximum(lams, floor))
     dead = lams <= floor

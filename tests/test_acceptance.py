@@ -50,7 +50,7 @@ def test_criterion_1_streaming_kernel_matches_batch():
         H = int(rng.integers(2, 9))
         t = int(rng.integers(H + 1, 501))
         X, y = random_stream(rng, t, p)
-        grid = SliceGrid.from_warmup(y, H, allow_collapse=True)
+        grid = SliceGrid.from_warmup(y, H)
         kernel = KernelTracker(grid, p)
         kernel.replay(X, y)
         batch = slice_cov_oracle(X, y, grid.cuts)

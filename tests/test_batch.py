@@ -194,50 +194,53 @@ def test_rank_deficient_slice_structure_raises():
 # -- lasso ------------------------------------------------------------
 
 
-def test_penalty_free_descent_matches_least_squares():
+def test_penalty_free_descent_matches_least_squares(monkeypatch):
+    monkeypatch.setattr(batch, "_LASSO_TOL", 1e-10)
     X, y = sample(SimModelSpec(1, 10), 200, rng=9)
     targets, _, _, _ = lasso_sir_targets(X, y, 5, 1)
     Xc = X - X.mean(axis=0)
-    beta = lasso_coordinate_descent(Xc, targets[:, 0], 0.0, tol=1e-10)
+    beta = lasso_coordinate_descent(Xc, targets[:, 0], 0.0)
     expected, *_ = np.linalg.lstsq(Xc, targets[:, 0], rcond=None)
     np.testing.assert_allclose(beta, expected, atol=1e-6)
 
 
 def test_huge_penalty_gives_zero_solution():
     X, y = sample(SimModelSpec(1, 10), 200, rng=10)
-    B = batch_lasso_sir(X, y, 5, 1, penalty=1e3)
-    np.testing.assert_array_equal(B, np.zeros((10, 1)))
+    targets, _, _, _ = lasso_sir_targets(X, y, 5, 1)
+    beta = lasso_coordinate_descent(X - X.mean(axis=0), targets[:, 0], 1e3)
+    np.testing.assert_array_equal(beta, np.zeros(10))
 
 
-def test_kkt_conditions_at_the_solution():
+def test_kkt_conditions_at_the_solution(monkeypatch):
+    monkeypatch.setattr(batch, "_LASSO_TOL", 1e-10)
     rng = np.random.default_rng(11)
     X = rng.standard_normal((150, 12))
     beta_true = np.zeros(12)
     beta_true[:3] = [2.0, -1.0, 0.5]
     y = X @ beta_true + 0.1 * rng.standard_normal(150)
     mu = 0.05
-    beta = lasso_coordinate_descent(X, y, mu, tol=1e-10)
+    beta = lasso_coordinate_descent(X, y, mu)
     grad = X.T @ (y - X @ beta) / 150
     zero = beta == 0.0
     assert np.all(np.abs(grad[zero]) <= mu + 1e-6)
     np.testing.assert_allclose(grad[~zero], mu * np.sign(beta[~zero]), atol=1e-6)
 
 
-def test_sweep_budget_exhaustion_raises():
+def test_sweep_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(batch, "_LASSO_TOL", 1e-14)
+    monkeypatch.setattr(batch, "_LASSO_MAX_SWEEPS", 2)
     rng = np.random.default_rng(12)
     base = rng.standard_normal((100, 1))
     X = base + 0.001 * rng.standard_normal((100, 30))  # heavy correlation
     y = rng.standard_normal(100)
-    with pytest.raises(ConvergenceError):
-        lasso_coordinate_descent(X, y, 1e-6, tol=1e-14, max_sweeps=2)
+    with pytest.raises(ConvergenceError, match="after 2 sweeps"):
+        lasso_coordinate_descent(X, y, 1e-6)
 
 
 def test_negative_penalty_rejected():
     X = np.eye(4)
     with pytest.raises(ConfigurationError):
         lasso_coordinate_descent(X, np.ones(4), -0.5)
-    with pytest.raises(ConfigurationError):
-        batch_lasso_sir(X, np.arange(4.0), 2, 1, penalty=-1.0)
 
 
 def test_sparse_directions_in_high_dimension():

@@ -92,8 +92,6 @@ def test_tracker_config_validation():
         TrackerConfig(strategy="power-iteration")
     with pytest.raises(ConfigurationError):
         TrackerConfig(strategy="sgd", sgd_rate_constant=0.0)
-    with pytest.raises(ConfigurationError):
-        TrackerConfig(strategy="sgd", orthonormalize_every=0)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -563,13 +561,10 @@ def test_sgd_value_fixed_point_on_a_stationary_column():
     assert tracker.values[0] == pytest.approx(lam_star, abs=1e-12)
 
 
-def test_sgd_orthonormalizes_on_schedule():
+def test_sgd_orthonormalizes_on_schedule(monkeypatch):
+    monkeypatch.setattr(eigen_module, "_ORTHONORMALIZE_EVERY", 10)
     rng = np.random.default_rng(9)
-    tracker = EigenTracker.from_kernel(
-        _stub_kernel(rng.standard_normal((6, 4))),
-        2,
-        _cfg("sgd", orthonormalize_every=10),
-    )
+    tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((6, 4))), 2, _cfg("sgd"))
     # offsets mimic entry after a warmup batch; a unit-order rate on raw
     # random factors would diverge, which no caller produces
     for t in range(100, 131):
@@ -795,16 +790,15 @@ def test_align_signs_flips_vectors():
 
 
 @pytest.mark.parametrize("strategy", ["sgd", "ipca", "perturbation"])
-def test_advance_rebinds_the_basis_and_leaves_the_old_one_intact(strategy):
+def test_advance_rebinds_the_basis_and_leaves_the_old_one_intact(strategy, monkeypatch):
     # advance aligns signs against the array the step replaced, uncopied,
     # so no step of these strategies may write into it
+    monkeypatch.setattr(eigen_module, "_ORTHONORMALIZE_EVERY", 7)
     rng = np.random.default_rng(17)
     X, y = random_stream(rng, 160, 6)
     kernel = KernelTracker(SliceGrid.from_warmup(y[:60], 4), 6)
     kernel.replay(X[:60], y[:60])
-    tracker = EigenTracker.from_kernel(
-        kernel, 2, _cfg(strategy, orthonormalize_every=7), y[:60]
-    )
+    tracker = EigenTracker.from_kernel(kernel, 2, _cfg(strategy), y[:60])
     for i in range(60, 160):
         old = tracker.vectors
         snapshot = old.copy()

@@ -14,6 +14,7 @@ from streamsir import (
     EmptyStateError,
     KernelTracker,
     SliceGrid,
+    sir_matrix,
 )
 from streamsir.errors import all_finite
 from .helpers import (
@@ -68,11 +69,10 @@ def test_from_warmup_validation():
 
 
 def test_constant_warmup_collapses_grid():
+    # duplicate quantiles cannot hold five slices: the grid refuses them
     y = np.ones(50)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="duplicate quantiles"):
         SliceGrid.from_warmup(y, 5)
-    grid = SliceGrid.from_warmup(y, 5, allow_collapse=True)
-    assert grid.n_slices < 5
 
 
 def test_unsorted_cuts_rejected():
@@ -115,6 +115,18 @@ def test_streaming_kernel_matrix_matches_batch_oracle():
     assert tracker.dense_builds == 1
 
 
+@pytest.mark.parametrize("p", [20, 100, 500])
+def test_kernel_and_sir_matrices_are_exactly_symmetric(p):
+    # kernel_matrix and sir_matrix return A @ A.T unsymmetrized, trusting
+    # numpy to form it with syrk, which mirrors one triangle; a numpy that
+    # does not would hand eigh and solve a skewed matrix
+    X, y = random_stream(np.random.default_rng(p), 300, p)
+    tracker = KernelTracker(SliceGrid.from_warmup(y, 10), p)
+    tracker.replay(X, y)
+    for K in (tracker.kernel_matrix(), sir_matrix(X, y, 10)):
+        assert np.array_equal(K, K.T)
+
+
 def test_factor_operator_agrees_with_the_dense_factor():
     rng = np.random.default_rng(8)
     tracker, _, _, _ = _fresh_tracker(rng)
@@ -137,7 +149,7 @@ def test_factor_operator_agrees_with_the_dense_factor():
 def test_streaming_equals_batch_for_random_streams(seed, t, p, n_slices):
     rng = np.random.default_rng(seed)
     X, y = random_stream(rng, t, p)
-    grid = SliceGrid.from_warmup(y, n_slices, allow_collapse=True)
+    grid = SliceGrid.from_warmup(y, n_slices)
     tracker = KernelTracker(grid, p)
     tracker.replay(X, y)
     expected = slice_cov_oracle(X, y, grid.cuts)

@@ -29,8 +29,9 @@ from streamsir import (
     subspace_distance,
     true_betas,
 )
+from streamsir import pipeline
 from streamsir.kernel import SliceFactor
-from streamsir.pipeline import DEFAULT_WARMUP
+from streamsir.pipeline import CHECKPOINT_FORMAT, DEFAULT_WARMUP
 from streamsir.truncated import active_features
 
 from .helpers import (
@@ -100,13 +101,9 @@ def test_config_validation():
         SIRConfig(tracker="newton")
     with pytest.raises(ConfigurationError):
         SIRConfig(learning_rate=1.5)
-    with pytest.raises(ConfigurationError):
-        SIRConfig(eigenvalue_floor=0.0)
     # tracker fields fail when the config is built, not later at warmup
     with pytest.raises(ConfigurationError):
         SIRConfig(sgd_rate_constant=0)
-    with pytest.raises(ConfigurationError):
-        SIRConfig(orthonormalize_every=0)
     # and so do the coefficient stage's fields, through its own checks
     with pytest.raises(ConfigurationError, match="period"):
         SIRConfig(period=0)
@@ -117,9 +114,7 @@ def test_config_validation():
     assert SIRConfig(learning_rate=None).resolve_rate(25) == 1e-3
 
 
-@pytest.mark.parametrize(
-    "field", ["n_slices", "n_directions", "period", "orthonormalize_every", "min_warmup"]
-)
+@pytest.mark.parametrize("field", ["n_slices", "n_directions", "period", "min_warmup"])
 def test_integer_config_fields_reject_non_integers(field):
     # a stage would run with int(2.5) = 2 while the config says 2.5
     with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer, got 2.5"):
@@ -175,12 +170,11 @@ def test_zero_slice_statistic_gives_zero_response():
     np.testing.assert_array_equal(model.artificial_response(y[0]), [0.0])
 
 
-def test_floored_eigenvalue_zeroes_its_coordinate():
+def test_floored_eigenvalue_zeroes_its_coordinate(monkeypatch):
     # a floor above the tracked values declares every coordinate degenerate
+    monkeypatch.setattr(pipeline, "_EIGENVALUE_FLOOR", 10.0)
     X, y = sample(SimModelSpec(3, 10), 400, rng=1)
-    cfg = SIRConfig(
-        n_slices=5, n_directions=2, learning_rate=1e-3, eigenvalue_floor=10.0
-    )
+    cfg = SIRConfig(n_slices=5, n_directions=2, learning_rate=1e-3)
     model = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     probe = model.artificial_response(y[100])
     np.testing.assert_array_equal(probe, [0.0, 0.0])
@@ -272,7 +266,7 @@ def _state(model) -> dict:
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [20, 200])
-def test_observe_is_bitwise_the_reference_chain(p, d):
+def test_observe_is_bitwise_the_reference_chain(p, d, monkeypatch):
     X, y = sample(SimModelSpec(3, p), 2100, rng=p + d)
     cfg = SIRConfig(n_directions=d, **BENCH)
     lean = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
@@ -285,8 +279,7 @@ def test_observe_is_bitwise_the_reference_chain(p, d):
         if i == 1100:  # from here on the smallest eigenvalue is floored
             assert lean.degenerate_responses == 0
             floor = 2.0 * float(lean.eigen.values.min())
-            for model in (lean, ref):
-                model.config = replace(model.config, eigenvalue_floor=floor)
+            monkeypatch.setattr(pipeline, "_EIGENVALUE_FLOOR", floor)
         lean.observe(X[i], y[i])
         observe_chain_reference(ref, X[i], y[i])
         if i == 600:
@@ -299,7 +292,7 @@ def test_observe_is_bitwise_the_reference_chain(p, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [20, 200])
-def test_observe_stays_within_round_off_of_the_materialized_chain(p, d):
+def test_observe_stays_within_round_off_of_the_materialized_chain(p, d, monkeypatch):
     # the materialized-algebra oracle (dense factor, explicit deflation):
     # same stream, same negation and floor change as the bitwise test,
     # within 1e-12
@@ -313,8 +306,7 @@ def test_observe_stays_within_round_off_of_the_materialized_chain(p, d):
                 model.eigen.raw_vectors[:, -1] *= -1.0
         if i == 1100:
             floor = 2.0 * float(lean.eigen.values.min())
-            for model in (lean, dense):
-                model.config = replace(model.config, eigenvalue_floor=floor)
+            monkeypatch.setattr(pipeline, "_EIGENVALUE_FLOOR", floor)
         lean.observe(X[i], y[i])
         ccipca_observe_reference(dense, X[i], y[i])
     assert lean.degenerate_responses == dense.degenerate_responses > 0
@@ -581,11 +573,12 @@ def test_progress_reporting():
     assert all(isinstance(info["nonzeros"], int) for info in seen)
 
 
-def test_progress_follows_the_observation_count_across_calls():
+def test_progress_follows_the_observation_count_across_calls(monkeypatch):
     # the cadence is on model.t, so splitting the stream moves no report,
     # and each report is the model's diagnostics record at that t
+    monkeypatch.setattr(pipeline, "_EIGENVALUE_FLOOR", 10.0)
     X, y = _model_one(n=400)
-    model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(eigenvalue_floor=10.0, **BENCH))
+    model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(**BENCH))
     seen = []
 
     def report(info):
@@ -625,9 +618,10 @@ def test_save_load_resume_equivalence(tmp_path):
     restored.check_counters()
 
 
-def test_save_preserves_diagnostics(tmp_path):
+def test_save_preserves_diagnostics(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_EIGENVALUE_FLOOR", 10.0)
     X, y = _model_one(n=300)
-    cfg = SIRConfig(eigenvalue_floor=10.0, **BENCH)
+    cfg = SIRConfig(**BENCH)
     model = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     model.observe(X[100], y[100])
     assert model.degenerate_responses >= 1
@@ -787,7 +781,7 @@ def test_loaded_sums_are_views_of_one_block(tmp_path):
 def test_checkpoint_stores_the_config_once(tmp_path):
     model, arrays = _saved(tmp_path, "ccipca")
     assert sorted(arrays) == ["pipe_config", "pipe_floats", "pipe_format", "pipe_ints"]
-    assert arrays["pipe_format"] == 3
+    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 4
     assert arrays["pipe_floats"].dtype == np.float64 and arrays["pipe_ints"].dtype == np.int64
     assert arrays["pipe_ints"][0] == model.n_features
 
@@ -841,7 +835,7 @@ def test_checkpoint_in_the_format_2_layout_fails_loudly(tmp_path):
     arrays = _format_2_arrays(model)
     assert len(arrays) == 17
     np.savez(tmp_path / "format2.npz", **arrays)
-    with pytest.raises(DataError, match="checkpoint format 2, but only format 3"):
+    with pytest.raises(DataError, match=f"checkpoint format 2, but only format {CHECKPOINT_FORMAT}"):
         OnlineSparseSIR.load(tmp_path / "format2.npz")
 
 
@@ -935,13 +929,15 @@ def test_checkpoint_with_an_unknown_config_field_fails_loudly(tmp_path):
         OnlineSparseSIR.load(tmp_path / "broken.npz")
 
 
-@pytest.mark.parametrize("version", [1, 4])
+# 3 is the format before the config lost its two retired fields
+@pytest.mark.parametrize("version", [1, 3, 5])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
     arrays = _saved_arrays(tmp_path)
     arrays["pipe_format"] = np.asarray(version)
-    np.savez(tmp_path / "other.npz", **arrays)
-    with pytest.raises(DataError, match="format"):
-        OnlineSparseSIR.load(tmp_path / "other.npz")
+    path = tmp_path / "other.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: checkpoint format {version},")):
+        OnlineSparseSIR.load(path)
 
 
 def test_checkpoint_in_the_layout_before_format_numbers_fails_loudly(tmp_path):
