@@ -8,10 +8,10 @@ final solve is dense, so the estimate degrades sharply once p approaches the
 sample size.
 
 It shares the sparse estimator's front end (``pipeline.warmup_stages``:
-the slice kernel and the eigen tracker) and its column normalization, and
-differs only in how the directions are read out.  Only the perturbation
-and sgd trackers are offered here, matching the two dense online variants
-used as benchmark opponents.
+the warmup-size rule, the slice kernel and the eigen tracker) and its
+column normalization, and differs only in how the directions are read out.
+Only the perturbation and sgd trackers are offered here, matching the two
+dense online variants used as benchmark opponents.
 """
 
 from __future__ import annotations
@@ -49,14 +49,13 @@ class DenseOnlineSIR:
         n_directions: int = 1,
         tracker: str = "perturbation",
     ) -> "DenseOnlineSIR":
-        """Start from a warmup batch of at least max(n_slices, n_directions, 2)
-        rows, through the sparse estimator's own front end."""
+        """Start from a warmup batch through the sparse estimator's own front
+        end, which also applies its warmup-size rule."""
         if tracker not in ("perturbation", "sgd"):
             raise ConfigurationError(
                 "dense online SIR supports only the perturbation and sgd trackers"
             )
-        config = SIRConfig(n_slices=n_slices, n_directions=n_directions, tracker=tracker,
-                           min_warmup=max(n_slices, 2))
+        config = SIRConfig(n_slices=n_slices, n_directions=n_directions, tracker=tracker)
         X, kernel, eigen = warmup_stages(X, y, config)
         return cls(kernel, eigen, X.T @ X, X.shape[0])
 

@@ -71,7 +71,7 @@ from .truncated import TruncatedGradient
 DEFAULT_WARMUP = 100
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 # A tracked eigenvalue at or below this zeroes its coordinate of the
 # synthetic response instead of dividing by it.
@@ -126,7 +126,8 @@ class SIRConfig:
     ``learning_rate=None`` resolves to min(1e-3, 0.3 / p) at warmup: the
     coefficient recursion stays mean-square stable only for a rate well
     below 1 / trace of the covariate covariance (1/p for unit variances).
-    ``min_warmup=None`` resolves to 5 * n_slices.
+    Each field is set by the command-line flag of the same meaning: --H,
+    --d, --tracker, --gamma, --gravity, --theta and --period.
     """
 
     n_slices: int = 10
@@ -136,24 +137,20 @@ class SIRConfig:
     gravity: float = 0.0
     threshold: float = math.inf
     period: int = 10
-    sgd_rate_constant: float = TrackerConfig.sgd_rate_constant
-    min_warmup: int | None = None
 
     def __post_init__(self):
-        for name in ("n_slices", "n_directions", "period", "min_warmup"):
+        for name in ("n_slices", "n_directions", "period"):
             value = getattr(self, name)
-            if name == "min_warmup" and value is None:
-                continue
             # a stage given 2.5 would run as 2 while the config still says 2.5
             if not (isinstance(value, (int, np.integer)) and value >= 1):
                 raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-        self.tracker_config()  # validates the tracker fields
+        self.tracker_config()  # validates the tracker name
         if self.learning_rate is not None and not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning_rate must lie in (0, 1)")
         _coefficient_stage(self, 1)  # validates gravity, threshold and period
 
     def tracker_config(self) -> TrackerConfig:
-        return TrackerConfig(strategy=self.tracker, sgd_rate_constant=self.sgd_rate_constant)
+        return TrackerConfig(strategy=self.tracker)
 
     def resolve_rate(self, n_features: int) -> float:
         if self.learning_rate is not None:
@@ -345,10 +342,12 @@ class OnlineSparseSIR:
         then filled from the file.  A file of another checkpoint format, a
         missing member, stored config fields that differ from
         ``SIRConfig``'s, a float or integer vector whose dtype or length the
-        config does not imply, a non-finite stored value or a file that does
-        not decode at all (truncated, corrupted) raise ``DataError`` naming
-        the file; members other than the four that ``save`` writes are
-        ignored.  A missing or unreadable file raises ``OSError``.
+        config does not imply, a non-finite stored value, invalid grid cut
+        points, an observation count other than the sum of the slice counts
+        or a file that does not decode at all (truncated, corrupted) raise
+        ``DataError`` naming the file; members other than the four that
+        ``save`` writes are ignored.  A missing or unreadable file raises
+        ``OSError``.
         """
         with open(path, "rb") as handle:
             try:
@@ -393,6 +392,10 @@ class OnlineSparseSIR:
             SliceGrid(model.kernel.grid.cuts)  # the stored cut points must be valid
         except (ConfigurationError, DataError) as exc:
             raise DataError(f"{path}: grid_cuts are invalid: {exc}") from None
+        counted = int(model.kernel.grid.counts.sum())
+        if model.kernel.t != counted:  # every observation lands in one slice
+            raise DataError(f"{path}: kernel_t is {model.kernel.t}, but grid_counts "
+                            f"sum to {counted}")
         return model
 
     @classmethod
@@ -412,12 +415,11 @@ def warmup_stages(X, y, config: SIRConfig) -> tuple[np.ndarray, KernelTracker, E
 
     The batch fixes the slice cut points for the rest of the stream and
     supplies the eigen tracker's starting basis, so it must hold at least
-    max(n_slices, n_directions, min_warmup) observations.
+    max(5 * n_slices, n_directions) observations: five per slice on average.
     """
     X, y = as_rows(X, y, "warmup X")
     n0 = X.shape[0]
-    min_warmup = config.min_warmup if config.min_warmup is not None else 5 * config.n_slices
-    need = max(config.n_slices, config.n_directions, min_warmup)
+    need = max(5 * config.n_slices, config.n_directions)
     if n0 < need:
         raise ConfigurationError(f"warmup batch has {n0} observations, need at least {need}")
     kernel = KernelTracker(SliceGrid.from_warmup(y, config.n_slices), X.shape[1])

@@ -35,14 +35,20 @@ def truncate(v, shrink: float, threshold: float = math.inf):
     For 0 <= v <= threshold returns max(0, v - shrink); for
     -threshold <= v < 0 returns min(0, v + shrink); values beyond the
     threshold in magnitude pass through untouched.  Works elementwise on
-    arrays and preserves scalar inputs.
+    arrays and preserves scalar inputs.  Either bound may be inf; a NaN one
+    raises ``ConfigurationError``, as a negative one does.
     """
-    if shrink < 0:
-        raise ConfigurationError("shrink amount must be non-negative")
-    if threshold < 0:
-        raise ConfigurationError("threshold must be non-negative")
+    _check_non_negative(shrink=shrink, threshold=threshold)
     out, _ = _truncate(np.asarray(v, dtype=float), shrink, threshold)
     return float(out) if np.ndim(v) == 0 else out
+
+
+def _check_non_negative(**values) -> None:
+    """Raise ``ConfigurationError`` for the first value that is negative or
+    NaN; ``not v >= 0`` is true for both, where ``v < 0`` misses NaN."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
 
 
 def _truncate(arr: np.ndarray, shrink: float, threshold: float):
@@ -89,10 +95,7 @@ class TruncatedGradient:
             raise ConfigurationError("need at least one feature and one target")
         if not 0.0 <= rate < 1.0:
             raise ConfigurationError(f"rate must lie in [0, 1), got {rate}")
-        if gravity < 0:
-            raise ConfigurationError("gravity must be non-negative")
-        if threshold < 0:
-            raise ConfigurationError("threshold must be non-negative")
+        _check_non_negative(gravity=gravity, threshold=threshold)
         if period < 1:
             raise ConfigurationError("period must be a positive integer")
         self.n_features = int(n_features)

@@ -77,7 +77,7 @@ def test_criterion_2_trackers_converge_to_batch_eigenvector():
             X, y = sample(SimModelSpec(1, 20), 5000, rng=seed)
             cfg = SIRConfig(
                 n_slices=10, n_directions=1, tracker=strategy,
-                learning_rate=1e-3, gravity=0.0, sgd_rate_constant=20.0,
+                learning_rate=1e-3, gravity=0.0,
             )
             model = fit_online(X, y, cfg, warmup_size=100)
             _, vecs = dense_top_eigen(model.kernel.kernel_matrix(), 1)

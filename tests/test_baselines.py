@@ -43,13 +43,25 @@ def test_dense_and_sparse_warmups_share_the_front_end(tracker):
     assert dense.warmup_size == sparse.warmup_size == 100
 
 
-@pytest.mark.parametrize("n_slices", [2, 4])
-def test_dense_warmup_needs_max_of_slices_and_two_rows(n_slices):
-    X, y = sample(SimModelSpec(1, 8), 10, rng=5)
-    need = max(n_slices, 2)
-    assert DenseOnlineSIR.warmup(X[:need], y[:need], n_slices).warmup_size == need
-    with pytest.raises(ConfigurationError, match=f"need at least {need}"):
-        DenseOnlineSIR.warmup(X[: need - 1], y[: need - 1], n_slices)
+@pytest.mark.parametrize("n_slices, n_directions", [(2, 1), (4, 2)])
+def test_dense_and_sparse_warmups_reject_the_same_batch_sizes(n_slices, n_directions):
+    X, y = sample(SimModelSpec(3, 8), 30, rng=5)
+    config = SIRConfig(n_slices=n_slices, n_directions=n_directions, tracker="sgd")
+    for n in range(1, 30):
+        outcomes = []
+        for warmup in (
+            lambda: DenseOnlineSIR.warmup(X[:n], y[:n], n_slices, n_directions, "sgd"),
+            lambda: OnlineSparseSIR.warmup(X[:n], y[:n], config),
+        ):
+            try:
+                outcomes.append(warmup().warmup_size)
+            except ConfigurationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], n
+        if n < 5 * n_slices:
+            assert f"need at least {5 * n_slices}" in outcomes[0]
+        else:
+            assert outcomes[0] == n
 
 
 def test_directions_match_an_explicit_recomputation():

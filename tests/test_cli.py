@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 try:
@@ -36,6 +37,7 @@ from streamsir import (
     subspace_distance,
     true_betas,
 )
+from streamsir import pipeline
 from streamsir.cli import DEFAULT_GRAVITY, build_parser, main, resolve_methods
 from streamsir.pipeline import DEFAULT_WARMUP
 from streamsir.errors import ConfigurationError
@@ -275,6 +277,18 @@ def test_fit_rejects_checkpoint_every_below_one(tmp_path, capsys, every):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag, field", [("--gravity", "gravity"), ("--theta", "threshold")])
+def test_fit_rejects_nan_truncation_bounds(tmp_path, capsys, flag, field):
+    # a NaN bound used to pass the sign checks and switch truncation off
+    stream = _simulate(tmp_path, n=300, p=4)
+    out_dir = tmp_path / "o"
+    assert main(["fit", "--input", str(stream), "--out", str(out_dir), flag, "nan"]) == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert f"{field} must be non-negative, got nan" in payload["message"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "benchmark", "sweep"])
 @pytest.mark.parametrize("warmup", ["0", "-5"])
 def test_warmup_below_one_is_rejected_before_any_work(tmp_path, capsys, command, warmup):
@@ -385,6 +399,17 @@ def test_benchmark_failed_cells_become_na_rows(tmp_path):
         assert summaries[code]["mean_distance"] == "NA"
         assert summaries[code]["failed"] == "2"
     assert summaries["M7"]["ok"] == "2"
+
+
+def test_benchmark_nan_gravity_fails_every_cell(tmp_path):
+    out_dir = tmp_path / "bench-nan"
+    assert main(["benchmark", "--p", "10", "--n", "300", "--reps", "1",
+                 "--methods", "M3,M6,M7", "--gravity", "nan", "--out", str(out_dir)]) == 0
+    rows = _read_dicts(out_dir / "results.csv")
+    assert len(rows) == 3
+    for r in rows:
+        assert r["distance"] == "NA"
+        assert r["error"] == "ConfigurationError: gravity must be non-negative, got nan"
 
 
 def test_benchmark_has_no_tracker_flag(tmp_path, capsys):
@@ -537,6 +562,8 @@ def test_sweep_rejects_nonpositive_learning_rate(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, field", [
     ("--gravity-grid", "0.0003,-1", "gravity"),
     ("--theta-grid", "-1", "threshold"),
+    ("--gravity-grid", "nan", "gravity"),
+    ("--theta-grid", "1,nan", "threshold"),
     ("--period", "0", "period"),
 ])
 def test_sweep_builds_every_cell_config_before_sampling(tmp_path, capsys, monkeypatch,
@@ -585,6 +612,40 @@ def test_shared_flags_take_one_set_of_defaults():
     assert sweep.gamma_grid is None
     assert float(sweep.gravity_grid) == DEFAULT_GRAVITY
     assert float(sweep.theta_grid) == SIRConfig.threshold
+
+
+def test_every_config_field_is_set_by_a_flag(tmp_path, monkeypatch):
+    # a SIRConfig field that no fit, benchmark or sweep flag sets would be
+    # an option that only code can reach; each command here passes every
+    # flag it has a value other than SIRConfig's default, and every field
+    # must move off its default in the config the command warms up with
+    seen = []
+    original = pipeline.warmup_stages
+
+    def recording(X, y, config):
+        seen.append(config)
+        return original(X, y, config)
+
+    monkeypatch.setattr(pipeline, "warmup_stages", recording)
+    shared = ["--H", "4", "--d", "2", "--period", "3", "--warmup", "60"]
+    truncation = ["--gamma", "0.002", "--gravity", "1e-5", "--theta", "5"]
+    data = ["--model", "3", "--p", "8", "--n", "200"]
+    stream = _simulate(tmp_path, model=3, p=8, n=200)
+    assert main(["fit", "--input", str(stream), "--tracker", "sgd", *shared, *truncation,
+                 "--out", str(tmp_path / "fit")]) == 0
+    assert main(["benchmark", "--methods", "M2", "--reps", "1", *data, *shared, *truncation,
+                 "--out", str(tmp_path / "bench")]) == 0
+    assert _read_dicts(tmp_path / "bench" / "results.csv")[0]["error"] == ""
+    assert main(["sweep", "--tracker", "sgd", *data, *shared, "--gamma-grid", "0.002",
+                 "--gravity-grid", "1e-5", "--theta-grid", "5",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    expected = SIRConfig(n_slices=4, n_directions=2, tracker="sgd", learning_rate=0.002,
+                         gravity=1e-5, threshold=5.0, period=3)
+    assert seen == [expected] * 3
+    default = SIRConfig()
+    unset = [f.name for f in fields(SIRConfig)
+             if getattr(expected, f.name) == getattr(default, f.name)]
+    assert unset == []
 
 
 def test_usage_errors_exit_two(capsys):

@@ -90,8 +90,6 @@ def test_init_validation():
 def test_tracker_config_validation():
     with pytest.raises(ConfigurationError):
         TrackerConfig(strategy="power-iteration")
-    with pytest.raises(ConfigurationError):
-        TrackerConfig(strategy="sgd", sgd_rate_constant=0.0)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -295,7 +293,7 @@ def _assert_matches_the_reference(stream):
 def test_perturbation_matches_the_eigh_reference_on_criterion_2_streams():
     cfg = SIRConfig(
         n_slices=10, n_directions=1, tracker="perturbation",
-        learning_rate=1e-3, gravity=0.0, sgd_rate_constant=20.0,
+        learning_rate=1e-3, gravity=0.0,
     )
     for seed in range(10):
         X, y = sample(SimModelSpec(1, 20), 5000, rng=seed)

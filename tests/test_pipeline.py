@@ -73,11 +73,10 @@ def test_warmup_rejects_small_batches():
     X, y = _model_one()
     with pytest.raises(ConfigurationError):
         OnlineSparseSIR.warmup(X[:8], y[:8], SIRConfig(n_slices=10))
-    # an explicit floor overrides the 5H default
-    cfg = SIRConfig(n_slices=5, min_warmup=12)
-    OnlineSparseSIR.warmup(X[:12], y[:12], cfg)
-    with pytest.raises(ConfigurationError):
-        OnlineSparseSIR.warmup(X[:11], y[:11], cfg)
+    # five rows per slice on average
+    assert OnlineSparseSIR.warmup(X[:25], y[:25], SIRConfig(n_slices=5)).warmup_size == 25
+    with pytest.raises(ConfigurationError, match="need at least 25"):
+        OnlineSparseSIR.warmup(X[:24], y[:24], SIRConfig(n_slices=5))
 
 
 def test_constant_covariates_cannot_seed_the_tracker():
@@ -101,20 +100,22 @@ def test_config_validation():
         SIRConfig(tracker="newton")
     with pytest.raises(ConfigurationError):
         SIRConfig(learning_rate=1.5)
-    # tracker fields fail when the config is built, not later at warmup
-    with pytest.raises(ConfigurationError):
-        SIRConfig(sgd_rate_constant=0)
-    # and so do the coefficient stage's fields, through its own checks
+    # the coefficient stage's fields fail when the config is built, not
+    # later at warmup, through the stage's own checks
     with pytest.raises(ConfigurationError, match="period"):
         SIRConfig(period=0)
     with pytest.raises(ConfigurationError, match="gravity"):
         SIRConfig(gravity=-1.0)
     with pytest.raises(ConfigurationError, match="threshold"):
         SIRConfig(threshold=-1.0)
+    for field in ("gravity", "threshold"):
+        with pytest.raises(ConfigurationError, match=f"{field} must be non-negative, got nan"):
+            SIRConfig(**{field: math.nan})
+        assert getattr(SIRConfig(**{field: math.inf}), field) == math.inf
     assert SIRConfig(learning_rate=None).resolve_rate(25) == 1e-3
 
 
-@pytest.mark.parametrize("field", ["n_slices", "n_directions", "period", "min_warmup"])
+@pytest.mark.parametrize("field", ["n_slices", "n_directions", "period"])
 def test_integer_config_fields_reject_non_integers(field):
     # a stage would run with int(2.5) = 2 while the config says 2.5
     with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer, got 2.5"):
@@ -781,7 +782,7 @@ def test_loaded_sums_are_views_of_one_block(tmp_path):
 def test_checkpoint_stores_the_config_once(tmp_path):
     model, arrays = _saved(tmp_path, "ccipca")
     assert sorted(arrays) == ["pipe_config", "pipe_floats", "pipe_format", "pipe_ints"]
-    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 4
+    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 5
     assert arrays["pipe_floats"].dtype == np.float64 and arrays["pipe_ints"].dtype == np.int64
     assert arrays["pipe_ints"][0] == model.n_features
 
@@ -929,8 +930,23 @@ def test_checkpoint_with_an_unknown_config_field_fails_loudly(tmp_path):
         OnlineSparseSIR.load(tmp_path / "broken.npz")
 
 
-# 3 is the format before the config lost its two retired fields
-@pytest.mark.parametrize("version", [1, 3, 5])
+def test_checkpoint_whose_count_disagrees_with_its_slices_fails_loudly(tmp_path):
+    # pipe_ints is [p, kernel_t, grid_counts, ...]: a t that is not the sum
+    # of the slice counts would load and bias every later kernel update
+    model, arrays = _saved(tmp_path, "ccipca")
+    H = model.config.n_slices
+    np.testing.assert_array_equal(arrays["pipe_ints"][1:H + 2],
+                                  [model.t, *model.kernel.grid.counts])
+    arrays["pipe_ints"][1] += 50
+    path = tmp_path / "broken.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: kernel_t is {model.t + 50}, but grid_counts sum to {model.t}")):
+        OnlineSparseSIR.load(path)
+
+
+# 3 and 4 are the formats before the config lost its retired fields
+@pytest.mark.parametrize("version", [1, 3, 4, 6])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
     arrays = _saved_arrays(tmp_path)
     arrays["pipe_format"] = np.asarray(version)
@@ -963,7 +979,7 @@ def test_damaged_checkpoint_loads_the_same_state_or_fails_loudly(tmp_path):
     # DataError naming the file; damage to bytes nobody reads (such as a zip
     # timestamp) loads the same state, and none loads a different one
     X, y = sample(SimModelSpec(1, 4), 60, rng=3)
-    model = fit_online(X, y, SIRConfig(n_slices=3, min_warmup=30), warmup_size=30)
+    model = fit_online(X, y, SIRConfig(n_slices=3), warmup_size=30)
     good = tmp_path / "good.npz"
     model.save(good)
     data = good.read_bytes()

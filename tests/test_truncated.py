@@ -43,6 +43,13 @@ def test_truncate_rejects_negative_parameters():
         truncate(1.0, -0.1)
     with pytest.raises(ConfigurationError):
         truncate(1.0, 0.1, -1.0)
+    # NaN < 0 is false, so a sign test alone would let NaN through
+    with pytest.raises(ConfigurationError, match="shrink must be non-negative, got nan"):
+        truncate(1.0, math.nan)
+    with pytest.raises(ConfigurationError, match="threshold must be non-negative, got nan"):
+        truncate(1.0, 0.1, math.nan)
+    assert truncate(3.0, math.inf) == 0.0  # infinite bounds stay valid
+    assert truncate(-3.0, 1.0, math.inf) == -2.0
 
 
 @given(
@@ -154,6 +161,11 @@ def test_constructor_validation():
         TruncatedGradient(3, 1, rate=0.1, period=0)
     with pytest.raises(ConfigurationError):
         TruncatedGradient(3, 1, rate=0.1, threshold=-2.0)
+    for field in ("gravity", "threshold"):
+        # a NaN gravity would pass a sign test and make every truncation a no-op
+        with pytest.raises(ConfigurationError, match=f"{field} must be non-negative, got nan"):
+            TruncatedGradient(3, 1, rate=0.1, **{field: math.nan})
+        assert getattr(TruncatedGradient(3, 1, rate=0.1, **{field: math.inf}), field) == math.inf
 
 
 def test_update_validation():
