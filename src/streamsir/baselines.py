@@ -67,7 +67,7 @@ class DenseOnlineSIR:
         x, h = self.kernel.check(x, y)
         self.kernel.absorb(x, h)
         self.eigen.advance(self.kernel, self.kernel.factor(), y)
-        self.xx_sum += np.outer(x, x)
+        self.xx_sum += np.einsum("i,j->ij", x, x)  # np.outer's products, faster
         return self
 
     def directions(self) -> np.ndarray:

@@ -10,10 +10,11 @@ the perturbation strategy alone, the dense matrix):
 * ``perturbation``  first-order eigenpair correction around the running
                     average of kernel matrices.  O(p^3) per step: one
                     ``eigh`` of the average, or, for one direction at
-                    p >= 40, no eigendecomposition: one p x p solve and
-                    one Cholesky factorization that proves which shift
-                    is resonant, plus one or two solves of Rayleigh
-                    quotient iteration when the pair is; kept as the
+                    p >= 40, no eigendecomposition: one p x p solve, plus
+                    one or two solves of Rayleigh quotient iteration when
+                    the pair is resonant, and a Cholesky factorization
+                    only where the eigenvalue bounds carried between
+                    steps no longer prove which shift is; kept as the
                     accuracy yardstick at small p.
 * ``sgd``           stochastic gradient ascent on the Rayleigh quotient
                     with a first-order deflation term; periodic
@@ -77,6 +78,20 @@ _RAYLEIGH_SOLVES = 4
 # The perturbation step's solves replace its eigh for one direction from
 # this many features on (see ``_solves_pay``).
 _SOLVE_MIN_P = 40
+# A Cholesky certificate of the perturbation solves first tries to prove its
+# bound this fraction of (level - floor) below the level the step needs, so
+# that the bound it leaves stays under the next steps' levels while Weyl's
+# inequality loosens it; where that fails, the second factorization proves
+# the level itself.  Factorizations per step (dense baseline, d = 1, H = 10,
+# 100 warmup rows), at margins 0.05 / 0.1 / 0.15 / 0.25: 0.06 / 0.035 /
+# 0.03-0.09 / 0.02-0.38 on three model-1 streams at p = 100 and 0.07 / 0.13
+# / 0.20 / 0.57 on model 3, whose second eigenvalue nears the first; 57 / 29
+# / 20 of 800 steps at 0.05 / 0.1 / 0.15 and 356 at 0.2 on criterion 4's
+# first p = 500 stream.  Over criterion 4's ten streams 0.1 takes 1898 in
+# 8000 steps: about 30 on seven, and 482, 548 and 657 on the three whose
+# second eigenvalue starts above 0.9 of the first, where every renewal
+# takes both factorizations and holds for a step or two.
+_CERTIFICATE_MARGIN = 0.1
 # The sgd step replaces its first-order deflation by an exact Gram-Schmidt
 # pass every this many steps.
 _ORTHONORMALIZE_EVERY = 50
@@ -108,6 +123,9 @@ class EigenTracker:
         the norm of column j doubles as its eigenvalue estimate.
     averaged_kernel : (p, p) running mean of dense kernel matrices
         (perturbation only; zeros until ``from_kernel`` sets it).
+    top_bound, second_bound : upper bounds on the largest and the
+        second-largest eigenvalue of ``averaged_kernel`` (perturbation only;
+        +inf until a certificate of the solves proves one).
     slice_y_sum, slice_y_count : (H,) response sum and count per slice, whose
         ratio picks the slice of each observation (ipca only; allocated
         when ``n_slices`` is given).
@@ -133,7 +151,9 @@ class EigenTracker:
             else None
         )
         p = self.vectors.shape[0]
-        self.averaged_kernel = np.zeros((p, p)) if config.strategy == "perturbation" else None
+        perturbation = config.strategy == "perturbation"
+        self.averaged_kernel = np.zeros((p, p)) if perturbation else None
+        self.top_bound = self.second_bound = math.inf if perturbation else None
         if config.strategy == "ipca" and n_slices is not None:
             self.slice_y_sum = np.zeros(n_slices)
             self.slice_y_count = np.zeros(n_slices, dtype=np.int64)
@@ -151,7 +171,8 @@ class EigenTracker:
         The top-d eigenpairs of (1/H) C C' are read off the thin SVD of the
         p x H factor C, so no p x p matrix is formed unless the strategy
         itself requires one: perturbation's running average starts at the
-        dense kernel.  The ipca strategy starts its per-slice response sums
+        dense kernel, with its eigenvalue bounds at +inf.  The ipca strategy
+        starts its per-slice response sums
         from the warmup responses ``y``; without them every slice starts
         empty and its step raises ``DataError``.
         """
@@ -296,32 +317,45 @@ class EigenTracker:
         as singular and dropped, which covers the tracked pair's own
         direction once it has converged.  Where ``_solves_pay`` (one
         direction, p >= 40), the pseudo-inverse is applied by solves
-        (``_shift_solves``): one solve, one Cholesky factorization that
-        certifies which shift is resonant, and, when the pair is, one or
-        two solves of Rayleigh quotient iteration.  Otherwise, and in the
-        cases the certificate cannot settle, it comes from one
-        eigendecomposition of A (``_eigh_shift_inverse``).  State changes
-        only after every product is formed, so an error leaves the tracker
-        as it was.
+        (``_shift_solves``): one solve and, when the pair is resonant, one
+        or two solves of Rayleigh quotient iteration, with which shift is
+        resonant proved by ``top_bound`` and ``second_bound`` or, when they
+        are too loose, by a Cholesky factorization that renews them.
+        Otherwise, and in the cases the solves cannot settle, it comes from
+        one eigendecomposition of A (``_eigh_shift_inverse``).  A moves by
+        rate (A - K), so by Weyl's inequality each bound grows by its
+        Frobenius norm, plus a slack for the rounding of the update.  State
+        changes only after every product is formed, so an error leaves the
+        tracker as it was.
         """
-        gap = self.averaged_kernel - np.asarray(kernel_dense, dtype=float)
+        average = self.averaged_kernel
+        gap = average - np.asarray(kernel_dense, dtype=float)
         rate = 1.0 / (t + 1.0)
         gv = gap @ self.vectors  # (p, d)
         new_values = self.values - rate * np.einsum("ij,ij->j", self.vectors, gv)
-        deltas = None
+        bounds = (self.top_bound, self.second_bound)
+        solved = None
         if _solves_pay(*self.vectors.shape):
-            deltas = _shift_solves(self.averaged_kernel, self.values, self.vectors, gv)
-        if deltas is None:
-            deltas = _eigh_shift_inverse(self.averaged_kernel, self.values, gv)
+            solved = _shift_solves(average, self.values, self.vectors, gv, bounds)
+        if solved is None:
+            deltas = _eigh_shift_inverse(average, self.values, gv)
+        else:
+            deltas, bounds = solved
         new_vectors = np.empty_like(self.vectors)
         for j in range(self.n_directions):
             v = self.vectors[:, j] - rate * deltas[:, j]
-            norm = float(np.linalg.norm(v))
+            norm = math.sqrt(v.dot(v))
             new_vectors[:, j] = v / norm if norm > _NORM_FLOOR else self.vectors[:, j]
         gap *= rate
+        flat = gap.ravel()
+        drift = math.sqrt(flat.dot(flat))  # |rate (A - K)|_F
         self.values = new_values
         self.vectors = new_vectors
-        self.averaged_kernel -= gap
+        average -= gap
+        p = average.shape[0]
+        drift += p * _EPS * (p * drift + float(average.trace()))
+        self.top_bound = float(bounds[0] + drift)
+        self.second_bound = float(bounds[1] + drift)
         self.step += 1
 
     def sgd_step(self, factor, t: int) -> None:
@@ -437,9 +471,11 @@ def _eigh_shift_inverse(average, values, gv) -> np.ndarray:
     return deltas
 
 
-def _shift_solves(average, values, vectors, gv) -> np.ndarray | None:
+def _shift_solves(average, values, vectors, gv, bounds):
     """``_eigh_shift_inverse`` by linear solves and no eigendecomposition:
     which shift is resonant is proved instead of read off the spectrum.
+    ``bounds`` are upper bounds on the largest and the second-largest
+    eigenvalue of A, carried from step to step.
 
     For a unit q with Rayleigh quotient mu = q'Aq and residual r = Aq - mu q,
     A has an eigenvalue within |r| of mu (Parlett 1998).  The average is a
@@ -447,11 +483,18 @@ def _shift_solves(average, values, vectors, gv) -> np.ndarray | None:
     smallest is at most min_i A_ii.  Once mu's eigenvalue is known to be the
     top one, or every eigenvalue to lie below lam, these bound the cut-off C
     (``_PINV_CUTOFF`` times the largest |lam - eigenvalue|) above by ``cut``
-    and below.  One Cholesky factorization proves the rest: A is
-    (b - cut) I - F + c qq' for F = (b - cut) I - A + c qq', so when F is
-    positive definite and c >= 0, Cauchy interlacing puts every eigenvalue
-    of A but the top one below b - cut, and with c = 0 every one, however
-    rough q is.  For lam = values[j], from the tracked vector:
+    and below.  What remains is a claim for a level b - cut: with c > 0,
+    that every eigenvalue of A but the top one lies below it, and with
+    c = 0 that every one does.  A carried bound below the level, on the
+    second eigenvalue or on the first, proves the claim outright.
+    Otherwise one Cholesky factorization does: A is (b - cut) I - F + c qq'
+    for F = (b - cut) I - A + c qq', so when F is positive definite,
+    Cauchy interlacing puts every eigenvalue of A but the top one below
+    b - cut, and with c = 0 every one, however rough q is.  The
+    factorization first tries a level ``_CERTIFICATE_MARGIN`` of the way
+    down to the floor, then b - cut (``_proved_level``); the level it
+    proves bounds the second eigenvalue, and that level plus c the first.
+    For lam = values[j], from the tracked vector:
 
     * lam more than the cut-off from mu's eigenvalue (|lam - mu| - |r| >
       cut; b = lam, c = mu above lam and 0 below): no shift is resonant,
@@ -467,16 +510,17 @@ def _shift_solves(average, values, vectors, gv) -> np.ndarray | None:
       shift, on the right-hand side with q projected off, projected off
       again, applies the pseudo-inverse that drops it (Stewart & Sun 1990).
 
-    Returns None, leaving the step to the eigendecomposition, in every case
-    this does not settle: a failed certificate (an eigenvalue other than the
-    top one within the cut-off of lam or of mu, as for a second direction),
-    an iteration short of the tolerance after ``_RAYLEIGH_SOLVES`` solves or
-    drawn to another eigenpair, a top shift whose resonance the bounds leave
-    open, or a singular solve.
+    Returns ``(deltas, bounds)``, the bounds as tightened by this call's
+    factorizations, or None, leaving the step to the eigendecomposition, in
+    every case this does not settle: a failed certificate (an eigenvalue
+    other than the top one within the cut-off of lam or of mu, as for a
+    second direction), an iteration short of the tolerance after
+    ``_RAYLEIGH_SOLVES`` solves or drawn to another eigenpair, a top shift
+    whose resonance the bounds leave open, or a singular solve.
     """
     p = average.shape[0]
-    floor = -p * _EPS * float(np.trace(average))  # below every eigenvalue
-    ceiling = float(average.diagonal().min())  # at or above the smallest
+    floor = -p * _EPS * float(average.trace())  # below every eigenvalue
+    top, second = bounds
     deltas = np.empty_like(gv)
     try:
         for j in range(values.size):
@@ -491,54 +535,86 @@ def _shift_solves(average, values, vectors, gv) -> np.ndarray | None:
                 if solves == _RAYLEIGH_SOLVES:
                     return None
                 iterate = average.copy()
-                iterate.flat[:: p + 1] -= mu + _SHIFT_NUDGE * width
+                _diagonal(iterate)[:] -= mu + _SHIFT_NUDGE * width
                 mu, q, res = _rayleigh(average, np.linalg.solve(iterate, q))
                 solves += 1
             g = gv[:, j]
             # the top shift is resonant once the largest shift is this or more
             reach = (abs(lam - mu) + res) / _PINV_CUTOFF
             if abs(mu - lam) - res > cut:
-                bound = lam
+                bound, c = lam, mu if mu > lam else 0.0
                 shifted = np.negative(average)
-                shifted.flat[:: p + 1] += lam
+                _diagonal(shifted)[:] += lam
                 deltas[:, j] = np.linalg.solve(shifted, g)
-                if mu > lam:  # else c = 0 proves every eigenvalue below
-                    shifted += np.multiply.outer(q, mu * q)
-            elif reach <= max(lam - ceiling, mu - res - lam) or _has_eigenvalue_below(
-                average, lam - reach
+                missing = c  # the certificate's qq' term, which the solve lacks
+            # min_i A_ii is at or above the smallest eigenvalue
+            elif reach <= max(lam - average.diagonal().min(), mu - res - lam) or (
+                _has_eigenvalue_below(average, lam - reach)
             ):
-                bound = min(lam, mu)
+                bound, c, missing = min(lam, mu), width, 0.0
                 shifted = np.multiply.outer(q, width * q)
                 shifted -= average
-                shifted.flat[:: p + 1] += lam
+                _diagonal(shifted)[:] += lam
                 delta = np.linalg.solve(shifted, g - q * q.dot(g))
                 delta -= q * q.dot(delta)
                 deltas[:, j] = delta
             else:
                 return None
-            # the certificate: (bound - cut) I - A plus a PSD multiple of qq'
-            shifted.flat[:: p + 1] -= lam - bound + cut
-            np.linalg.cholesky(shifted)
+            level = bound - cut
+            if (second if c > 0.0 else top) < level:
+                continue  # the carried bound proves the claim
+            if missing:
+                shifted += np.multiply.outer(q, missing * q)
+            proved = _proved_level(shifted, lam, level, floor)
+            if proved is None:
+                return None
+            second = min(second, proved)
+            top = min(top, proved + max(c, 0.0))
     except np.linalg.LinAlgError:
         return None
-    return deltas
+    return deltas, (top, second)
+
+
+def _proved_level(shifted, lam: float, level: float, floor: float) -> float | None:
+    """The certificate of ``_shift_solves``: ``shifted`` is lam I - A + c qq',
+    and a Cholesky factorization proves s I - A + c qq' positive definite,
+    first for s = ``level`` less ``_CERTIFICATE_MARGIN`` of (``level`` -
+    ``floor``), then for s = ``level``.  Returns the s proved, or None when
+    neither factorization succeeds."""
+    diagonal = _diagonal(shifted)
+    base = diagonal.copy()
+    for proved in (level - _CERTIFICATE_MARGIN * (level - floor), level):
+        np.subtract(base, lam - proved, out=diagonal)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        return proved
+    return None
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of the contiguous square ``a``, as
+    every matrix this module builds is; ``a.flat[:: p + 1]`` indexes
+    instead of slicing, at twice the cost."""
+    return a.ravel(order="K")[:: a.shape[0] + 1]
 
 
 def _rayleigh(average, x) -> tuple[float, np.ndarray, float]:
     """``(mu, q, |r|)``: the Rayleigh quotient mu of the unit q along x, and
     the norm of the residual r = Aq - mu q."""
-    q = x / np.linalg.norm(x)
+    q = x / math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic, without its wrapper
     aq = average @ q
     mu = float(q.dot(aq))
     aq -= mu * q
-    return mu, q, float(np.linalg.norm(aq))
+    return mu, q, math.sqrt(aq.dot(aq))
 
 
 def _has_eigenvalue_below(average, level: float) -> bool:
     """Whether the average has an eigenvalue below ``level``: whether a
     Cholesky factorization of A - level I fails."""
     shifted = average.copy()
-    shifted.flat[:: shifted.shape[0] + 1] -= level
+    _diagonal(shifted)[:] -= level
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -296,11 +296,12 @@ class KernelTracker:
         return np.asarray(self.factor())
 
     def kernel_matrix(self) -> np.ndarray:
-        """Dense p x p slice kernel: (1/H) sum_h c_h c_h^T, exactly symmetric."""
+        """Dense p x p slice kernel: (1/H) sum_h c_h c_h^T, exactly symmetric.
+        The 1/H is applied as 1/sqrt(H) to the p x H factor, H/p of the work
+        of dividing the p x p product."""
         if self.t == 0:
             raise EmptyStateError("kernel matrix requested before any observation")
         c = self.slice_cov
         self.dense_builds += 1
-        k = c @ c.T  # numpy forms this product with syrk: exactly symmetric
-        k /= self.grid.n_slices
-        return k
+        c *= 1.0 / math.sqrt(self.grid.n_slices)
+        return c @ c.T  # numpy forms this product with syrk: exactly symmetric

@@ -71,7 +71,7 @@ from .truncated import TruncatedGradient
 DEFAULT_WARMUP = 100
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
-CHECKPOINT_FORMAT = 5
+CHECKPOINT_FORMAT = 6
 
 # A tracked eigenvalue at or below this zeroes its coordinate of the
 # synthetic response instead of dividing by it.
@@ -93,17 +93,22 @@ _UNDECODABLE = (
 # npz member costs its own zip entry and .npy header, which is why the state
 # is packed instead of stored one array per attribute.  An attribute that is
 # None for the configured tracker is neither written nor read; "<stage>_<attr>"
-# names an entry in error messages.
+# names an entry in error messages.  Every stored float is finite except the
+# perturbation tracker's eigenvalue bounds (``_MAY_BE_UNBOUNDED``), which are
+# +inf until the tracker first proves them.
 CHECKPOINT_LAYOUT = {
     "kernel": ("t", "block"),
     "grid": ("cuts", "counts"),
     "eigen": (
         "values", "vectors", "step", "reinit_count", "raw_vectors",
-        "averaged_kernel", "slice_y_sum", "slice_y_count",
+        "averaged_kernel", "top_bound", "second_bound", "slice_y_sum", "slice_y_count",
     ),
     "coef": ("betas", "step", "truncation_zeros"),
     "pipe": ("warmup_size", "degenerate_responses"),
 }
+
+
+_MAY_BE_UNBOUNDED = ("eigen_top_bound", "eigen_second_bound")
 
 
 def _coefficient_stage(config: SIRConfig, p: int) -> TruncatedGradient:
@@ -312,10 +317,8 @@ class OnlineSparseSIR:
             packed = floats if _member(value) == "pipe_floats" else ints
             packed.append(np.ravel(value, order="F"))
         floats = np.concatenate(floats, dtype=np.float64)
-        if not all_finite(floats):
-            raise ConvergenceError(
-                f"{path}: not written, {_first_non_finite(entries)} is not finite"
-            )
+        if not all_finite(floats) and (bad := _first_non_finite(entries)):
+            raise ConvergenceError(f"{path}: not written, {bad} is not finite")
         arrays = {
             "pipe_format": np.asarray(CHECKPOINT_FORMAT),
             "pipe_config": np.asarray(json.dumps(asdict(self.config))),
@@ -342,9 +345,10 @@ class OnlineSparseSIR:
         then filled from the file.  A file of another checkpoint format, a
         missing member, stored config fields that differ from
         ``SIRConfig``'s, a float or integer vector whose dtype or length the
-        config does not imply, a non-finite stored value, invalid grid cut
-        points, an observation count other than the sum of the slice counts
-        or a file that does not decode at all (truncated, corrupted) raise
+        config does not imply, a non-finite stored value (an unproved
+        eigenvalue bound may be +inf), invalid grid cut points, a negative
+        slice count, an observation count other than the sum of the slice
+        counts or a file that does not decode at all (truncated, corrupted) raise
         ``DataError`` naming the file; members other than the four that
         ``save`` writes are ignored.  A missing or unreadable file raises
         ``OSError``.
@@ -386,13 +390,17 @@ class OnlineSparseSIR:
         model = cls._empty(config, p)
         entries = list(model._checkpointed())
         _unpack(path, entries, {"pipe_floats": floats, "pipe_ints": ints})
-        if not all_finite(floats):
-            raise DataError(f"{path}: {_first_non_finite(entries)} holds a non-finite value")
+        # the entries' scalars are the zeroed ones; read the loaded state again
+        if not all_finite(floats) and (bad := _first_non_finite(model._checkpointed())):
+            raise DataError(f"{path}: {bad} holds a non-finite value")
         try:
             SliceGrid(model.kernel.grid.cuts)  # the stored cut points must be valid
         except (ConfigurationError, DataError) as exc:
             raise DataError(f"{path}: grid_cuts are invalid: {exc}") from None
-        counted = int(model.kernel.grid.counts.sum())
+        counts = model.kernel.grid.counts
+        if counts.min() < 0:
+            raise DataError(f"{path}: grid_counts hold a negative count, {counts.tolist()}")
+        counted = int(counts.sum())
         if model.kernel.t != counted:  # every observation lands in one slice
             raise DataError(f"{path}: kernel_t is {model.kernel.t}, but grid_counts "
                             f"sum to {counted}")
@@ -441,11 +449,16 @@ def _member(value) -> str:
     return "pipe_floats" if np.asarray(value).dtype.kind == "f" else "pipe_ints"
 
 
-def _first_non_finite(entries) -> str:
+def _first_non_finite(entries) -> str | None:
     """Name of the first float entry of ``entries`` (as ``_checkpointed``
-    yields them) that holds a non-finite value."""
-    return next(name for name, _, _, value in entries
-                if _member(value) == "pipe_floats" and not np.isfinite(value).all())
+    yields them) that holds a non-finite value other than the +inf of a
+    bound in ``_MAY_BE_UNBOUNDED``; None when there is none."""
+    for name, _, _, value in entries:
+        if _member(value) != "pipe_floats" or (name in _MAY_BE_UNBOUNDED and value == math.inf):
+            continue
+        if not np.isfinite(value).all():
+            return name
+    return None
 
 
 def _unpack(path, entries, vectors: dict) -> None:

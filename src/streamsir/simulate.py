@@ -43,8 +43,8 @@ class SimModelSpec:
             )
         if not -1.0 < self.rho < 1.0:
             raise ConfigurationError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.noise_sd < 0:
-            raise ConfigurationError("noise_sd must be non-negative")
+        if not self.noise_sd >= 0:  # a NaN fails too
+            raise ConfigurationError(f"noise_sd must be non-negative, got {self.noise_sd}")
 
     @property
     def n_directions(self) -> int:

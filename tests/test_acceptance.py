@@ -1,4 +1,5 @@
-"""Acceptance gate: eight end-to-end checks with pinned bounds.
+"""Acceptance gate: eight end-to-end checks with pinned bounds, and a
+long-stream check.
 
 Each test prints one greppable verdict line with the measured numbers
 next to the bound they are held to. Runtime budgets are asserted
@@ -17,6 +18,7 @@ from streamsir import (
     SimModelSpec,
     batch_sir,
     fit_online,
+    fit_stream,
     sample,
     subspace_distance,
     true_betas,
@@ -188,6 +190,39 @@ def test_criterion_4_batch_sir_collapse():
     assert _verdict(
         4, ok,
         f"batch SIR mean distance {mean:.4f}, clause requires > 0.5",
+    )
+
+
+# -- long streams: the estimate holds after the criteria's 1000 rows ---------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the synthetic response divides its target by t, so truncation's "
+    "fixed penalty grows like t against it and zeroes the coefficients by "
+    "5k rows (model 1 reads 0.000 at 2k and 0.93 at 20k); fixed by the 1/t-free "
+    "Lasso-SIR target with an averaged read-out",
+)
+def test_long_stream_keeps_its_estimate():
+    start = time.perf_counter()
+    distances = {}
+    for model_id in (1, 2):
+        spec = SimModelSpec(model_id, 100)
+        X, y = sample(spec, 20000, rng=0)
+        cfg = SIRConfig(n_slices=10, gravity=3e-4)
+        model = fit_online(X[:2000], y[:2000], cfg, warmup_size=200)
+        early = subspace_distance(true_betas(spec), model.directions())
+        fit_stream(model, X[2000:], y[2000:])
+        late = subspace_distance(true_betas(spec), model.directions())
+        distances[model_id] = (early, late)
+    took = time.perf_counter() - start
+    ok = all(late <= 0.05 and late <= early for early, late in distances.values())
+    detail = ", ".join(f"model {m}: {e:.3f} at 2k, {v:.3f} at 20k"
+                       for m, (e, v) in distances.items())
+    assert _verdict(
+        "long stream", ok,
+        f"p=100 distance (bounds 0.05 at 20k and no worse than at 2k): {detail}; "
+        f"{took:.1f}s",
     )
 
 

@@ -91,6 +91,18 @@ def test_simulate_seed_controls_output(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_simulate_rejects_a_nan_noise_sd(tmp_path, capsys):
+    # a NaN noise level used to pass the sign check and write NaN responses
+    out = tmp_path / "stream.csv"
+    argv = ["simulate", "--model", "1", "--p", "4", "--n", "5", "--noise-sd", "nan",
+            "--out", str(out)]
+    assert main(argv) == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert "noise_sd must be non-negative, got nan" in payload["message"]
+    assert not out.exists()
+
+
 # -- fit ----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Online eigen-trackers against dense-solver oracles."""
 
 import copy
+import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -97,8 +98,10 @@ def test_the_constructor_allocates_the_strategy_state(strategy):
     tracker = EigenTracker(np.ones(1), np.eye(3)[:, :1], _cfg(strategy))
     if strategy == "perturbation":
         assert tracker.averaged_kernel.shape == (3, 3) and not tracker.averaged_kernel.any()
+        assert tracker.top_bound == tracker.second_bound == math.inf
     else:
         assert tracker.averaged_kernel is None
+        assert tracker.top_bound is tracker.second_bound is None
 
 
 def test_from_kernel_starts_perturbation_at_the_dense_kernel():
@@ -109,6 +112,7 @@ def test_from_kernel_starts_perturbation_at_the_dense_kernel():
     tracker = EigenTracker.from_kernel(kernel, 1, _cfg("perturbation"))
     assert tracker.averaged_kernel.tobytes() == kernel.kernel_matrix().tobytes()
     assert kernel.dense_builds == 2  # one by from_kernel, one above
+    assert tracker.top_bound == tracker.second_bound == math.inf  # nothing proved yet
 
 
 # -- ccipca ------------------------------------------------------------
@@ -444,7 +448,10 @@ def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
     kernel_dense = average + 0.01 * (noise + noise.T)
     gv = (average - kernel_dense) @ tracker.vectors
 
-    settled = eigen_module._shift_solves(average, tracker.values, tracker.vectors, gv) is not None
+    unbounded = (math.inf, math.inf)
+    settled = eigen_module._shift_solves(
+        average, tracker.values, tracker.vectors, gv, unbounded
+    ) is not None
     if null and place == "top" and start == "near" and not 0.9 <= abs(offset) <= 1.1:
         # clear of the cut-off, the top pair settles; the bounds on the
         # cut-off are tight when the smallest eigenvalue is 0, as a slice
@@ -529,9 +536,83 @@ def test_perturbation_step_that_raises_leaves_the_tracker_unchanged(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", unconverged)
     with pytest.raises(np.linalg.LinAlgError):
         tracker.perturbation_step(kernel.kernel_matrix(), kernel.t - 1)
-    for name in ("values", "vectors", "averaged_kernel"):
+    for name in ("values", "vectors", "averaged_kernel", "top_bound", "second_bound"):
         np.testing.assert_array_equal(getattr(tracker, name), getattr(before, name), err_msg=name)
     assert tracker.step == before.step
+
+
+# -- perturbation: the eigenvalue bounds carried between steps ---------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(3, 60), planted=st.booleans())
+def test_carried_bounds_stay_above_the_eigenvalues_they_bound(seed, p, planted):
+    # after every step, on a random stream or on PSD kernels scattered about
+    # a planted spectrum whose top two eigenvalues lie 1e-4 to 1 apart, with
+    # the tracked value off the top one by up to a tenth of its size
+    rng = np.random.default_rng(seed)
+    if planted:
+        basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        mu = np.sort(rng.uniform(0.0, 1.0, p))
+        mu[-1] = mu[-2] + 10.0 ** rng.uniform(-4, 0)
+        root = basis * np.sqrt(mu)
+        tracker = EigenTracker(
+            mu[-1:] * (1.0 + rng.uniform(-0.1, 0.1)),
+            basis[:, -1:] + 0.01 * rng.standard_normal((p, 1)),
+            _cfg("perturbation"),
+        )
+        tracker.averaged_kernel = root @ root.T
+        steps = []
+        for t in range(20, 60):
+            mix = root @ (np.eye(p) + 0.1 * rng.standard_normal((p, p)))
+            steps.append((mix @ mix.T, t))
+    else:
+        kernel, _, X, y = _perturbation_stream(seed % 2**31, p=p, n=100, warmup=60)
+        tracker = EigenTracker.from_kernel(kernel, 1, _cfg("perturbation"))
+        steps = []
+        for x_i, y_i in zip(X, y):
+            kernel.update(x_i, y_i)
+            steps.append((kernel.kernel_matrix(), kernel.t - 1))
+    with _solves_forced():
+        for kernel_dense, t in steps:
+            tracker.perturbation_step(kernel_dense, t)
+            spectrum = np.linalg.eigvalsh(tracker.averaged_kernel)
+            assert tracker.top_bound >= spectrum[-1], (t, tracker.top_bound, spectrum[-1])
+            assert tracker.second_bound >= spectrum[-2], (t, tracker.second_bound, spectrum[-2])
+
+
+def _study_stream():
+    """The stream of the benchmark's study cells, and so of its perturbation
+    methods M1 and M5: model 1, p = 100, 1000 rows, 100 of them warmup."""
+    rng = np.random.default_rng(np.random.SeedSequence([1000, 1, 100, 0]))
+    return sample(SimModelSpec(1, 100), 1000, rng)
+
+
+def test_carried_bounds_change_no_bit_of_the_step():
+    # the same stream with +inf bounds handed to every step, which then
+    # proves its claim by a Cholesky factorization each time
+    X, y = _study_stream()
+    cfg = SIRConfig(tracker="perturbation")
+    carried = fit_online(X, y, cfg, warmup_size=100)
+    solves = eigen_module._shift_solves
+
+    def unbounded(average, values, vectors, gv, bounds):
+        return solves(average, values, vectors, gv, (math.inf, math.inf))
+
+    with mock.patch.object(eigen_module, "_shift_solves", unbounded), \
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        proved = fit_online(X, y, cfg, warmup_size=100)
+    assert cholesky.call_count >= proved.eigen.step
+    for name in ("values", "vectors", "averaged_kernel"):
+        assert getattr(carried.eigen, name).tobytes() == getattr(proved.eigen, name).tobytes(), name
+
+
+def test_carried_bounds_skip_nine_cholesky_factorizations_in_ten():
+    X, y = _study_stream()
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        model = fit_online(X, y, SIRConfig(tracker="perturbation"), warmup_size=100)
+    assert model.eigen.step == 900
+    assert cholesky.call_count <= 0.1 * model.eigen.step
 
 
 # -- sgd ------------------------------------------------------------

@@ -678,6 +678,37 @@ def test_checkpoint_round_trips_bitwise_into_owned_arrays(tmp_path, tracker, d):
         assert shared == views.get(name, {name}), name
 
 
+@pytest.mark.parametrize("p", [20, 40])
+def test_checkpoint_round_trips_the_perturbation_bounds(tmp_path, p):
+    # below 40 features the solves never run, so no certificate proves the
+    # eigenvalue bounds and they stay +inf; from 40 on they are finite
+    X, y = _model_one(n=400, p=p)
+    model = fit_online(X[:250], y[:250], SIRConfig(tracker="perturbation", **BENCH), 100)
+    bounds = (model.eigen.top_bound, model.eigen.second_bound)
+    assert all(math.isinf(b) == (p < 40) for b in bounds), bounds
+    model.save(tmp_path / "model.npz")
+    restored = OnlineSparseSIR.load(tmp_path / "model.npz")
+    assert_same_state(model, restored)
+    fit_stream(model, X[250:], y[250:])
+    fit_stream(restored, X[250:], y[250:])
+    assert_same_state(model, restored)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("name", ["top_bound", "second_bound"])
+def test_checkpoint_with_an_impossible_bound_fails_loudly(tmp_path, name, value):
+    # +inf is an unproved bound; nan and -inf bound nothing
+    model, arrays = _saved(tmp_path, "perturbation")
+    floats = arrays["pipe_floats"]
+    at = floats.size - model.coef.betas.size - (2 if name == "top_bound" else 1)
+    assert floats[at] == getattr(model.eigen, name) == math.inf
+    floats[at] = value
+    path = tmp_path / "broken.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: eigen_{name} holds a non-finite")):
+        OnlineSparseSIR.load(path)
+
+
 def test_save_of_a_non_finite_state_raises_and_writes_nothing(tmp_path):
     X, y = _model_one(n=300)
     model = fit_online(X, y, SIRConfig(**BENCH), warmup_size=100)
@@ -782,7 +813,7 @@ def test_loaded_sums_are_views_of_one_block(tmp_path):
 def test_checkpoint_stores_the_config_once(tmp_path):
     model, arrays = _saved(tmp_path, "ccipca")
     assert sorted(arrays) == ["pipe_config", "pipe_floats", "pipe_format", "pipe_ints"]
-    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 5
+    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 6
     assert arrays["pipe_floats"].dtype == np.float64 and arrays["pipe_ints"].dtype == np.int64
     assert arrays["pipe_ints"][0] == model.n_features
 
@@ -907,15 +938,16 @@ def test_checkpoint_with_an_impossible_feature_count_fails_loudly(tmp_path, p):
 
 
 def test_checkpoint_relabelled_to_another_tracker_fails_loudly(tmp_path):
-    # a perturbation file holds a p x p averaged kernel and no raw vectors,
-    # so read as ccipca its float vector has the wrong length
+    # a perturbation file holds a p x p averaged kernel and two eigenvalue
+    # bounds and no raw vectors, so read as ccipca its float vector has the
+    # wrong length
     model, arrays = _saved(tmp_path, "perturbation")
     raw = json.loads(str(arrays["pipe_config"]))
     raw["tracker"] = "ccipca"
     arrays["pipe_config"] = np.asarray(json.dumps(raw))
     np.savez(tmp_path / "relabelled.npz", **arrays)
     p, floats = model.n_features, arrays["pipe_floats"]
-    message = _length_error("pipe_floats", floats, floats.size - p * p + p, floats.dtype)
+    message = _length_error("pipe_floats", floats, floats.size - p * p - 2 + p, floats.dtype)
     with pytest.raises(DataError, match=re.escape(message)):
         OnlineSparseSIR.load(tmp_path / "relabelled.npz")
 
@@ -945,8 +977,26 @@ def test_checkpoint_whose_count_disagrees_with_its_slices_fails_loudly(tmp_path)
         OnlineSparseSIR.load(path)
 
 
-# 3 and 4 are the formats before the config lost its retired fields
-@pytest.mark.parametrize("version", [1, 3, 4, 6])
+def test_checkpoint_with_a_negative_slice_count_fails_loudly(tmp_path):
+    # moving counts between slices keeps their sum, so the kernel_t check
+    # alone would load a negative count
+    model, arrays = _saved(tmp_path, "ccipca")
+    H = model.config.n_slices
+    counts = arrays["pipe_ints"][2:H + 2]
+    np.testing.assert_array_equal(counts, model.kernel.grid.counts)
+    moved = counts[0] + 1
+    counts[0] -= moved
+    counts[1] += moved
+    path = tmp_path / "broken.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: grid_counts hold a negative count, {counts.tolist()}")):
+        OnlineSparseSIR.load(path)
+
+
+# 3 and 4 are the formats before the config lost its retired fields, 5 the
+# one before the perturbation tracker's eigenvalue bounds
+@pytest.mark.parametrize("version", [1, 3, 4, 5, 7])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
     arrays = _saved_arrays(tmp_path)
     arrays["pipe_format"] = np.asarray(version)

@@ -84,6 +84,8 @@ def test_spec_validation():
         SimModelSpec(1, 20, rho=1.0)
     with pytest.raises(ConfigurationError):
         SimModelSpec(1, 20, noise_sd=-0.5)
+    with pytest.raises(ConfigurationError, match="noise_sd must be non-negative, got nan"):
+        SimModelSpec(1, 20, noise_sd=float("nan"))  # would make every response NaN
     with pytest.raises(ConfigurationError):
         sample(SimModelSpec(1, 5), 0)
 
