@@ -66,7 +66,7 @@ class DenseOnlineSIR:
     def observe(self, x, y) -> "DenseOnlineSIR":
         x, h = self.kernel.check(x, y)
         self.kernel.absorb(x, h)
-        self.eigen.advance(self.kernel, self.kernel.factor(), y)
+        self.eigen.advance(self.kernel, self.kernel.factor(), h)
         self.xx_sum += np.einsum("i,j->ij", x, x)  # np.outer's products, faster
         return self
 

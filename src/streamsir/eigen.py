@@ -19,9 +19,10 @@ the perturbation strategy alone, the dense matrix):
 * ``sgd``           stochastic gradient ascent on the Rayleigh quotient
                     with a first-order deflation term; periodic
                     Gram-Schmidt repair.
-* ``ipca``          rank-(d+1) incremental decomposition: project the new
-                    factor column onto the current basis plus its residual
-                    direction and re-solve a (d+1) x (d+1) problem.
+* ``ipca``          rank-(d+1) incremental decomposition: project the
+                    factor column of the observation's slice onto the
+                    current basis plus its residual direction and re-solve
+                    a (d+1) x (d+1) problem.
 
 ccipca, sgd and ipca need only thin products and one column of the
 factor, so the pipeline hands them a ``SliceFactor`` operator and the
@@ -29,11 +30,13 @@ factor is never formed; their steps also accept the p x H array.  All
 trackers are initialized from the same warmup statistics via a thin SVD of
 the p x H factor, which equals the dense eigendecomposition of the kernel
 matrix without materializing it.  ``EigenTracker.advance`` runs the
-whole eigen stage of one streaming observation for any strategy.  A
-tracker's state is its public attributes.  The constructor allocates the
-chosen strategy's own state, zeroed, from the shapes of the basis, so a
-loader needs no per-strategy knowledge; ``from_kernel`` fills it from the
-warmup, and ``OnlineSparseSIR.save`` decides which of it a checkpoint holds.
+whole eigen stage of one streaming observation for any strategy, from the
+slice statistics and the observation's grid slice alone: no strategy reads
+the response.  A tracker's state is its public attributes.  The
+constructor allocates the chosen strategy's own state, zeroed, from the
+shapes of the basis, so a loader needs no per-strategy knowledge;
+``from_kernel`` fills it from the warmup, and ``OnlineSparseSIR.save``
+decides which of it a checkpoint holds.
 
 ``vectors`` and ``raw_vectors`` start column-major (Fortran order) and
 ccipca rewrites their columns in place, so on the default path every
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateDataError
+from .errors import ConfigurationError, DegenerateDataError
 from .kernel import SliceFactor
 
 STRATEGIES = ("ccipca", "perturbation", "sgd", "ipca")
@@ -126,20 +129,11 @@ class EigenTracker:
     top_bound, second_bound : upper bounds on the largest and the
         second-largest eigenvalue of ``averaged_kernel`` (perturbation only;
         +inf until a certificate of the solves proves one).
-    slice_y_sum, slice_y_count : (H,) response sum and count per slice, whose
-        ratio picks the slice of each observation (ipca only; allocated
-        when ``n_slices`` is given).
     step : number of streaming updates applied.
     reinit_count : how often a collapsed ccipca component was re-seeded.
     """
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        vectors: np.ndarray,
-        config: TrackerConfig,
-        n_slices: int | None = None,
-    ):
+    def __init__(self, values: np.ndarray, vectors: np.ndarray, config: TrackerConfig):
         self.values = np.array(values, dtype=float)
         self.vectors = np.array(vectors, dtype=float, order="F")
         self.config = config
@@ -154,27 +148,19 @@ class EigenTracker:
         perturbation = config.strategy == "perturbation"
         self.averaged_kernel = np.zeros((p, p)) if perturbation else None
         self.top_bound = self.second_bound = math.inf if perturbation else None
-        if config.strategy == "ipca" and n_slices is not None:
-            self.slice_y_sum = np.zeros(n_slices)
-            self.slice_y_count = np.zeros(n_slices, dtype=np.int64)
-        else:
-            self.slice_y_sum = self.slice_y_count = None
 
     @property
     def n_directions(self) -> int:
         return self.values.size
 
     @classmethod
-    def from_kernel(cls, kernel, d: int, config: TrackerConfig, y=None) -> "EigenTracker":
+    def from_kernel(cls, kernel, d: int, config: TrackerConfig) -> "EigenTracker":
         """Initialize from warmup statistics.
 
         The top-d eigenpairs of (1/H) C C' are read off the thin SVD of the
         p x H factor C, so no p x p matrix is formed unless the strategy
         itself requires one: perturbation's running average starts at the
-        dense kernel, with its eigenvalue bounds at +inf.  The ipca strategy
-        starts its per-slice response sums
-        from the warmup responses ``y``; without them every slice starts
-        empty and its step raises ``DataError``.
+        dense kernel, with its eigenvalue bounds at +inf.
         """
         factor = kernel.slice_cov
         p, n_slices = factor.shape
@@ -190,25 +176,21 @@ class EigenTracker:
                 "slice kernel is numerically zero; covariates carry no "
                 "between-slice signal in the warmup"
             )
-        tracker = cls(values, vectors, config, n_slices)
+        tracker = cls(values, vectors, config)
         if tracker.averaged_kernel is not None:
             tracker.averaged_kernel = kernel.kernel_matrix()
-        if tracker.slice_y_sum is not None and y is not None:
-            y = np.asarray(y, dtype=float).ravel()
-            slices = np.searchsorted(kernel.grid.cuts, y, side="left")
-            np.add.at(tracker.slice_y_sum, slices, y)
-            np.add.at(tracker.slice_y_count, slices, 1)
         return tracker
 
     # -- one streaming observation ---------------------------------------------
 
-    def advance(self, kernel, factor, y) -> float:
-        """The eigen stage of one observation, after ``kernel`` absorbed it:
-        the strategy's step on the input it needs (ccipca, sgd and ipca the
-        factor operator ``factor = kernel.factor()``, which the caller
-        builds once per observation, perturbation the dense kernel), ipca's
-        slice bookkeeping, then sign alignment, which ccipca does inside its
-        step.  Returns the smallest tracked eigenvalue.
+    def advance(self, kernel, factor, h: int) -> float:
+        """The eigen stage of one observation, after ``kernel`` absorbed it
+        into grid slice ``h``: the strategy's step on the input it needs
+        (ccipca, sgd and ipca the factor operator ``factor =
+        kernel.factor()``, which the caller builds once per observation,
+        ipca also the slice, perturbation the dense kernel), then sign
+        alignment, which ccipca does inside its step.  Returns the smallest
+        tracked eigenvalue.
 
         The sgd, perturbation and ipca steps never write into ``vectors``:
         each rebinds it to a new array, so the array it replaced is the
@@ -223,12 +205,7 @@ class EigenTracker:
         elif strategy == "perturbation":
             self.perturbation_step(kernel.kernel_matrix(), t)
         else:  # ipca
-            y = float(y)
-            with np.errstate(invalid="ignore"):  # an empty slice's mean is nan
-                means = self.slice_y_sum / self.slice_y_count
-            k = self.ipca_step(factor, y, means)
-            self.slice_y_sum[k] += y
-            self.slice_y_count[k] += 1
+            self.ipca_step(factor, h)
         self.align_signs(previous)
         return float(self.values.min())
 
@@ -361,8 +338,9 @@ class EigenTracker:
     def sgd_step(self, factor, t: int) -> None:
         """Stochastic gradient update with first-order deflation.
 
-        Writing phi_j = W' v_j, the value moves toward phi_j'phi_j and the
-        vector takes a gradient step along W phi_j minus the self and
+        Writing phi_j = W' v_j, the value moves toward phi_j'phi_j / H, the
+        Rayleigh quotient of the kernel W W' / H that every tracker follows,
+        and the vector takes a gradient step along W phi_j minus the self and
         lower-component corrections (coefficient 2 on the latter).  Every
         ``_ORTHONORMALIZE_EVERY`` steps the correction is replaced by an
         exact Gram-Schmidt pass.  Step size is C/(t+1), C being
@@ -372,7 +350,7 @@ class EigenTracker:
         gamma = _SGD_RATE_CONSTANT / (t + 1.0)
         phi = w.T @ self.vectors  # (H, d)
         gram = phi.T @ phi  # (d, d)
-        self.values = self.values + gamma * (np.diag(gram) - self.values)
+        self.values = self.values + gamma * (np.diag(gram) / w.counts.size - self.values)
         self.step += 1
         drive = w @ phi  # (p, d)
         if self.step % _ORTHONORMALIZE_EVERY == 0:
@@ -385,28 +363,17 @@ class EigenTracker:
             correction += 2.0 * (self.vectors @ np.triu(gram, k=1))
             self.vectors = self.vectors + gamma * (drive - correction)
 
-    def ipca_step(self, factor, y: float, slice_means: np.ndarray) -> int:
-        """Incremental rank-(d+1) refresh driven by the nearest-mean slice.
+    def ipca_step(self, factor, h: int) -> None:
+        """Incremental rank-(d+1) refresh from factor column ``h``, the grid
+        slice of the new observation.
 
-        The new observation is attributed to the slice whose running mean
-        response is closest to y (ties to the lower index, empty slices
-        skipped).  That slice's factor column is split into its projection
-        onto the current basis and a residual direction; the (d+1)-dim
-        compressed kernel is re-solved exactly and the top d pairs kept.
-        Returns the chosen slice, whose response sums ``advance`` updates.
+        The column is split into its projection onto the current basis and a
+        residual direction; the (d+1)-dim compressed kernel is re-solved
+        exactly and the top d pairs kept.
         """
         w = SliceFactor.wrap(factor)
         n_slices = w.counts.size
-        means = np.asarray(slice_means, dtype=float)
-        if means.size != n_slices:
-            raise DataError("one running mean per slice is required")
-        dist = np.abs(float(y) - means)
-        dist[~np.isfinite(means)] = np.inf
-        if not np.any(np.isfinite(dist)):
-            raise DataError("no slice has a defined running mean")
-        k = int(np.argmin(dist))
-
-        col = w.column(k)
+        col = w.column(h)
         resid = col - self.vectors @ (self.vectors.T @ col)
         norm = float(np.linalg.norm(resid))
         if norm >= _NORM_FLOOR:
@@ -420,7 +387,6 @@ class EigenTracker:
         self.values = vals[order]
         self.vectors = basis @ vecs[:, order]
         self.step += 1
-        return k
 
     # -- shared helpers ---------------------------------------------------------
 

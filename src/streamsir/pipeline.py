@@ -71,7 +71,7 @@ from .truncated import TruncatedGradient
 DEFAULT_WARMUP = 100
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
-CHECKPOINT_FORMAT = 6
+CHECKPOINT_FORMAT = 7
 
 # A tracked eigenvalue at or below this zeroes its coordinate of the
 # synthetic response instead of dividing by it.
@@ -101,7 +101,7 @@ CHECKPOINT_LAYOUT = {
     "grid": ("cuts", "counts"),
     "eigen": (
         "values", "vectors", "step", "reinit_count", "raw_vectors",
-        "averaged_kernel", "top_bound", "second_bound", "slice_y_sum", "slice_y_count",
+        "averaged_kernel", "top_bound", "second_bound",
     ),
     "coef": ("betas", "step", "truncation_zeros"),
     "pipe": ("warmup_size", "degenerate_responses"),
@@ -217,7 +217,7 @@ class OnlineSparseSIR:
             )
         kernel.absorb(x, h)
         factor = kernel.factor()
-        smallest = self.eigen.advance(kernel, factor, y)
+        smallest = self.eigen.advance(kernel, factor, h)
         response, dead = self._response_from(factor, h, smallest)
         self.degenerate_responses += dead
         if not all_finite(response):
@@ -348,7 +348,8 @@ class OnlineSparseSIR:
         config does not imply, a non-finite stored value (an unproved
         eigenvalue bound may be +inf), invalid grid cut points, a negative
         slice count, an observation count other than the sum of the slice
-        counts or a file that does not decode at all (truncated, corrupted) raise
+        counts, a perturbation eigenvalue bound below the eigenvalue it
+        bounds or a file that does not decode at all (truncated, corrupted) raise
         ``DataError`` naming the file; members other than the four that
         ``save`` writes are ignored.  A missing or unreadable file raises
         ``OSError``.
@@ -404,6 +405,8 @@ class OnlineSparseSIR:
         if model.kernel.t != counted:  # every observation lands in one slice
             raise DataError(f"{path}: kernel_t is {model.kernel.t}, but grid_counts "
                             f"sum to {counted}")
+        if bad := _bound_below_its_eigenvalue(model.eigen):
+            raise DataError(f"{path}: {bad}")
         return model
 
     @classmethod
@@ -411,7 +414,7 @@ class OnlineSparseSIR:
         """A model of the shapes ``config`` and ``p`` imply, with zero state;
         its grid's cut points are placeholders."""
         H, d = config.n_slices, config.n_directions
-        eigen = EigenTracker(np.zeros(d), np.zeros((p, d)), config.tracker_config(), H)
+        eigen = EigenTracker(np.zeros(d), np.zeros((p, d)), config.tracker_config())
         kernel = KernelTracker(SliceGrid(np.arange(1.0, H)), p)
         return cls(kernel, eigen, _coefficient_stage(config, p), config, 0)
 
@@ -432,7 +435,7 @@ def warmup_stages(X, y, config: SIRConfig) -> tuple[np.ndarray, KernelTracker, E
         raise ConfigurationError(f"warmup batch has {n0} observations, need at least {need}")
     kernel = KernelTracker(SliceGrid.from_warmup(y, config.n_slices), X.shape[1])
     kernel.replay(X, y)
-    eigen = EigenTracker.from_kernel(kernel, config.n_directions, config.tracker_config(), y)
+    eigen = EigenTracker.from_kernel(kernel, config.n_directions, config.tracker_config())
     return X, kernel, eigen
 
 
@@ -458,6 +461,24 @@ def _first_non_finite(entries) -> str | None:
             continue
         if not np.isfinite(value).all():
             return name
+    return None
+
+
+def _bound_below_its_eigenvalue(eigen) -> str | None:
+    """What is wrong with a perturbation tracker's stored eigenvalue bounds,
+    or None: a finite bound below the eigenvalue of ``averaged_kernel`` it
+    bounds, by more than the slack p eps tr A that each step adds to it,
+    would let the step skip a certificate it needs."""
+    average = eigen.averaged_kernel
+    bounds = {"eigen_top_bound": eigen.top_bound, "eigen_second_bound": eigen.second_bound}
+    if average is None or not any(map(math.isfinite, bounds.values())):
+        return None
+    p = average.shape[0]
+    spectrum = np.linalg.eigvalsh(average)[::-1]
+    slack = p * np.finfo(float).eps * float(average.trace())
+    for (name, bound), value in zip(bounds.items(), spectrum):
+        if bound < value - slack:
+            return f"{name} is {bound!r}, below the averaged_kernel eigenvalue {value!r} it bounds"
     return None
 
 

@@ -199,26 +199,12 @@ def perturbation_step_reference(eigen, kernel_dense, t: int) -> None:
     eigen.step += 1
 
 
-def ipca_sums_reference(y, cuts) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slice response sums and counts of the warmup responses, one
-    response at a time: the starting state of ipca's nearest-mean rule."""
-    sums = np.zeros(len(cuts) + 1)
-    counts = np.zeros(len(cuts) + 1, dtype=np.int64)
-    for yi in np.asarray(y, dtype=float).ravel():
-        h = slice_index_oracle(float(yi), cuts)
-        sums[h] += yi
-        counts[h] += 1
-    return sums, counts
-
-
-def eigen_chain_reference(eigen, kernel, y, slice_y_sum, slice_y_count) -> None:
-    """The eigen stage of one observation as a four-way test of the tracker
-    name: the step on its input (the factor operator for every strategy but
-    perturbation, which takes the dense kernel), ipca's nearest-mean
-    bookkeeping (kept in the given arrays, updated in place) and sign
-    alignment.  This is the chain ``EigenTracker.advance`` must reproduce
-    bit for bit."""
-    y = float(y)
+def eigen_chain_reference(eigen, kernel, h: int) -> None:
+    """The eigen stage of one observation in slice ``h`` as a four-way test
+    of the tracker name: the step on its input (the factor operator for
+    every strategy but perturbation, which takes the dense kernel, and for
+    ipca also the slice) and sign alignment.  This is the chain
+    ``EigenTracker.advance`` must reproduce bit for bit."""
     t_prev = kernel.t - 1
     previous = eigen.vectors.copy()
     strategy = eigen.config.strategy
@@ -229,15 +215,7 @@ def eigen_chain_reference(eigen, kernel, y, slice_y_sum, slice_y_count) -> None:
     elif strategy == "perturbation":
         eigen.perturbation_step(kernel.kernel_matrix(), t_prev)
     else:  # ipca
-        with np.errstate(invalid="ignore"):
-            means = np.where(
-                slice_y_count > 0,
-                slice_y_sum / np.maximum(slice_y_count, 1),
-                np.nan,
-            )
-        k = eigen.ipca_step(kernel.factor(), y, means)
-        slice_y_sum[k] += y
-        slice_y_count[k] += 1
+        eigen.ipca_step(kernel.factor(), h)
     eigen.align_signs(previous)
 
 

@@ -110,7 +110,7 @@ def test_sir_finds_nothing_in_a_null_model():
     assert subspace_distance(beta, B) > 0.5
 
 
-def test_vanishing_slice_means_raise():
+def test_vanishing_between_slice_covariance_raises():
     # every slice holds the same +/- pattern, so each slice mean equals
     # the global mean and the between-slice covariance is exactly zero
     v1 = np.array([1.0, 2.0, -0.5])

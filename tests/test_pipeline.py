@@ -414,8 +414,6 @@ def test_alternative_trackers_run_the_full_chain(tracker):
     model.check_counters()
     d = subspace_distance(true_betas(SimModelSpec(1, 20)), model.directions())
     assert d < 0.3  # wiring check; convergence quality is tested elsewhere
-    if tracker == "ipca":
-        assert model.eigen.slice_y_count.sum() == 800  # bookkeeping kept streaming
 
 
 def test_dense_state_appears_only_for_perturbation():
@@ -615,7 +613,6 @@ def test_save_load_resume_equivalence(tmp_path):
     fit_stream(restored, X[500:900], y[500:900])
     np.testing.assert_array_equal(restored.coef.betas, model.coef.betas)
     np.testing.assert_array_equal(restored.eigen.vectors, model.eigen.vectors)
-    np.testing.assert_array_equal(restored.eigen.slice_y_count, model.eigen.slice_y_count)
     restored.check_counters()
 
 
@@ -783,7 +780,7 @@ def _format_2_arrays(model):
         "coef_step": np.asarray(coef.step),
         "coef_truncation_zeros": np.asarray(coef.truncation_zeros),
     }
-    for attr in ("raw_vectors", "averaged_kernel", "slice_y_sum", "slice_y_count"):
+    for attr in ("raw_vectors", "averaged_kernel"):
         if getattr(eigen, attr) is not None:
             arrays[f"eigen_{attr}"] = getattr(eigen, attr)
     return arrays
@@ -813,7 +810,7 @@ def test_loaded_sums_are_views_of_one_block(tmp_path):
 def test_checkpoint_stores_the_config_once(tmp_path):
     model, arrays = _saved(tmp_path, "ccipca")
     assert sorted(arrays) == ["pipe_config", "pipe_floats", "pipe_format", "pipe_ints"]
-    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 6
+    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 7
     assert arrays["pipe_floats"].dtype == np.float64 and arrays["pipe_ints"].dtype == np.int64
     assert arrays["pipe_ints"][0] == model.n_features
 
@@ -898,7 +895,7 @@ def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
     "tracker, key",
     [
         ("ipca", "kernel_cross_sum"),
-        ("ipca", "eigen_slice_y_count"),
+        ("ipca", "eigen_vectors"),
         ("ipca", "coef_betas"),
         ("ipca", "pipe_config"),
         ("ccipca", "eigen_raw_vectors"),
@@ -994,9 +991,31 @@ def test_checkpoint_with_a_negative_slice_count_fails_loudly(tmp_path):
         OnlineSparseSIR.load(path)
 
 
+@pytest.mark.parametrize("attr, rank", [("top_bound", 1), ("second_bound", 2)])
+def test_checkpoint_with_an_eigenvalue_bound_below_its_eigenvalue_fails_loudly(
+        tmp_path, attr, rank):
+    # a carried bound that is too low would let the perturbation step skip
+    # the certificate it needs, so load checks each finite bound against
+    # eigvalsh of the stored average
+    X, y = _model_one(n=400, p=40)
+    model = fit_online(X, y, SIRConfig(tracker="perturbation", **BENCH), warmup_size=100)
+    eigen = model.eigen
+    assert math.isfinite(eigen.top_bound) and math.isfinite(eigen.second_bound)
+    model.save(tmp_path / "model.npz")
+    assert_same_state(OnlineSparseSIR.load(tmp_path / "model.npz"), model)
+    eigenvalue = np.linalg.eigvalsh(eigen.averaged_kernel)[-rank]
+    assert eigenvalue > 1e-3
+    setattr(eigen, attr, 0.0)
+    path = tmp_path / "broken.npz"
+    model.save(path)
+    with pytest.raises(DataError, match=re.escape(f"{path}: eigen_{attr} is 0.0, below")):
+        OnlineSparseSIR.load(path)
+
+
 # 3 and 4 are the formats before the config lost its retired fields, 5 the
-# one before the perturbation tracker's eigenvalue bounds
-@pytest.mark.parametrize("version", [1, 3, 4, 5, 7])
+# one before the perturbation tracker's eigenvalue bounds, 6 the one with
+# the ipca tracker's per-slice response sums
+@pytest.mark.parametrize("version", [1, 3, 4, 5, 6, 8])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
     arrays = _saved_arrays(tmp_path)
     arrays["pipe_format"] = np.asarray(version)
@@ -1007,12 +1026,10 @@ def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
 
 
 def test_checkpoint_in_the_layout_before_format_numbers_fails_loudly(tmp_path):
-    # the earlier layout: no format key, ipca's slice sums under pipe_*,
-    # a kernel centering mode and a centering field in the stored config
+    # the earlier layout: no format key, a kernel centering mode and a
+    # centering field in the stored config
     arrays = _format_2_arrays(_saved(tmp_path)[0])
     del arrays["pipe_format"]
-    arrays["pipe_slice_y_sum"] = arrays.pop("eigen_slice_y_sum")
-    arrays["pipe_slice_y_count"] = arrays.pop("eigen_slice_y_count")
     arrays["kernel_centering"] = np.asarray("exact")
     raw = json.loads(str(arrays["pipe_config"]))
     raw["centering"] = "exact"
