@@ -10,11 +10,13 @@ the perturbation strategy alone, the dense matrix):
 * ``perturbation``  first-order eigenpair correction around the running
                     average of kernel matrices.  O(p^3) per step: one
                     ``eigh`` of the average, or, for one direction at
-                    p >= 40, no eigendecomposition: one p x p solve, plus
-                    one or two solves of Rayleigh quotient iteration when
-                    the pair is resonant, and a Cholesky factorization
-                    only where the eigenvalue bounds carried between
-                    steps no longer prove which shift is; kept as the
+                    p >= 40, no eigendecomposition: one p x p solve, plus,
+                    when the tracked vector and the eigenvalue bounds
+                    carried between steps leave the pair's resonance
+                    open, Rayleigh quotient iteration (from p = 100 a
+                    Krylov start and, as a rule, one solve), and a
+                    Cholesky factorization only where those bounds no
+                    longer prove which shift is resonant; kept as the
                     accuracy yardstick at small p.
 * ``sgd``           stochastic gradient ascent on the Rayleigh quotient
                     with a first-order deflation term; periodic
@@ -74,10 +76,29 @@ _SHIFT_NUDGE = 4 * _EPS
 # by at most this over the eigengap.  Over criterion 4's first M5 stream
 # (p = 500, 800 steps) the tracker ends 3e-12 from the eigh reference at
 # 1e-10, 4e-15 at 1e-12 and 4e-16 here; the iteration, cubically convergent,
-# gets there from the tracked vector in one or two solves, and gives up after
-# ``_RAYLEIGH_SOLVES``.
+# gets there from the tracked vector in one or two solves and from a Krylov
+# start in one, and gives up after ``_RAYLEIGH_SOLVES`` steps, a Krylov start
+# counting as one.
 _RESIDUAL_TOL = 1e-13
 _RAYLEIGH_SOLVES = 4
+# Rayleigh quotient iteration starts from the top Ritz pair of the average on
+# the Krylov space of the tracked vector, built from this many products with
+# it.  From the tracked vector itself one solve left the residual short of
+# ``_RESIDUAL_TOL`` on 1074 of 5400 steps of the study's p = 100 streams (M1
+# and M5, three seeds) and on 771 of 800 of criterion 4's first p = 500 stream,
+# which then took a second solve.  From six products at most one solve followed
+# on every step that reached the iteration: 1184 on those p = 100 streams and
+# 2289 on criterion 4's first three p = 500 streams; from four, 280 of the 2289
+# took a second.
+_KRYLOV_PRODUCTS = 6
+# The Krylov start replaces the first solve from this many features on.  Its
+# cost is mostly per-call overhead, about 70 us up to p = 120, where a copy and
+# solve takes 21 us at p = 40, 57 at 60, 79 to 95 at 80 to 100 and 112 at 120
+# (best of 15 timeit repeats, one thread).  Through ``fit_online`` (model 1,
+# 1000 rows, medians of five alternating runs) an observation took 30% longer
+# at p = 40 and 18% at p = 60 with it than with a first solve from the
+# tracked vector, and about as long at p = 80 to 100.
+_KRYLOV_MIN_P = 100
 # The perturbation step's solves replace its eigh for one direction from
 # this many features on (see ``_solves_pay``).
 _SOLVE_MIN_P = 40
@@ -294,10 +315,12 @@ class EigenTracker:
         as singular and dropped, which covers the tracked pair's own
         direction once it has converged.  Where ``_solves_pay`` (one
         direction, p >= 40), the pseudo-inverse is applied by solves
-        (``_shift_solves``): one solve and, when the pair is resonant, one
-        or two solves of Rayleigh quotient iteration, with which shift is
-        resonant proved by ``top_bound`` and ``second_bound`` or, when they
-        are too loose, by a Cholesky factorization that renews them.
+        (``_shift_solves``): one solve, preceded, when ``second_bound`` and
+        the tracked vector's Rayleigh quotient leave the pair's resonance
+        open, by Rayleigh quotient iteration (from p = 100 a Krylov start
+        and, as a rule, one solve; below, one or two solves).  Which shift
+        is resonant is proved by ``top_bound`` and ``second_bound`` or, when
+        they are too loose, by a Cholesky factorization that renews them.
         Otherwise, and in the cases the solves cannot settle, it comes from
         one eigendecomposition of A (``_eigh_shift_inverse``).  A moves by
         rate (A - K), so by Weyl's inequality each bound grows by its
@@ -465,9 +488,18 @@ def _shift_solves(average, values, vectors, gv, bounds):
     * lam more than the cut-off from mu's eigenvalue (|lam - mu| - |r| >
       cut; b = lam, c = mu above lam and 0 below): no shift is resonant,
       and one solve with lam I - A applies the inverse, the eigh route's
-      formula in exact arithmetic;
+      formula in exact arithmetic.  The same holds, with b = lam and
+      c = mu, when lam < mu - cut and the carried second bound lies below
+      both lam - cut and mu - |r|: the top eigenvalue is at least mu
+      (Courant-Fischer), every other lies below lam - cut, and the
+      eigenvalue within |r| of mu is the top one, so ``cut`` still bounds
+      the cut-off; the bound proves the claim, and no factorization runs;
     * otherwise Rayleigh quotient iteration refines (mu, q) until |r| is at
       most ``_RESIDUAL_TOL`` of the largest shift, or the first case holds.
+      From ``_KRYLOV_MIN_P`` features on, its first step is the top Ritz
+      pair of A on the Krylov space of the tracked vector
+      (``_krylov_start``), not a solve, and one solve from there reaches
+      the tolerance as a rule.
       The top shift is the one resonant shift when |lam - mu| + |r| is
       within C's lower bound, or within the one that a failed Cholesky
       factorization of A - sI gives (``_has_eigenvalue_below``).  b =
@@ -481,7 +513,7 @@ def _shift_solves(average, values, vectors, gv, bounds):
     every case this does not settle: a failed certificate (an eigenvalue
     other than the top one within the cut-off of lam or of mu, as for a
     second direction), an iteration short of the tolerance after
-    ``_RAYLEIGH_SOLVES`` solves or drawn to another eigenpair, a top shift
+    ``_RAYLEIGH_SOLVES`` steps or drawn to another eigenpair, a top shift
     whose resonance the bounds leave open, or a singular solve.
     """
     p = average.shape[0]
@@ -492,22 +524,30 @@ def _shift_solves(average, values, vectors, gv, bounds):
         for j in range(values.size):
             lam = float(values[j])
             mu, q, res = _rayleigh(average, vectors[:, j])
-            solves = 0
+            steps = 0
             while True:
                 width = max(lam - floor, mu + res - lam)  # the largest shift, or above
                 cut = _PINV_CUTOFF * width
-                if abs(mu - lam) - res > cut or res <= _RESIDUAL_TOL * width:
+                # no shift is resonant: by mu and |r| alone, or by mu as a
+                # lower bound on the top eigenvalue and the carried second
+                free = abs(mu - lam) - res > cut or (
+                    lam < mu - cut and second < min(lam - cut, mu - res)
+                )
+                if free or res <= _RESIDUAL_TOL * width:
                     break
-                if solves == _RAYLEIGH_SOLVES:
+                if steps == _RAYLEIGH_SOLVES:
                     return None
-                iterate = average.copy()
-                _diagonal(iterate)[:] -= mu + _SHIFT_NUDGE * width
-                mu, q, res = _rayleigh(average, np.linalg.solve(iterate, q))
-                solves += 1
+                if steps or p < _KRYLOV_MIN_P:
+                    iterate = average.copy()
+                    _diagonal(iterate)[:] -= mu + _SHIFT_NUDGE * width
+                    mu, q, res = _rayleigh(average, np.linalg.solve(iterate, q))
+                else:
+                    mu, q, res = _rayleigh(average, _krylov_start(average, q))
+                steps += 1
             g = gv[:, j]
             # the top shift is resonant once the largest shift is this or more
             reach = (abs(lam - mu) + res) / _PINV_CUTOFF
-            if abs(mu - lam) - res > cut:
+            if free:
                 bound, c = lam, mu if mu > lam else 0.0
                 shifted = np.negative(average)
                 _diagonal(shifted)[:] += lam
@@ -574,6 +614,35 @@ def _rayleigh(average, x) -> tuple[float, np.ndarray, float]:
     mu = float(q.dot(aq))
     aq -= mu * q
     return mu, q, math.sqrt(aq.dot(aq))
+
+
+def _krylov_start(average, q) -> np.ndarray:
+    """The top Ritz vector of A on the Krylov space of the unit q, spanned
+    by q, Aq, A^2 q, ... from ``_KRYLOV_PRODUCTS`` products with A.  Each
+    new direction is orthogonalized against the basis twice (classical
+    Gram-Schmidt, twice is enough).  A direction that keeps no more than
+    ``_RESIDUAL_TOL`` of its product's norm ends the basis: the space is
+    then invariant to the tolerance the iteration works to, since the top
+    Ritz pair's residual is at most that direction's norm."""
+    basis = np.empty((q.size, _KRYLOV_PRODUCTS), order="F")
+    images = np.empty_like(basis)
+    basis[:, 0] = q
+    for size in range(1, _KRYLOV_PRODUCTS + 1):
+        w = average @ basis[:, size - 1]
+        images[:, size - 1] = w
+        if size == _KRYLOV_PRODUCTS:
+            break
+        scale = math.sqrt(w.dot(w))
+        span = basis[:, :size]
+        for _ in range(2):
+            w -= span @ (span.T @ w)
+        norm = math.sqrt(w.dot(w))
+        if norm <= _RESIDUAL_TOL * scale:
+            break
+        basis[:, size] = w / norm
+    span = basis[:, :size]
+    _, ritz = np.linalg.eigh(span.T @ images[:, :size])
+    return span @ ritz[:, -1]
 
 
 def _has_eigenvalue_below(average, level: float) -> bool:

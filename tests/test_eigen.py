@@ -1,5 +1,6 @@
 """Online eigen-trackers against dense-solver oracles."""
 
+import contextlib
 import copy
 import math
 from types import SimpleNamespace
@@ -271,15 +272,44 @@ def _solves_forced():
     return mock.patch.object(eigen_module, "_solves_pay", lambda p, d: True)
 
 
+def _krylov_from(p_min):
+    """Start Rayleigh quotient iteration from a Krylov pair from ``p_min``
+    features on."""
+    return mock.patch.object(eigen_module, "_KRYLOV_MIN_P", p_min)
+
+
+@contextlib.contextmanager
+def _krylov_starts():
+    """Start from a Krylov pair at every p, and count the starts."""
+    with _krylov_from(0), mock.patch.object(
+        eigen_module, "_krylov_start", wraps=eigen_module._krylov_start
+    ) as starts:
+        yield starts
+
+
+def _fallbacks():
+    """Count the perturbation steps that fall back to the eigendecomposition.
+    ``np.linalg.eigh`` also runs on the Krylov start's projected matrix,
+    which is p x p itself once the Krylov space fills a small p."""
+    return mock.patch.object(
+        eigen_module, "_eigh_shift_inverse", wraps=eigen_module._eigh_shift_inverse
+    )
+
+
 def _assert_matches_the_reference(stream):
     """Run ``stream()``, which builds and streams a perturbation model,
     with the solves at every p and d and again with the eigh reference step;
     the final eigen states and directions agree to 1e-12.  With one
     direction the solves, not the eigendecomposition they fall back to,
     carried nine steps in ten; they certify the top pair alone, so with two
-    every step falls back."""
-    with _solves_forced(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+    every step falls back.  Fallbacks are the eigh calls on a p x p
+    matrix: the Krylov start's projected matrix is at most
+    ``_KRYLOV_PRODUCTS`` square, below every p streamed here."""
+    with _solves_forced(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as calls:
         model = stream()
+    p = model.eigen.vectors.shape[0]
+    assert p > eigen_module._KRYLOV_PRODUCTS
+    eigh = sum(call.args[0].shape == (p, p) for call in calls.call_args_list)
     with mock.patch.object(EigenTracker, "perturbation_step", perturbation_step_reference):
         reference = stream()
     for name in ("values", "vectors", "averaged_kernel"):
@@ -289,9 +319,9 @@ def _assert_matches_the_reference(stream):
         )
     np.testing.assert_allclose(model.directions(), reference.directions(), rtol=0, atol=1e-12)
     if model.eigen.n_directions == 1:
-        assert 10 * eigh.call_count < model.eigen.step
+        assert 10 * eigh < model.eigen.step
     else:
-        assert eigh.call_count == model.eigen.step
+        assert eigh == model.eigen.step
 
 
 def test_perturbation_matches_the_eigh_reference_on_criterion_2_streams():
@@ -342,15 +372,16 @@ _PLANTED = {"free": (0, False), "one": (1, False), "exact": (1, False),
     case=st.sampled_from(sorted(_PLANTED)),
     d=st.integers(1, 2),
     t=st.integers(20, 2000),
+    krylov=st.booleans(),
 )
-def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, case, d, t):
+def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, case, d, t, krylov):
     # A = Q diag(mu) Q' with eigenvalues at least 0.5 apart; the first
     # tracked value is placed against eigenvalue k so that the cut-off C
     # (1e-3 of the largest shift) sees the planted case: far from every
     # eigenvalue, within C/2 of one, exactly on one, within C of two, or
     # within C of one whose neighbour sits C/2 from it but over C from the
     # value.  A second direction, when drawn, sits midway between two
-    # eigenvalues.
+    # eigenvalues.  The iteration starts from a Krylov pair or a solve.
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
     mu = np.cumsum(rng.uniform(0.5, 1.5, p))
@@ -387,14 +418,14 @@ def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, cas
     tracker = EigenTracker(values, vectors, _cfg("perturbation"))
     tracker.averaged_kernel = average.copy()
     reference = copy.deepcopy(tracker)
-    with _solves_forced(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+    with _solves_forced(), _krylov_from(0 if krylov else math.inf), _fallbacks() as fallbacks:
         tracker.perturbation_step(kernel_dense, t)
     # the solves settle the top pair alone, so a second direction, or a
     # value placed against any eigenvalue but the top one, falls back too;
     # against the top one, the iteration from a vector this rough can also
     # settle on another eigenpair and fall back
     if falls_back or d > 1 or anchor < p - 1:
-        assert eigh.called
+        assert fallbacks.called
     perturbation_step_reference(reference, kernel_dense, t)
     for name in ("values", "vectors", "averaged_kernel"):
         np.testing.assert_allclose(
@@ -411,9 +442,10 @@ def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, cas
     offset=st.floats(-2.0, 2.0),
     null=st.booleans(),
     t=st.integers(20, 2000),
+    krylov=st.booleans(),
 )
 def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
-    seed, p, place, start, offset, null, t
+    seed, p, place, start, offset, null, t, krylov
 ):
     # A = Q diag(mu) Q' with eigenvalues at least 0.2 apart, the smallest
     # exactly 0 when ``null``.  The tracked value sits ``offset`` times about
@@ -449,9 +481,11 @@ def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
     gv = (average - kernel_dense) @ tracker.vectors
 
     unbounded = (math.inf, math.inf)
-    settled = eigen_module._shift_solves(
-        average, tracker.values, tracker.vectors, gv, unbounded
-    ) is not None
+    krylov_from = 0 if krylov else math.inf  # the iteration's first step
+    with _krylov_from(krylov_from):
+        settled = eigen_module._shift_solves(
+            average, tracker.values, tracker.vectors, gv, unbounded
+        ) is not None
     if null and place == "top" and start == "near" and not 0.9 <= abs(offset) <= 1.1:
         # clear of the cut-off, the top pair settles; the bounds on the
         # cut-off are tight when the smallest eigenvalue is 0, as a slice
@@ -465,9 +499,9 @@ def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
     resonant = np.flatnonzero(np.abs(shifts) <= PINV_CUTOFF * np.abs(shifts).max())
     assert resonant.tolist() in ([], [p - 1])
     reference = copy.deepcopy(tracker)
-    with _solves_forced(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+    with _solves_forced(), _krylov_from(krylov_from), _fallbacks() as fallbacks:
         tracker.perturbation_step(kernel_dense, t)
-    assert not eigh.called
+    assert not fallbacks.called
     perturbation_step_reference(reference, kernel_dense, t)
     for name in ("values", "vectors", "averaged_kernel"):
         np.testing.assert_allclose(
@@ -536,6 +570,71 @@ def test_perturbation_step_that_raises_leaves_the_tracker_unchanged(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", unconverged)
     with pytest.raises(np.linalg.LinAlgError):
         tracker.perturbation_step(kernel.kernel_matrix(), kernel.t - 1)
+    for name in ("values", "vectors", "averaged_kernel", "top_bound", "second_bound"):
+        np.testing.assert_array_equal(getattr(tracker, name), getattr(before, name), err_msg=name)
+    assert tracker.step == before.step
+
+
+def _diagonal_tracker(lam, vector, diagonal):
+    tracker = EigenTracker(np.array([lam]), np.asarray(vector)[:, None], _cfg("perturbation"))
+    tracker.averaged_kernel = np.diag(diagonal)
+    return tracker
+
+
+def test_perturbation_krylov_start_stops_on_an_invariant_space():
+    diagonal = np.array([5.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.0])
+    average = np.diag(diagonal)
+    # an exact eigenvector spans a one-dimensional invariant space: its
+    # first product leaves a zero direction, the null one a zero product
+    for k in (0, 3, 7):
+        start = eigen_module._krylov_start(average, np.eye(8)[k])
+        assert np.all(np.isfinite(start))
+        np.testing.assert_array_equal(np.abs(start), np.eye(8)[k])
+    # a vector in the span of two eigenvectors: the space stops at two
+    # dimensions, whose top Ritz vector is the top eigenvector, of unit norm
+    # as the orthonormal basis leaves it
+    vector = np.zeros(8)
+    vector[:2] = 1.0, 0.1
+    vector /= np.linalg.norm(vector)
+    start = eigen_module._krylov_start(average, vector)
+    np.testing.assert_allclose(np.abs(start), np.eye(8)[0], rtol=0, atol=1e-12)
+    # resonant with the top eigenvalue, the pair is unsettled, so the step
+    # reaches the Krylov start
+    tracker = _diagonal_tracker(5.0, vector, diagonal)
+    reference = copy.deepcopy(tracker)
+    noise = np.random.default_rng(0).standard_normal((8, 8))
+    kernel_dense = average + 0.01 * (noise + noise.T)
+    with _solves_forced(), _fallbacks() as fallbacks, _krylov_starts() as krylov:
+        tracker.perturbation_step(kernel_dense, 50)
+    assert krylov.call_count == 1 and not fallbacks.called
+    perturbation_step_reference(reference, kernel_dense, 50)
+    for name in ("values", "vectors", "averaged_kernel"):
+        assert np.all(np.isfinite(getattr(tracker, name))), name
+        np.testing.assert_allclose(
+            getattr(tracker, name), getattr(reference, name), rtol=0, atol=1e-12, err_msg=name
+        )
+
+
+def test_perturbation_krylov_start_that_raises_leaves_the_tracker_unchanged(monkeypatch):
+    # the tracked value on the top eigenvalue and its vector 1e-2 off the
+    # top eigenvector: the pair is resonant and unsettled, so the step
+    # reaches the Krylov start, whose eigh raises, and the fallback's too
+    rng = np.random.default_rng(23)
+    diagonal = np.linspace(4.0, 0.0, 12)
+    vector = np.eye(12)[0] + 1e-2 * rng.standard_normal(12)
+    tracker = _diagonal_tracker(4.0, vector / np.linalg.norm(vector), diagonal)
+    tracker.top_bound, tracker.second_bound = 4.0 + 1e-9, diagonal[1] + 1e-9
+    before = copy.deepcopy(tracker)
+    kernel_dense = np.diag(diagonal) + 0.01 * np.outer(vector, vector)
+
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(eigen_module, "_solves_pay", lambda p, d: True)
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    with _krylov_starts() as krylov, pytest.raises(np.linalg.LinAlgError):
+        tracker.perturbation_step(kernel_dense, 50)
+    assert krylov.called
     for name in ("values", "vectors", "averaged_kernel", "top_bound", "second_bound"):
         np.testing.assert_array_equal(getattr(tracker, name), getattr(before, name), err_msg=name)
     assert tracker.step == before.step
@@ -613,6 +712,105 @@ def test_carried_bounds_skip_nine_cholesky_factorizations_in_ten():
         model = fit_online(X, y, SIRConfig(tracker="perturbation"), warmup_size=100)
     assert model.eigen.step == 900
     assert cholesky.call_count <= 0.1 * model.eigen.step
+
+
+def test_perturbation_solves_at_most_five_times_in_four_steps_on_the_study_stream():
+    # one solve where the carried bounds settle the pair from the tracked
+    # vector, and otherwise, as a rule, a Krylov start and one iteration
+    # solve before it; without the lower-bound test and the Krylov start a
+    # step takes 1.52 solves here
+    X, y = _study_stream()
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        model = fit_online(X, y, SIRConfig(tracker="perturbation"), warmup_size=100)
+    assert model.eigen.step == 900
+    assert solve.call_count <= 1.25 * model.eigen.step
+
+
+def _bounded_tracker(lam, v, eigenvalues, rng):
+    """A tracker of (lam, v) on A = Q diag(eigenvalues) Q' for a random
+    orthogonal Q, its bounds 1e-9 above the two largest eigenvalues, and
+    the mu, |r| and cut of its first resonance test; ``v`` is given in
+    Q's coordinates."""
+    p = eigenvalues.size
+    basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    average = (basis * eigenvalues) @ basis.T
+    average = (average + average.T) / 2.0
+    v = basis @ v
+    tracker = EigenTracker(np.array([lam]), (v / np.linalg.norm(v))[:, None], _cfg("perturbation"))
+    tracker.averaged_kernel = average
+    spectrum = np.linalg.eigvalsh(average)
+    tracker.top_bound, tracker.second_bound = spectrum[-1] + 1e-9, spectrum[-2] + 1e-9
+    mu, _, res = eigen_module._rayleigh(average, tracker.vectors[:, 0])
+    floor = -p * np.finfo(float).eps * float(average.trace())
+    return tracker, mu, res, PINV_CUTOFF * max(lam - floor, mu + res - lam)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perturbation_settles_a_pair_from_the_carried_second_bound(seed):
+    # A = Q diag(mu) Q' with top eigenvalues 5 and 3 and the rest in [0, 2];
+    # the tracked value 4.5, its vector mostly the top eigenvector with a
+    # 0.3 part of the second.  Its residual leaves lam within the cut-off of
+    # mu's eigenvalue as far as mu alone shows, but the carried bound on
+    # the second eigenvalue settles the pair before any iteration: one
+    # solve, no Krylov start, no Cholesky factorization.
+    rng = np.random.default_rng(seed)
+    p, lam = 12, 4.5
+    eigenvalues = np.concatenate([np.sort(rng.uniform(0.0, 2.0, p - 2)), [3.0, 5.0]])
+    v = 0.02 * rng.standard_normal(p)
+    v[-2:] += 0.3, 0.95
+    tracker, mu, res, cut = _bounded_tracker(lam, v, eigenvalues, rng)
+    assert abs(mu - lam) - res <= cut  # mu and |r| alone leave the pair open
+    assert lam < mu - cut and tracker.second_bound < min(lam - cut, mu - res)
+    shifts = lam - np.linalg.eigvalsh(tracker.averaged_kernel)
+    assert np.all(np.abs(shifts) > PINV_CUTOFF * np.abs(shifts).max())  # no resonant shift
+
+    noise = rng.standard_normal((p, p))
+    kernel_dense = tracker.averaged_kernel + 0.01 * (noise + noise.T)
+    reference = copy.deepcopy(tracker)
+    with _solves_forced(), _fallbacks() as fallbacks, \
+            mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky, \
+            _krylov_starts() as krylov:
+        tracker.perturbation_step(kernel_dense, 40)
+    assert solve.call_count == 1
+    assert not (cholesky.called or krylov.called or fallbacks.called)
+    perturbation_step_reference(reference, kernel_dense, 40)
+    for name in ("values", "vectors", "averaged_kernel"):
+        np.testing.assert_allclose(
+            getattr(tracker, name), getattr(reference, name), rtol=0, atol=1e-12, err_msg=name
+        )
+    spectrum = np.linalg.eigvalsh(tracker.averaged_kernel)
+    assert tracker.top_bound >= spectrum[-1] and tracker.second_bound >= spectrum[-2]
+
+
+def test_perturbation_second_bound_settles_no_pair_whose_residual_hides_the_top():
+    # top eigenvalue 50, second 1, the rest in [0, 0.5]; the tracked vector
+    # mostly the second eigenvector, with mu = 1.5 and a residual of about
+    # 5, and lam = 1.03, resonant with the second eigenvalue once the top
+    # one sets the cut-off.  lam < mu - cut and the second bound lies below
+    # lam - cut, but not below mu - |r|: mu's eigenvalue need not be the
+    # top one, so the bound proves nothing and the step falls back.
+    rng = np.random.default_rng(5)
+    p, lam, top = 12, 1.03, math.sqrt(0.5 / 49.0)
+    eigenvalues = np.concatenate([rng.uniform(0.0, 0.5, p - 2), [1.0, 50.0]])
+    v = np.zeros(p)
+    v[-2:] = math.sqrt(1.0 - top**2), top
+    tracker, mu, res, cut = _bounded_tracker(lam, v, eigenvalues, rng)
+    assert lam < mu - cut and mu - res < tracker.second_bound < lam - cut
+    shifts = np.abs(lam - np.linalg.eigvalsh(tracker.averaged_kernel))
+    assert shifts[-2] <= PINV_CUTOFF * shifts.max()  # the second eigenvalue is resonant
+
+    noise = rng.standard_normal((p, p))
+    kernel_dense = tracker.averaged_kernel + 0.01 * (noise + noise.T)
+    reference = copy.deepcopy(tracker)
+    with _solves_forced(), _fallbacks() as fallbacks:
+        tracker.perturbation_step(kernel_dense, 40)
+    assert fallbacks.called
+    perturbation_step_reference(reference, kernel_dense, 40)
+    for name in ("values", "vectors", "averaged_kernel"):
+        np.testing.assert_allclose(
+            getattr(tracker, name), getattr(reference, name), rtol=0, atol=1e-12, err_msg=name
+        )
 
 
 # -- sgd ------------------------------------------------------------
