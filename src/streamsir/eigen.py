@@ -77,10 +77,10 @@ _SHIFT_NUDGE = 4 * _EPS
 # (p = 500, 800 steps) the tracker ends 3e-12 from the eigh reference at
 # 1e-10, 4e-15 at 1e-12 and 4e-16 here; the iteration, cubically convergent,
 # gets there from the tracked vector in one or two solves and from a Krylov
-# start in one, and gives up after ``_RAYLEIGH_SOLVES`` steps, a Krylov start
+# start in one, and gives up after ``_RAYLEIGH_STEPS`` steps, a Krylov start
 # counting as one.
 _RESIDUAL_TOL = 1e-13
-_RAYLEIGH_SOLVES = 4
+_RAYLEIGH_STEPS = 4
 # Rayleigh quotient iteration starts from the top Ritz pair of the average on
 # the Krylov space of the tracked vector, built from this many products with
 # it.  From the tracked vector itself one solve left the residual short of
@@ -94,10 +94,14 @@ _KRYLOV_PRODUCTS = 6
 # The Krylov start replaces the first solve from this many features on.  Its
 # cost is mostly per-call overhead, about 70 us up to p = 120, where a copy and
 # solve takes 21 us at p = 40, 57 at 60, 79 to 95 at 80 to 100 and 112 at 120
-# (best of 15 timeit repeats, one thread).  Through ``fit_online`` (model 1,
-# 1000 rows, medians of five alternating runs) an observation took 30% longer
-# at p = 40 and 18% at p = 60 with it than with a first solve from the
-# tracked vector, and about as long at p = 80 to 100.
+# (best of 15 timeit repeats, one thread); ``np.linalg.qr`` and ``eigh`` of a
+# 6 x 6 matrix alone take about 26 us, so no Ritz start pays at p = 40.  Time
+# per observation through ``fit_online`` (model 1, 1000 rows, medians of five
+# alternating runs, one thread), with eigh / a first solve / a Krylov start:
+# 206 / 148 / 198 us at p = 40, 293 / 142 / 170 at 50, 367 / 198 / 255 at 60,
+# 565 / 160 / 165 at 80 and 843 / 241 / 236 at 100.  No benchmark workload
+# runs the perturbation tracker below p = 100, so these timings alone set
+# this gate and ``_SOLVE_MIN_P``.
 _KRYLOV_MIN_P = 100
 # The perturbation step's solves replace its eigh for one direction from
 # this many features on (see ``_solves_pay``).
@@ -430,12 +434,18 @@ def _solves_pay(p: int, d: int) -> bool:
     """Whether the perturbation step's solves cost less than the ``eigh``
     they replace, for p features and d directions.
 
-    For one direction a step takes one solve and one Cholesky
-    factorization, plus one or two solves when the pair is resonant.  Time
-    per observation through ``fit_online``, solves over eigh (one thread of
-    a 2-core Xeon, model 1, medians of interleaved runs, three sets): 1.37,
-    1.39 and 1.47 at p = 20; 1.00, 0.93 and 1.32 at 30; 0.74, 0.64 and 0.70
-    at 40; 0.48, 0.70 and 0.60 at 100.  With two or more directions the
+    For one direction a step takes one solve with lam I - A.  Where the
+    tracked vector and the carried eigenvalue bounds leave the pair's
+    resonance open, Rayleigh quotient iteration comes first: one or two
+    solves below ``_KRYLOV_MIN_P``, and from there a Krylov start and, as a
+    rule, one solve.  A Cholesky factorization runs only where the carried
+    bounds no longer prove which shift is resonant.  Time per observation
+    through ``fit_online``, solves over eigh (one thread of a 2-core Xeon,
+    model 1, medians of interleaved runs, three sets, when every step took
+    a factorization): 1.37, 1.39 and 1.47 at p = 20; 1.00, 0.93 and 1.32 at
+    30; 0.74, 0.64 and 0.70 at 40; 0.48, 0.70 and 0.60 at 100.  With the
+    step as it is now, 0.72 at p = 40 and 0.28 at 100 (the timings at
+    ``_KRYLOV_MIN_P``).  With two or more directions the
     certificate settles the first alone, so every step would pay for the
     solves and then for ``eigh``.  So the solves run for one direction from
     ``_SOLVE_MIN_P`` features on.
@@ -513,7 +523,7 @@ def _shift_solves(average, values, vectors, gv, bounds):
     every case this does not settle: a failed certificate (an eigenvalue
     other than the top one within the cut-off of lam or of mu, as for a
     second direction), an iteration short of the tolerance after
-    ``_RAYLEIGH_SOLVES`` steps or drawn to another eigenpair, a top shift
+    ``_RAYLEIGH_STEPS`` steps or drawn to another eigenpair, a top shift
     whose resonance the bounds leave open, or a singular solve.
     """
     p = average.shape[0]
@@ -535,7 +545,7 @@ def _shift_solves(average, values, vectors, gv, bounds):
                 )
                 if free or res <= _RESIDUAL_TOL * width:
                     break
-                if steps == _RAYLEIGH_SOLVES:
+                if steps == _RAYLEIGH_STEPS:
                     return None
                 if steps or p < _KRYLOV_MIN_P:
                     iterate = average.copy()

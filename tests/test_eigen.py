@@ -272,16 +272,11 @@ def _solves_forced():
     return mock.patch.object(eigen_module, "_solves_pay", lambda p, d: True)
 
 
-def _krylov_from(p_min):
-    """Start Rayleigh quotient iteration from a Krylov pair from ``p_min``
-    features on."""
-    return mock.patch.object(eigen_module, "_KRYLOV_MIN_P", p_min)
-
-
 @contextlib.contextmanager
-def _krylov_starts():
-    """Start from a Krylov pair at every p, and count the starts."""
-    with _krylov_from(0), mock.patch.object(
+def _krylov_starts(p_min=0):
+    """Start Rayleigh quotient iteration from a Krylov pair from ``p_min``
+    features on, and count the starts."""
+    with mock.patch.object(eigen_module, "_KRYLOV_MIN_P", p_min), mock.patch.object(
         eigen_module, "_krylov_start", wraps=eigen_module._krylov_start
     ) as starts:
         yield starts
@@ -418,7 +413,7 @@ def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, cas
     tracker = EigenTracker(values, vectors, _cfg("perturbation"))
     tracker.averaged_kernel = average.copy()
     reference = copy.deepcopy(tracker)
-    with _solves_forced(), _krylov_from(0 if krylov else math.inf), _fallbacks() as fallbacks:
+    with _solves_forced(), _krylov_starts(0 if krylov else math.inf), _fallbacks() as fallbacks:
         tracker.perturbation_step(kernel_dense, t)
     # the solves settle the top pair alone, so a second direction, or a
     # value placed against any eigenvalue but the top one, falls back too;
@@ -482,7 +477,7 @@ def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
 
     unbounded = (math.inf, math.inf)
     krylov_from = 0 if krylov else math.inf  # the iteration's first step
-    with _krylov_from(krylov_from):
+    with _krylov_starts(krylov_from):
         settled = eigen_module._shift_solves(
             average, tracker.values, tracker.vectors, gv, unbounded
         ) is not None
@@ -499,7 +494,7 @@ def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
     resonant = np.flatnonzero(np.abs(shifts) <= PINV_CUTOFF * np.abs(shifts).max())
     assert resonant.tolist() in ([], [p - 1])
     reference = copy.deepcopy(tracker)
-    with _solves_forced(), _krylov_from(krylov_from), _fallbacks() as fallbacks:
+    with _solves_forced(), _krylov_starts(krylov_from), _fallbacks() as fallbacks:
         tracker.perturbation_step(kernel_dense, t)
     assert not fallbacks.called
     perturbation_step_reference(reference, kernel_dense, t)
