@@ -222,8 +222,8 @@ def _format_table(summaries, value_key):
 
 def cmd_benchmark(args):
     methods = resolve_methods(args.methods.split(","))
-    models = [int(tok) for tok in str(args.model).split(",")]
-    ps = [int(tok) for tok in str(args.p).split(",")]
+    models = _parse_grid(args.model, "--model", int)
+    ps = _parse_grid(args.p, "--p", int)
     _at_least_one(reps=args.reps, jobs=args.jobs, warmup=args.warmup)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -381,9 +381,12 @@ def _config(args, n_directions, **truncation):
                      period=args.period, **truncation)
 
 
-def _parse_grid(text, flag):
+def _parse_grid(text, flag, kind=float):
+    """The comma list ``text`` of ``flag`` as ``kind`` values; a token that
+    ``kind`` cannot read, or no token at all, raises ``ConfigurationError``
+    naming the flag."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"{flag}: {exc}") from None
     if not values:
@@ -482,8 +485,8 @@ def build_parser():
     sim.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
     sim.add_argument("--p", type=int, required=True)
     sim.add_argument("--n", type=int, default=1000)
-    sim.add_argument("--rho", type=float, default=0.3)
-    sim.add_argument("--noise-sd", type=float, default=1.0)
+    sim.add_argument("--rho", type=float, default=SimModelSpec.rho)
+    sim.add_argument("--noise-sd", type=float, default=SimModelSpec.noise_sd)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)

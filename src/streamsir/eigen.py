@@ -34,17 +34,18 @@ the p x H factor, which equals the dense eigendecomposition of the kernel
 matrix without materializing it.  ``EigenTracker.advance`` runs the
 whole eigen stage of one streaming observation for any strategy, from the
 slice statistics and the observation's grid slice alone: no strategy reads
-the response.  A tracker's state is its public attributes.  The
-constructor allocates the chosen strategy's own state, zeroed, from the
-shapes of the basis, so a loader needs no per-strategy knowledge;
-``from_kernel`` fills it from the warmup, and ``OnlineSparseSIR.save``
-decides which of it a checkpoint holds.
+the response.  A tracker's state is its public attributes.  Every
+strategy but perturbation keeps only the basis (ccipca's component vectors
+are the eigenvalues times the eigenvectors); the constructor allocates
+perturbation's own state, zeroed, from the shapes of the basis, so a loader
+needs no per-strategy knowledge; ``from_kernel`` fills it from the warmup,
+and ``OnlineSparseSIR.save`` decides which of it a checkpoint holds.
 
-``vectors`` and ``raw_vectors`` start column-major (Fortran order) and
-ccipca rewrites their columns in place, so on the default path every
-per-component pass runs over contiguous memory.  The other strategies
-replace ``vectors`` with whatever layout their linear algebra returns; the
-layout is an implementation detail, not part of the API.
+``vectors`` starts column-major (Fortran order) and ccipca rewrites its
+columns in place, so on the default path every per-component pass runs
+over contiguous memory.  The other strategies replace ``vectors`` with
+whatever layout their linear algebra returns; the layout is an
+implementation detail, not part of the API.
 """
 
 from __future__ import annotations
@@ -147,8 +148,6 @@ class EigenTracker:
     ----------
     values : (d,) tracked eigenvalues, descending at init.
     vectors : (p, d) tracked eigenvectors, unit columns.
-    raw_vectors : (p, d) unnormalized component vectors (ccipca only);
-        the norm of column j doubles as its eigenvalue estimate.
     averaged_kernel : (p, p) running mean of dense kernel matrices
         (perturbation only; zeros until ``from_kernel`` sets it).
     top_bound, second_bound : upper bounds on the largest and the
@@ -164,11 +163,6 @@ class EigenTracker:
         self.config = config
         self.step = 0
         self.reinit_count = 0
-        self.raw_vectors = (
-            self.vectors * self.values  # keeps the column-major layout
-            if config.strategy == "ccipca"
-            else None
-        )
         p = self.vectors.shape[0]
         perturbation = config.strategy == "perturbation"
         self.averaged_kernel = np.zeros((p, p)) if perturbation else None
@@ -239,62 +233,58 @@ class EigenTracker:
     def ccipca_step(self, factor, t: int) -> float:
         """Candid covariance-free update from the current p x H factor.
 
-        Component j receives the weighted-average update
-        v <- t/(t+1) v + 1/(t+1) (1/H) W_j (W_j' v/|v|) on the j-times-deflated
+        Component j is the vector v = lam u of its eigenvalue lam and unit
+        eigenvector u, and receives the weighted-average update
+        v <- t/(t+1) v + 1/(t+1) (1/H) W_j (W_j' u) on the j-times-deflated
         factor W_j = P_{j-1}...P_0 W, with P_k = I - u_k u_k' for the unit
         vectors u_k of the components before it.  The deflation is applied
         to vectors, W_j g = P_{j-1}...P_0 (W g) and W_j' u = W' (P_0...P_{j-1} u),
         so ``factor`` may be an ndarray or a ``SliceFactor``.  Each component
         costs the two block products of ``SliceFactor.kernel_times``, with
-        the 1/|v|, 1/(t+1) and 1/H scales applied on the H-sized side.
-        Column j of ``raw_vectors`` is updated in place;
-        before its unit vector overwrites column j of ``vectors``, the new
-        column is negated when it points away from the old unit column, so
-        the step aligns its own signs (``align_signs``' rule).  The first
-        component builds no p-sized temporary besides W g; the deflated
-        ones share one scratch buffer.  A component whose norm collapses
-        below 1e-12 is re-seeded from the largest remaining deflated column
-        and counted in ``reinit_count``.  Returns the smallest eigenvalue.
+        the 1/(t+1) and 1/H scales applied on the H-sized side.  The new
+        v's norm is the new lam; before v/|v| overwrites column j of
+        ``vectors`` in place, v is negated when it points away from the old
+        unit column, so the step aligns its own signs (``align_signs``' rule).
+        A component whose eigenvalue lies below 1e-12, before or after its
+        update, is collapsed: it is re-seeded from the largest remaining
+        deflated column and counted in ``reinit_count``.  Returns the
+        smallest eigenvalue.
         """
         w = SliceFactor.wrap(factor)
         keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
         per_slice = blend / w.counts.size
-        scratch = np.empty(self.raw_vectors.shape[0]) if self.n_directions > 1 else None
+        scratch = np.empty(self.vectors.shape[0])
         units = []  # columns of ``vectors`` already updated this step
         smallest = math.inf
         for j in range(self.n_directions):
-            v = self.raw_vectors[:, j]
-            norm = math.sqrt(v.dot(v))
-            if norm < _NORM_FLOOR:
+            lam = float(self.values[j])
+            unit = self.vectors[:, j]
+            start = unit
+            if lam < _NORM_FLOOR:
                 seed = self._reseed_from(w, units)
-                norm = math.sqrt(seed @ seed)
-                if norm < _NORM_FLOOR:
+                lam = math.sqrt(seed.dot(seed))
+                if lam < _NORM_FLOOR:
                     self.values[j] = smallest = 0.0
                     continue
-                v[:] = seed
+                start = seed / lam
+            a = start
             if units:
-                a = v / norm
+                a = start.copy()
                 for u in reversed(units):
                     a -= np.multiply(u, u.dot(a), out=scratch)
-                b = w.kernel_times(a, per_slice)
-            else:  # a = v/|v|: the 1/|v| scales the H-sized side instead
-                b = w.kernel_times(v, per_slice / norm)
+            v = w.kernel_times(a, per_slice)
             for u in units:
-                b -= np.multiply(u, u.dot(b), out=scratch)
-            v *= keep
-            v += b
+                v -= np.multiply(u, u.dot(v), out=scratch)
+            v += np.multiply(start, keep * lam, out=scratch)
             norm = math.sqrt(v.dot(v))
             if norm < _NORM_FLOOR:
-                v[:] = self._reseed_from(w, units)
-                norm = math.sqrt(v @ v)
+                v = self._reseed_from(w, units)
+                norm = math.sqrt(v.dot(v))
                 if norm < _NORM_FLOOR:
                     self.values[j] = smallest = 0.0
                     continue
-            unit = self.vectors[:, j]
-            if unit.dot(v) < 0.0:
-                v *= -1.0
             self.values[j] = norm
-            np.divide(v, norm, out=unit)
+            np.divide(v, -norm if unit.dot(v) < 0.0 else norm, out=unit)
             units.append(unit)
             if norm < smallest:
                 smallest = norm
@@ -419,9 +409,8 @@ class EigenTracker:
 
     def align_signs(self, reference: np.ndarray) -> None:
         """Flip column signs so each vector has non-negative overlap with
-        its counterpart in ``reference`` (the previous step's basis).  Only
-        ``vectors`` is touched: ccipca, the one strategy with
-        ``raw_vectors``, aligns inside its own step."""
+        its counterpart in ``reference`` (the previous step's basis).  ccipca
+        aligns inside its own step instead."""
         for j in range(self.n_directions):
             if reference[:, j].dot(self.vectors[:, j]) < 0.0:
                 self.vectors[:, j] *= -1.0
@@ -601,11 +590,8 @@ def _proved_level(shifted, lam: float, level: float, floor: float) -> float | No
     base = diagonal.copy()
     for proved in (level - _CERTIFICATE_MARGIN * (level - floor), level):
         np.subtract(base, lam - proved, out=diagonal)
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        return proved
+        if _positive_definite(shifted):
+            return proved
     return None
 
 
@@ -660,8 +646,13 @@ def _has_eigenvalue_below(average, level: float) -> bool:
     Cholesky factorization of A - level I fails."""
     shifted = average.copy()
     _diagonal(shifted)[:] -= level
+    return not _positive_definite(shifted)
+
+
+def _positive_definite(m: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of the symmetric ``m`` succeeds."""
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return True
-    return False
+        return False
+    return True

@@ -71,7 +71,7 @@ from .truncated import TruncatedGradient
 DEFAULT_WARMUP = 100
 
 # Layout version of ``OnlineSparseSIR.save``; ``load`` reads this one only.
-CHECKPOINT_FORMAT = 7
+CHECKPOINT_FORMAT = 8
 
 # A tracked eigenvalue at or below this zeroes its coordinate of the
 # synthetic response instead of dividing by it.
@@ -100,8 +100,8 @@ CHECKPOINT_LAYOUT = {
     "kernel": ("t", "block"),
     "grid": ("cuts", "counts"),
     "eigen": (
-        "values", "vectors", "step", "reinit_count", "raw_vectors",
-        "averaged_kernel", "top_bound", "second_bound",
+        "values", "vectors", "step", "reinit_count", "averaged_kernel",
+        "top_bound", "second_bound",
     ),
     "coef": ("betas", "step", "truncation_zeros"),
     "pipe": ("warmup_size", "degenerate_responses"),
@@ -146,8 +146,10 @@ class SIRConfig:
     def __post_init__(self):
         for name in ("n_slices", "n_directions", "period"):
             value = getattr(self, name)
-            # a stage given 2.5 would run as 2 while the config still says 2.5
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
+            # a stage given 2.5 would run as 2 while the config still says
+            # 2.5, and one given True as 1 while the config says True
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and value >= 1):
                 raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
         self.tracker_config()  # validates the tracker name
         if self.learning_rate is not None and not 0.0 < self.learning_rate < 1.0:

@@ -100,10 +100,11 @@ _NORM_FLOOR = 1e-12
 
 def ccipca_step_reference(eigen, factor, t: int) -> None:
     """One ccipca step on a materialized p x H factor, deflated explicitly
-    as w <- w - u (u'w) after each component, with each new component
-    negated when it points away from its previous unit vector.  This is the
-    algebra the factor-free tracker must reproduce; it updates ``eigen`` in
-    place."""
+    as w <- w - u (u'w) after each component: component j is lam u, its
+    eigenvalue times its unit vector, and moves to t/(t+1) lam u +
+    1/(t+1) (1/H) w w' u, negated when it points away from its previous unit
+    vector.  This is the algebra the factor-free tracker must reproduce; it
+    updates ``eigen`` in place."""
     w = np.asarray(factor, dtype=float)
     n_slices = w.shape[1]
     keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
@@ -113,27 +114,25 @@ def ccipca_step_reference(eigen, factor, t: int) -> None:
         return w[:, int(np.argmax(np.linalg.norm(w, axis=0)))].copy()
 
     for j in range(eigen.values.size):
-        v = eigen.raw_vectors[:, j]
-        norm = float(np.linalg.norm(v))
-        if norm < _NORM_FLOOR:
-            v = reseed(w)
-            norm = float(np.linalg.norm(v))
-            if norm < _NORM_FLOOR:
+        lam = float(eigen.values[j])
+        unit = eigen.vectors[:, j]
+        if lam < _NORM_FLOOR:
+            seed = reseed(w)
+            lam = float(np.linalg.norm(seed))
+            if lam < _NORM_FLOOR:
                 eigen.values[j] = 0.0
                 continue
-        unit = v / norm
-        v = keep * v + blend * (w @ (w.T @ unit)) / n_slices
+            unit = seed / lam
+        v = keep * lam * unit + blend * (w @ (w.T @ unit)) / n_slices
         norm = float(np.linalg.norm(v))
         if norm < _NORM_FLOOR:
             v = reseed(w)
             norm = float(np.linalg.norm(v))
             if norm < _NORM_FLOOR:
-                eigen.raw_vectors[:, j] = v
                 eigen.values[j] = 0.0
                 continue
         if eigen.vectors[:, j] @ v < 0.0:
             v = -v
-        eigen.raw_vectors[:, j] = v
         eigen.values[j] = norm
         unit = v / norm
         eigen.vectors[:, j] = unit
@@ -155,7 +154,6 @@ def ccipca_observe_reference(model, x, y) -> None:
     overlap = np.einsum("ij,ij->j", previous, eigen.vectors)
     flips = np.where(overlap < 0.0, -1.0, 1.0)
     eigen.vectors = eigen.vectors * flips
-    eigen.raw_vectors = eigen.raw_vectors * flips
     h = slice_index_oracle(float(y), kernel.grid.cuts)
     lams = eigen.values
     floor = pipeline._EIGENVALUE_FLOOR
@@ -280,38 +278,34 @@ def observe_chain_reference(model, x, y) -> None:
     units = []
     smallest = math.inf
     for j in range(eigen.values.size):
-        v = eigen.raw_vectors[:, j]
-        norm = math.sqrt(v @ v)
-        if norm < _NORM_FLOOR:
+        lam = float(eigen.values[j])
+        unit = eigen.vectors[:, j]
+        start = unit
+        if lam < _NORM_FLOOR:
             seed = reseed(units)
-            norm = math.sqrt(seed @ seed)
-            if norm < _NORM_FLOOR:
+            lam = math.sqrt(seed @ seed)
+            if lam < _NORM_FLOOR:
                 eigen.values[j] = smallest = 0.0
                 continue
-            v[:] = seed
+            start = seed / lam
+        a = start
         if units:
-            a = v / norm
+            a = start.copy()
             for u in reversed(units):
                 a -= np.multiply(u, u @ a, out=scratch)
-            b = w_w_transposed_times(a, per_slice)
-        else:
-            b = w_w_transposed_times(v, per_slice / norm)
+        v = w_w_transposed_times(a, per_slice)
         for u in units:
-            b -= np.multiply(u, u @ b, out=scratch)
-        v *= keep
-        v += b
+            v -= np.multiply(u, u @ v, out=scratch)
+        v += np.multiply(start, keep * lam, out=scratch)
         norm = math.sqrt(v @ v)
         if norm < _NORM_FLOOR:
-            v[:] = reseed(units)
+            v = reseed(units)
             norm = math.sqrt(v @ v)
             if norm < _NORM_FLOOR:
                 eigen.values[j] = smallest = 0.0
                 continue
-        unit = eigen.vectors[:, j]
-        if unit @ v < 0.0:
-            v *= -1.0
         eigen.values[j] = norm
-        np.divide(v, norm, out=unit)
+        np.divide(v, -norm if unit @ v < 0.0 else norm, out=unit)
         units.append(unit)
         smallest = min(smallest, norm)
     eigen.step += 1

@@ -455,6 +455,19 @@ def test_benchmark_invalid_model_dimension_fails_fast(tmp_path, capsys):
     assert "model 2" in payload["message"]
 
 
+@pytest.mark.parametrize("flag, value", [("--p", "20,abc"), ("--model", "1,x")])
+def test_benchmark_rejects_unparseable_lists(tmp_path, capsys, flag, value):
+    # a JSON error line naming the flag, not a ValueError traceback
+    out_dir = tmp_path / "b"
+    code = main(["benchmark", "--n", "300", "--reps", "1", "--methods", "M3",
+                 flag, value, "--out", str(out_dir)])
+    assert code == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert payload["message"].startswith(f"{flag}:")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_benchmark_rejects_jobs_below_one(tmp_path, capsys, jobs):
     # rejected before any cell runs, not silently run serially

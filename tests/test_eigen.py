@@ -137,27 +137,17 @@ def test_ccipca_converges_on_a_stationary_rank_one_factor():
 def test_ccipca_zero_factor_shrinks_norm_only():
     rng = np.random.default_rng(2)
     tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((5, 3))), 2, _cfg())
-    before_raw = tracker.raw_vectors.copy()
+    before_values = tracker.values.copy()
     before_dirs = tracker.vectors.copy()
     tracker.ccipca_step(np.zeros((5, 3)), 4)
-    np.testing.assert_allclose(tracker.raw_vectors, 0.8 * before_raw, atol=1e-12)
+    np.testing.assert_allclose(tracker.values, 0.8 * before_values, atol=1e-12)
     np.testing.assert_allclose(tracker.vectors, before_dirs, atol=1e-12)
-
-
-def test_ccipca_values_equal_raw_norms():
-    rng = np.random.default_rng(3)
-    tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((5, 4))), 2, _cfg())
-    for t in range(1, 50):
-        tracker.ccipca_step(rng.standard_normal((5, 4)), t)
-    np.testing.assert_allclose(
-        tracker.values, np.linalg.norm(tracker.raw_vectors, axis=0), atol=1e-12
-    )
 
 
 def test_ccipca_reseeds_a_collapsed_component():
     rng = np.random.default_rng(4)
     tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((5, 4))), 2, _cfg())
-    tracker.raw_vectors[:, 1] = 0.0
+    tracker.values[1] = 0.0
     tracker.ccipca_step(rng.standard_normal((5, 4)), 3)
     assert tracker.reinit_count == 1
     assert tracker.values[1] > 0.0
@@ -185,7 +175,7 @@ def test_ccipca_reseeding_matches_the_materialized_algebra(case, form):
     else:
         kernel = KernelTracker(SliceGrid(np.array([-0.5, 0.0, 0.5])), 8)
         kernel.replay(*random_stream(rng, 60, 8))
-        start.raw_vectors[:, 1] = 0.0  # reseeded from the once-deflated factor
+        start.values[1] = 0.0  # reseeded from the once-deflated factor
         t = kernel.t - 1
     fused = copy.deepcopy(start)
     dense = copy.deepcopy(start)
@@ -194,7 +184,7 @@ def test_ccipca_reseeding_matches_the_materialized_algebra(case, form):
         fused.ccipca_step(factor, t)
         ccipca_step_reference(dense, kernel.slice_cov, t)
     assert fused.reinit_count == dense.reinit_count > 0
-    for attr in ("values", "vectors", "raw_vectors"):
+    for attr in ("values", "vectors"):
         np.testing.assert_allclose(
             getattr(fused, attr), getattr(dense, attr), rtol=0, atol=1e-12
         )
@@ -972,12 +962,8 @@ def test_advance_is_the_per_strategy_chain(strategy):
         h = kernels[0].update(X[i], y[i])
         tracker.advance(kernels[0], kernels[0].factor(), h)
         eigen_chain_reference(reference, kernels[1], kernels[1].update(X[i], y[i]))
-    for attr in ("values", "vectors", "raw_vectors"):
-        got, want = getattr(tracker, attr), getattr(reference, attr)
-        if want is None:
-            assert got is None
-        else:
-            np.testing.assert_array_equal(got, want)
+    for attr in ("values", "vectors"):
+        np.testing.assert_array_equal(getattr(tracker, attr), getattr(reference, attr))
     assert tracker.step == reference.step == 299
 
 
@@ -996,8 +982,6 @@ def test_advance_calls_the_step_by_name_and_aligns_signs(strategy, monkeypatch):
     def flipping_step(self, factor, *rest):
         inputs.append((factor, *rest))
         self.vectors = -self.vectors
-        if self.raw_vectors is not None:
-            self.raw_vectors = -self.raw_vectors
         return 0
 
     monkeypatch.setattr(EigenTracker, f"{strategy}_step", flipping_step)
@@ -1015,12 +999,16 @@ def test_advance_calls_the_step_by_name_and_aligns_signs(strategy, monkeypatch):
 
 def test_ccipca_step_aligns_its_own_signs(monkeypatch):
     # ccipca compares each new component with its previous unit vector inside
-    # the step; advance calls the step by name and adds no second pass
+    # the step; advance calls the step by name and adds no second pass.  A
+    # collapsed component takes its new direction from its reseed whatever
+    # its old unit vector, so of two trackers whose old vectors differ only
+    # in sign, one must flip the reseeded component
     rng = np.random.default_rng(13)
     X, y = random_stream(rng, 60, 6)
     kernel = KernelTracker(SliceGrid.from_warmup(y, 4), 6)
     kernel.replay(X, y)
     tracker = EigenTracker.from_kernel(kernel, 2, _cfg("ccipca"))
+    tracker.values[1] = 0.0
     inputs = []
     step = EigenTracker.ccipca_step
 
@@ -1029,15 +1017,20 @@ def test_ccipca_step_aligns_its_own_signs(monkeypatch):
         return step(self, factor, t)
 
     monkeypatch.setattr(EigenTracker, "ccipca_step", spy)
-    before = tracker.vectors.copy()
-    tracker.raw_vectors[:, 1] *= -1.0  # the step must flip this component back
-    smallest = tracker.advance(kernel, kernel.factor(), kernel.update(X[0], y[0]))
-    assert len(inputs) == 1 and isinstance(inputs[0], SliceFactor)
-    assert smallest == tracker.values.min()
-    assert np.all(np.einsum("ij,ij->j", before, tracker.vectors) > 0.0)
-    np.testing.assert_allclose(
-        tracker.vectors * tracker.values, tracker.raw_vectors, rtol=0, atol=1e-15
-    )
+    h = kernel.update(X[0], y[0])
+    twins = []
+    for sign in (1.0, -1.0):
+        twin = copy.deepcopy(tracker)
+        twin.vectors[:, 1] *= sign
+        before = twin.vectors.copy()
+        smallest = twin.advance(kernel, kernel.factor(), h)
+        assert smallest == twin.values.min()
+        assert np.all(np.einsum("ij,ij->j", before, twin.vectors) > 0.0)
+        assert twin.reinit_count == 1
+        twins.append(twin)
+    assert len(inputs) == 2 and all(isinstance(f, SliceFactor) for f in inputs)
+    np.testing.assert_array_equal(twins[0].vectors[:, 1], -twins[1].vectors[:, 1])
+    tracker = twins[0]
 
     def flipping_step(self, factor, t):
         self.vectors = -self.vectors

@@ -1,5 +1,6 @@
 """End-to-end streaming estimator."""
 
+import copy
 import json
 import math
 import os
@@ -117,9 +118,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field", ["n_slices", "n_directions", "period"])
 def test_integer_config_fields_reject_non_integers(field):
-    # a stage would run with int(2.5) = 2 while the config says 2.5
+    # a stage would run with int(2.5) = 2 while the config says 2.5, and with
+    # 1 while it says True
     with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer, got 2.5"):
         SIRConfig(**{field: 2.5})
+    with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer, got True"):
+        SIRConfig(**{field: True})
     assert getattr(SIRConfig(**{field: np.int64(2)}), field) == 2
 
 
@@ -214,7 +218,7 @@ def test_factor_free_ccipca_matches_the_materialized_algebra(d, offset):
     for i in range(100, 2100):
         fused.observe(X[i], y[i])
         ccipca_observe_reference(dense, X[i], y[i])
-    for attr in ("values", "vectors", "raw_vectors"):
+    for attr in ("values", "vectors"):
         np.testing.assert_allclose(
             getattr(fused.eigen, attr), getattr(dense.eigen, attr), rtol=0, atol=1e-12
         )
@@ -265,6 +269,24 @@ def _state(model) -> dict:
     return {key: np.asarray(value).tobytes() for key, _, _, value in model._checkpointed()}
 
 
+def _collapse_facing_away(models, x, y) -> np.ndarray:
+    """Collapse the last component of each of ``models``, all in one state,
+    with its unit vector pointing away from the column of the deflated
+    factor that re-seeds it at the next ``observe(x, y)``, so that the step
+    must flip the reseeded component.  Returns that unit vector."""
+    probe = copy.deepcopy(models[0])
+    probe.observe(x, y)  # the components before the last one do not depend on it
+    w = probe.kernel.slice_cov
+    for u in probe.eigen.vectors[:, :-1].T:
+        w = w - np.outer(u, u @ w)
+    seed = w[:, np.argmax(np.linalg.norm(w, axis=0))]
+    away = -seed / np.linalg.norm(seed)
+    for model in models:
+        model.eigen.values[-1] = 0.0
+        model.eigen.vectors[:, -1] = away
+    return away
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [20, 200])
 def test_observe_is_bitwise_the_reference_chain(p, d, monkeypatch):
@@ -273,10 +295,8 @@ def test_observe_is_bitwise_the_reference_chain(p, d, monkeypatch):
     lean = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     ref = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     for i in range(100, 2100):
-        if i == 600:  # negate one component: align_signs must flip it back
-            negated = lean.eigen.raw_vectors[:, -1].copy()
-            for model in (lean, ref):
-                model.eigen.raw_vectors[:, -1] *= -1.0
+        if i == 600:  # collapse one component: the step must reseed it and flip it
+            away = _collapse_facing_away([lean, ref], X[i], y[i])
         if i == 1100:  # from here on the smallest eigenvalue is floored
             assert lean.degenerate_responses == 0
             floor = 2.0 * float(lean.eigen.values.min())
@@ -284,7 +304,8 @@ def test_observe_is_bitwise_the_reference_chain(p, d, monkeypatch):
         lean.observe(X[i], y[i])
         observe_chain_reference(ref, X[i], y[i])
         if i == 600:
-            assert lean.eigen.raw_vectors[:, -1] @ negated > 0.0
+            assert lean.eigen.reinit_count == 1
+            assert lean.eigen.vectors[:, -1] @ away > 0.0
     assert lean.degenerate_responses > 0
     assert lean.coef.truncation_zeros > 0
     assert _state(lean) == _state(ref)
@@ -295,7 +316,7 @@ def test_observe_is_bitwise_the_reference_chain(p, d, monkeypatch):
 @pytest.mark.parametrize("p", [20, 200])
 def test_observe_stays_within_round_off_of_the_materialized_chain(p, d, monkeypatch):
     # the materialized-algebra oracle (dense factor, explicit deflation):
-    # same stream, same negation and floor change as the bitwise test,
+    # same stream, same collapse and floor change as the bitwise test,
     # within 1e-12
     X, y = sample(SimModelSpec(3, p), 2100, rng=p + d)
     cfg = SIRConfig(n_directions=d, **BENCH)
@@ -303,8 +324,7 @@ def test_observe_stays_within_round_off_of_the_materialized_chain(p, d, monkeypa
     dense = OnlineSparseSIR.warmup(X[:100], y[:100], cfg)
     for i in range(100, 2100):
         if i == 600:
-            for model in (lean, dense):
-                model.eigen.raw_vectors[:, -1] *= -1.0
+            _collapse_facing_away([lean, dense], X[i], y[i])
         if i == 1100:
             floor = 2.0 * float(lean.eigen.values.min())
             monkeypatch.setattr(pipeline, "_EIGENVALUE_FLOOR", floor)
@@ -312,7 +332,7 @@ def test_observe_stays_within_round_off_of_the_materialized_chain(p, d, monkeypa
         ccipca_observe_reference(dense, X[i], y[i])
     assert lean.degenerate_responses == dense.degenerate_responses > 0
     assert lean.coef.truncation_zeros == dense.coef.truncation_zeros > 0
-    assert lean.eigen.reinit_count == dense.eigen.reinit_count
+    assert lean.eigen.reinit_count == dense.eigen.reinit_count == 1
     for (key, _, _, value), (_, _, _, twin) in zip(lean._checkpointed(), dense._checkpointed()):
         np.testing.assert_allclose(value, twin, rtol=0, atol=1e-12, err_msg=key)
     np.testing.assert_allclose(lean.directions(), dense.directions(), rtol=0, atol=1e-12)
@@ -760,7 +780,8 @@ def _saved_arrays(tmp_path, tracker="ipca"):
 
 def _format_2_arrays(model):
     """The checkpoint format 2 wrote: one member per attribute, with the
-    slice sums and the covariate sum as two arrays."""
+    slice sums and the covariate sum as two arrays (less ccipca's component
+    vectors, which the tracker no longer keeps)."""
     kernel, grid, eigen, coef = model.kernel, model.kernel.grid, model.eigen, model.coef
     arrays = {
         "pipe_format": np.asarray(2),
@@ -780,9 +801,8 @@ def _format_2_arrays(model):
         "coef_step": np.asarray(coef.step),
         "coef_truncation_zeros": np.asarray(coef.truncation_zeros),
     }
-    for attr in ("raw_vectors", "averaged_kernel"):
-        if getattr(eigen, attr) is not None:
-            arrays[f"eigen_{attr}"] = getattr(eigen, attr)
+    if eigen.averaged_kernel is not None:
+        arrays["eigen_averaged_kernel"] = eigen.averaged_kernel
     return arrays
 
 
@@ -810,7 +830,7 @@ def test_loaded_sums_are_views_of_one_block(tmp_path):
 def test_checkpoint_stores_the_config_once(tmp_path):
     model, arrays = _saved(tmp_path, "ccipca")
     assert sorted(arrays) == ["pipe_config", "pipe_floats", "pipe_format", "pipe_ints"]
-    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 7
+    assert arrays["pipe_format"] == CHECKPOINT_FORMAT == 8
     assert arrays["pipe_floats"].dtype == np.float64 and arrays["pipe_ints"].dtype == np.int64
     assert arrays["pipe_ints"][0] == model.n_features
 
@@ -862,7 +882,7 @@ def test_checkpoint_with_invalid_grid_cuts_fails_loudly(tmp_path, edit):
 def test_checkpoint_in_the_format_2_layout_fails_loudly(tmp_path):
     model, _ = _saved(tmp_path, "ccipca")
     arrays = _format_2_arrays(model)
-    assert len(arrays) == 17
+    assert len(arrays) == 16
     np.savez(tmp_path / "format2.npz", **arrays)
     with pytest.raises(DataError, match=f"checkpoint format 2, but only format {CHECKPOINT_FORMAT}"):
         OnlineSparseSIR.load(tmp_path / "format2.npz")
@@ -898,7 +918,6 @@ def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
         ("ipca", "eigen_vectors"),
         ("ipca", "coef_betas"),
         ("ipca", "pipe_config"),
-        ("ccipca", "eigen_raw_vectors"),
         ("perturbation", "eigen_averaged_kernel"),
         ("ipca", "pipe_format"),
         ("ipca", "pipe_floats"),
@@ -936,15 +955,14 @@ def test_checkpoint_with_an_impossible_feature_count_fails_loudly(tmp_path, p):
 
 def test_checkpoint_relabelled_to_another_tracker_fails_loudly(tmp_path):
     # a perturbation file holds a p x p averaged kernel and two eigenvalue
-    # bounds and no raw vectors, so read as ccipca its float vector has the
-    # wrong length
+    # bounds, so read as ccipca its float vector has the wrong length
     model, arrays = _saved(tmp_path, "perturbation")
     raw = json.loads(str(arrays["pipe_config"]))
     raw["tracker"] = "ccipca"
     arrays["pipe_config"] = np.asarray(json.dumps(raw))
     np.savez(tmp_path / "relabelled.npz", **arrays)
     p, floats = model.n_features, arrays["pipe_floats"]
-    message = _length_error("pipe_floats", floats, floats.size - p * p - 2 + p, floats.dtype)
+    message = _length_error("pipe_floats", floats, floats.size - p * p - 2, floats.dtype)
     with pytest.raises(DataError, match=re.escape(message)):
         OnlineSparseSIR.load(tmp_path / "relabelled.npz")
 
@@ -1014,8 +1032,9 @@ def test_checkpoint_with_an_eigenvalue_bound_below_its_eigenvalue_fails_loudly(
 
 # 3 and 4 are the formats before the config lost its retired fields, 5 the
 # one before the perturbation tracker's eigenvalue bounds, 6 the one with
-# the ipca tracker's per-slice response sums
-@pytest.mark.parametrize("version", [1, 3, 4, 5, 6, 8])
+# the ipca tracker's per-slice response sums, 7 the one with ccipca's raw
+# component vectors
+@pytest.mark.parametrize("version", [1, 3, 4, 5, 6, 7, 9])
 def test_checkpoint_of_another_format_fails_loudly(tmp_path, version):
     arrays = _saved_arrays(tmp_path)
     arrays["pipe_format"] = np.asarray(version)
@@ -1099,7 +1118,6 @@ def _assert_column_major(model, when):
         "block": model.kernel.block,
         "cross_sum": model.kernel.cross_sum,
         "vectors": model.eigen.vectors,
-        "raw_vectors": model.eigen.raw_vectors,
         "betas": model.coef.betas,
     }
     for name, array in hot.items():
@@ -1117,18 +1135,13 @@ def test_hot_state_stays_column_major(tmp_path):
     assert model.coef.step % cfg.period == 0  # the last step truncated
     _assert_column_major(model, "after a truncating step")
 
-    before = model.eigen.raw_vectors.copy()
-    model.eigen.vectors[:, 1] *= -1.0  # the next step sees its basis flip
-    model.observe(X[110], y[110])
-    assert before[:, 1] @ model.eigen.raw_vectors[:, 1] < 0.0  # flipped back
-    _assert_column_major(model, "after a sign flip")
-
-    model.eigen.raw_vectors[:, 1] = 0.0  # a collapsed component is re-seeded
-    model.observe(X[111], y[111])
+    away = _collapse_facing_away([model], X[110], y[110])
+    model.observe(X[110], y[110])  # re-seeds the collapsed component and flips it
     assert model.eigen.reinit_count == 1
-    _assert_column_major(model, "after a reseed")
+    assert model.eigen.vectors[:, 1] @ away > 0.0
+    _assert_column_major(model, "after a reseed and a sign flip")
 
-    fit_stream(model, X[112:300], y[112:300])
+    fit_stream(model, X[111:300], y[111:300])
     path = tmp_path / "model.npz"
     model.save(path)
     restored = OnlineSparseSIR.load(path)
