@@ -225,6 +225,9 @@ def cmd_benchmark(args):
     models = _parse_grid(args.model, "--model", int)
     ps = _parse_grid(args.p, "--p", int)
     _at_least_one(reps=args.reps, jobs=args.jobs, warmup=args.warmup)
+    if args.warmup >= args.n and any(m.kind in ("sparse", "dense") for m in methods):
+        raise ConfigurationError(f"--warmup {args.warmup} leaves no observations to stream "
+                                 f"out of --n {args.n}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -344,12 +347,8 @@ def cmd_fit(args):
 
     # rows at the warmup, at every multiple of the cadence, and at the end
     record(model.diagnostics())
-    # a diverging fit overflows the prediction that detects it, or, on the
-    # last row, the coefficients themselves; the ConvergenceError is the
-    # report, so numpy's overflow warning is noise
-    with np.errstate(over="ignore"):
-        fit_stream(model, X[args.warmup:], y[args.warmup:], progress=record,
-                   progress_every=args.checkpoint_every)
+    fit_stream(model, X[args.warmup:], y[args.warmup:], progress=record,
+               progress_every=args.checkpoint_every)
     if n % args.checkpoint_every:
         record(model.diagnostics())
 

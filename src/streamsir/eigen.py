@@ -26,20 +26,20 @@ the perturbation strategy alone, the dense matrix):
                     current basis plus its residual direction and re-solve
                     a (d+1) x (d+1) problem.
 
-ccipca, sgd and ipca need only thin products and one column of the
-factor, so the pipeline hands them a ``SliceFactor`` operator and the
-factor is never formed; their steps also accept the p x H array.  All
-trackers are initialized from the same warmup statistics via a thin SVD of
-the p x H factor, which equals the dense eigendecomposition of the kernel
-matrix without materializing it.  ``EigenTracker.advance`` runs the
-whole eigen stage of one streaming observation for any strategy, from the
-slice statistics and the observation's grid slice alone: no strategy reads
-the response.  A tracker's state is its public attributes.  Every
-strategy but perturbation keeps only the basis (ccipca's component vectors
-are the eigenvalues times the eigenvectors); the constructor allocates
-perturbation's own state, zeroed, from the shapes of the basis, so a loader
-needs no per-strategy knowledge; ``from_kernel`` fills it from the warmup,
-and ``OnlineSparseSIR.save`` decides which of it a checkpoint holds.
+ccipca, sgd and ipca need only thin products with the factor and one of
+its columns, which their steps take from the ``KernelTracker`` itself, so
+the factor is never formed.  All trackers are initialized from the same
+warmup statistics via a thin SVD of the p x H factor, which equals the
+dense eigendecomposition of the kernel matrix without materializing it.
+``EigenTracker.advance`` runs the whole eigen stage of one streaming
+observation for any strategy, from the slice statistics and the
+observation's grid slice alone: no strategy reads the response.  A
+tracker's state is its public attributes.  Every strategy but perturbation
+keeps only the basis (ccipca's component vectors are the eigenvalues times
+the eigenvectors); the constructor allocates perturbation's own state,
+zeroed, from the shapes of the basis, so a loader needs no per-strategy
+knowledge; ``from_kernel`` fills it from the warmup, and
+``OnlineSparseSIR.save`` decides which of it a checkpoint holds.
 
 ``vectors`` starts column-major (Fortran order) and ccipca rewrites its
 columns in place, so on the default path every per-component pass runs
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError
-from .kernel import SliceFactor
 
 STRATEGIES = ("ccipca", "perturbation", "sgd", "ipca")
 
@@ -202,12 +201,11 @@ class EigenTracker:
 
     # -- one streaming observation ---------------------------------------------
 
-    def advance(self, kernel, factor, h: int) -> float:
+    def advance(self, kernel, h: int) -> float:
         """The eigen stage of one observation, after ``kernel`` absorbed it
         into grid slice ``h``: the strategy's step on the input it needs
-        (ccipca, sgd and ipca the factor operator ``factor =
-        kernel.factor()``, which the caller builds once per observation,
-        ipca also the slice, perturbation the dense kernel), then sign
+        (ccipca, sgd and ipca the kernel's products with the factor, ipca
+        also the slice, perturbation the dense kernel), then sign
         alignment, which ccipca does inside its step.  Returns the smallest
         tracked eigenvalue.
 
@@ -217,21 +215,22 @@ class EigenTracker:
         t = kernel.t - 1
         strategy = self.config.strategy
         if strategy == "ccipca":
-            return self.ccipca_step(factor, t)
+            return self.ccipca_step(kernel, t)
         previous = self.vectors
         if strategy == "sgd":
-            self.sgd_step(factor, t)
+            self.sgd_step(kernel, t)
         elif strategy == "perturbation":
             self.perturbation_step(kernel.kernel_matrix(), t)
         else:  # ipca
-            self.ipca_step(factor, h)
+            self.ipca_step(kernel, h)
         self.align_signs(previous)
         return float(self.values.min())
 
     # -- strategy updates -----------------------------------------------------
 
-    def ccipca_step(self, factor, t: int) -> float:
-        """Candid covariance-free update from the current p x H factor.
+    def ccipca_step(self, kernel, t: int) -> float:
+        """Candid covariance-free update from the current p x H factor W of
+        the ``KernelTracker`` ``kernel``.
 
         Component j is the vector v = lam u of its eigenvalue lam and unit
         eigenvector u, and receives the weighted-average update
@@ -239,20 +238,19 @@ class EigenTracker:
         factor W_j = P_{j-1}...P_0 W, with P_k = I - u_k u_k' for the unit
         vectors u_k of the components before it.  The deflation is applied
         to vectors, W_j g = P_{j-1}...P_0 (W g) and W_j' u = W' (P_0...P_{j-1} u),
-        so ``factor`` may be an ndarray or a ``SliceFactor``.  Each component
-        costs the two block products of ``SliceFactor.kernel_times``, with
-        the 1/(t+1) and 1/H scales applied on the H-sized side.  The new
-        v's norm is the new lam; before v/|v| overwrites column j of
-        ``vectors`` in place, v is negated when it points away from the old
-        unit column, so the step aligns its own signs (``align_signs``' rule).
+        so W is never formed: each component costs the two block products of
+        ``KernelTracker.kernel_times``, with the 1/(t+1) and 1/H scales
+        applied on the H-sized side.  The new v's norm is the new lam;
+        before v/|v| overwrites column j of ``vectors`` in place, v is
+        negated when it points away from the old unit column, so the step
+        aligns its own signs (``align_signs``' rule).
         A component whose eigenvalue lies below 1e-12, before or after its
         update, is collapsed: it is re-seeded from the largest remaining
         deflated column and counted in ``reinit_count``.  Returns the
         smallest eigenvalue.
         """
-        w = SliceFactor.wrap(factor)
         keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
-        per_slice = blend / w.counts.size
+        per_slice = blend / kernel.grid.n_slices
         scratch = np.empty(self.vectors.shape[0])
         units = []  # columns of ``vectors`` already updated this step
         smallest = math.inf
@@ -261,7 +259,7 @@ class EigenTracker:
             unit = self.vectors[:, j]
             start = unit
             if lam < _NORM_FLOOR:
-                seed = self._reseed_from(w, units)
+                seed = self._reseed_from(kernel, units)
                 lam = math.sqrt(seed.dot(seed))
                 if lam < _NORM_FLOOR:
                     self.values[j] = smallest = 0.0
@@ -272,13 +270,13 @@ class EigenTracker:
                 a = start.copy()
                 for u in reversed(units):
                     a -= np.multiply(u, u.dot(a), out=scratch)
-            v = w.kernel_times(a, per_slice)
+            v = kernel.kernel_times(a, per_slice)
             for u in units:
                 v -= np.multiply(u, u.dot(v), out=scratch)
             v += np.multiply(start, keep * lam, out=scratch)
             norm = math.sqrt(v.dot(v))
             if norm < _NORM_FLOOR:
-                v = self._reseed_from(w, units)
+                v = self._reseed_from(kernel, units)
                 norm = math.sqrt(v.dot(v))
                 if norm < _NORM_FLOOR:
                     self.values[j] = smallest = 0.0
@@ -291,9 +289,9 @@ class EigenTracker:
         self.step += 1
         return smallest
 
-    def _reseed_from(self, factor, units) -> np.ndarray:
+    def _reseed_from(self, kernel, units) -> np.ndarray:
         self.reinit_count += 1
-        w = np.asarray(factor, dtype=float)
+        w = kernel.slice_cov
         for u in units:
             w = w - np.outer(u, u @ w)
         col = int(np.argmax(np.linalg.norm(w, axis=0)))
@@ -352,8 +350,9 @@ class EigenTracker:
         self.second_bound = float(bounds[1] + drift)
         self.step += 1
 
-    def sgd_step(self, factor, t: int) -> None:
-        """Stochastic gradient update with first-order deflation.
+    def sgd_step(self, kernel, t: int) -> None:
+        """Stochastic gradient update with first-order deflation, from the
+        products of the ``KernelTracker`` ``kernel`` with its factor W.
 
         Writing phi_j = W' v_j, the value moves toward phi_j'phi_j / H, the
         Rayleigh quotient of the kernel W W' / H that every tracker follows,
@@ -363,13 +362,12 @@ class EigenTracker:
         exact Gram-Schmidt pass.  Step size is C/(t+1), C being
         ``_SGD_RATE_CONSTANT``.
         """
-        w = SliceFactor.wrap(factor)
         gamma = _SGD_RATE_CONSTANT / (t + 1.0)
-        phi = w.T @ self.vectors  # (H, d)
+        phi = kernel.transpose_times(self.vectors)  # (H, d)
         gram = phi.T @ phi  # (d, d)
-        self.values = self.values + gamma * (np.diag(gram) / w.counts.size - self.values)
+        self.values = self.values + gamma * (np.diag(gram) / kernel.grid.n_slices - self.values)
         self.step += 1
-        drive = w @ phi  # (p, d)
+        drive = kernel.times(phi)  # (p, d)
         if self.step % _ORTHONORMALIZE_EVERY == 0:
             q, r = np.linalg.qr(self.vectors + gamma * drive)
             signs = np.sign(np.diag(r))
@@ -380,25 +378,24 @@ class EigenTracker:
             correction += 2.0 * (self.vectors @ np.triu(gram, k=1))
             self.vectors = self.vectors + gamma * (drive - correction)
 
-    def ipca_step(self, factor, h: int) -> None:
-        """Incremental rank-(d+1) refresh from factor column ``h``, the grid
-        slice of the new observation.
+    def ipca_step(self, kernel, h: int) -> None:
+        """Incremental rank-(d+1) refresh from column ``h`` of the factor W
+        of the ``KernelTracker`` ``kernel``, the grid slice of the new
+        observation.
 
         The column is split into its projection onto the current basis and a
         residual direction; the (d+1)-dim compressed kernel is re-solved
         exactly and the top d pairs kept.
         """
-        w = SliceFactor.wrap(factor)
-        n_slices = w.counts.size
-        col = w.column(h)
+        col = kernel.column(h)
         resid = col - self.vectors @ (self.vectors.T @ col)
         norm = float(np.linalg.norm(resid))
         if norm >= _NORM_FLOOR:
             basis = np.hstack([self.vectors, (resid / norm)[:, None]])
         else:
             basis = self.vectors
-        z = (w.T @ basis).T  # (d+1, H) compressed factor
-        small = z @ z.T / n_slices
+        z = kernel.transpose_times(basis).T  # (d+1, H) compressed factor
+        small = z @ z.T / kernel.grid.n_slices
         vals, vecs = np.linalg.eigh(small)  # z @ z.T is exactly symmetric
         order = np.argsort(vals)[::-1][: self.n_directions]
         self.values = vals[order]

@@ -12,10 +12,11 @@ first H columns are the slice sums S (``cross_sum``) and its last column is
 the covariate sum (``x_sum``); both names are views of the block.  The
 factor W = (S - x_sum c^T / t) / t, c the slice counts, is always centered
 at the current mean, so it is a set statistic of the sample (arrival order
-does not matter).  It is never needed whole by the streaming path:
-``KernelTracker.factor`` hands out a ``SliceFactor`` operator in O(1), and
-each of its products is one matrix-vector product with the block, centered
-on the (H + 1)-sized side, so no p-sized mean or p x H temporary is made.
+does not matter).  It is never needed whole by the streaming path: each
+product of ``KernelTracker`` with W (``times``, ``transpose_times``,
+``kernel_times``, ``column_dot``) is one matrix-vector product with the
+block, centered on the (H + 1)-sized side, so no p-sized mean or p x H
+temporary is made.
 
 Column-major storage makes the per-observation ``cross_sum[:, h] += x``,
 ``x_sum += x`` and every block product walk contiguous memory.  The layout
@@ -109,103 +110,6 @@ class SliceGrid:
         return int(self.cuts.searchsorted(_as_response(y)))
 
 
-class SliceFactor:
-    """The p x H slice factor W = (S - x_sum c^T / t) / t as a linear operator.
-
-    ``block`` is the tracker's p x (H + 1) array [S, x_sum]: S the raw
-    covariate-by-slice sums, x_sum the covariate sum; c holds the slice
-    counts.  ``W @ a`` and ``W.T @ v`` for a of shape (H,) or (H, k) and v of
-    shape (p,) or (p, k) cost one product with the block each and never form
-    W: W.T v is [S^T v; x_sum^T v] centered on that (H + 1)-vector, and W a
-    is the block times [a / t; -(c . a) / t^2].  ``np.asarray(W)`` forms W.
-    The operator reads the tracker's arrays in place, so it is valid until
-    the tracker's next update.
-    """
-
-    __slots__ = ("block", "counts", "t")
-
-    def __init__(self, block: np.ndarray, counts: np.ndarray, t: int):
-        self.block = block
-        self.counts = counts
-        self.t = t
-
-    @classmethod
-    def wrap(cls, w) -> "SliceFactor":
-        """``w``, or the p x H array ``w`` as an operator with w's products
-        (a zero covariate sum, zero counts and t = 1)."""
-        if isinstance(w, cls):
-            return w
-        w = np.asarray(w, dtype=float)
-        block = np.zeros((w.shape[0], w.shape[1] + 1), order="F")
-        block[:, :-1] = w
-        return cls(block, np.zeros(w.shape[1], dtype=np.int64), 1)
-
-    def __matmul__(self, a):
-        a = a / self.t  # 1/t scales the H-sized operand, not the p-sized result
-        coef = np.empty((a.shape[0] + 1,) + a.shape[1:])
-        coef[:-1] = a
-        coef[-1] = self.counts.dot(a)
-        coef[-1] /= -self.t
-        return self.block.dot(coef)
-
-    @property
-    def T(self) -> "_TransposedFactor":
-        return _TransposedFactor(self)
-
-    def kernel_times(self, v: np.ndarray, scale: float) -> np.ndarray:
-        """scale * W (W' v) for a p-vector v, (p,), in two products with the
-        block (the slice kernel is W W' / H): [S' v; x_sum' v] is centered
-        and scaled on the (H + 1)-sized side, then made [g; -(c . g) / t] in
-        place, so nothing p-sized is built besides the result."""
-        t, counts = self.t, self.counts
-        r = self.block.T.dot(v)
-        g = r[:-1]
-        g -= counts * (r[-1] / t)
-        g *= scale / (t * t)
-        r[-1] = counts.dot(g) / -t
-        return self.block.dot(r)
-
-    def column_dot(self, h: int, vectors: np.ndarray) -> np.ndarray:
-        """W[:, h]' vectors for a (p, d) ``vectors``, (d,), from two dots with
-        the block's columns, (S_h' V - c_h x_sum' V / t) / t; the column is
-        never formed."""
-        block = self.block
-        out = block[:, h].dot(vectors)
-        out -= (self.counts[h] / self.t) * block[:, -1].dot(vectors)
-        out /= self.t
-        return out
-
-    def column(self, h: int) -> np.ndarray:
-        """Column h of W, (p,)."""
-        block = self.block
-        return (block[:, h] - (self.counts[h] / self.t) * block[:, -1]) / self.t
-
-    def __array__(self, dtype=None, copy=None):
-        block, t = self.block, self.t
-        w = np.empty_like(block[:, :-1], order="F")  # laid out like the sums
-        np.multiply.outer(block[:, -1], self.counts / t, out=w)
-        np.subtract(block[:, :-1], w, out=w)
-        w /= t
-        return w if dtype is None else w.astype(dtype, copy=False)
-
-
-class _TransposedFactor:
-    """W^T of a ``SliceFactor``; holds the factor, never the other way round."""
-
-    __slots__ = ("factor",)
-
-    def __init__(self, factor: SliceFactor):
-        self.factor = factor
-
-    def __matmul__(self, v):
-        w = self.factor
-        r = w.block.T.dot(v)  # [S^T v; x_sum^T v]
-        out = r[:-1]
-        out -= np.multiply.outer(w.counts, r[-1] / w.t)
-        out /= w.t
-        return out
-
-
 class KernelTracker:
     """Running sufficient statistics for the slice kernel matrix.
 
@@ -218,10 +122,11 @@ class KernelTracker:
     * ``x_sum``        sum of covariate vectors (p,): its last column.
 
     ``cross_sum`` and ``x_sum`` are views, so a loader fills them in place.
-    ``factor()`` (an operator) and ``slice_cov`` (the p x H array)
-    re-center on demand: column h is
-    (cross_sum[:, h] - counts[h] * x_sum / t) / t, which equals the batch
-    quantity (1/t) sum_i (x_i - mean_t) 1{y_i in slice h} exactly.
+    The slice factor W (``slice_cov``, p x H) re-centers on demand: column h
+    is (cross_sum[:, h] - counts[h] * x_sum / t) / t, which equals the batch
+    quantity (1/t) sum_i (x_i - mean_t) 1{y_i in slice h} exactly.  The
+    products with W read the sums in place and never form it; like W, they
+    raise ``EmptyStateError`` before any observation.
     """
 
     def __init__(self, grid: SliceGrid, n_features: int):
@@ -279,21 +184,77 @@ class KernelTracker:
             return np.zeros(self.n_features)
         return self.x_sum / self.t
 
-    def factor(self) -> SliceFactor:
-        """The centered slice cross-covariance as an operator (see
-        ``SliceFactor``) on the block itself: O(1), no p-sized array."""
+    def _observed(self) -> int:
+        """t, or ``EmptyStateError`` before any observation: W divides by t."""
         if self.t == 0:
             raise EmptyStateError("slice statistics requested before any observation")
-        return SliceFactor(self.block, self.grid.counts, self.t)
+        return self.t
 
     @property
     def slice_cov(self) -> np.ndarray:
-        """Centered slice cross-covariance, p x H.
+        """Centered slice cross-covariance W, p x H, as a new array laid out
+        like the sums.
 
         Column h is the sample covariance between x and the indicator of
         slice h (up to the t/(t-1) convention; we divide by t).
         """
-        return np.asarray(self.factor())
+        block, t = self.block, self._observed()
+        w = np.empty_like(block[:, :-1], order="F")
+        np.multiply.outer(block[:, -1], self.grid.counts / t, out=w)
+        np.subtract(block[:, :-1], w, out=w)
+        w /= t
+        return w
+
+    # -- products with W, never formed -------------------------------------------
+
+    def times(self, a: np.ndarray) -> np.ndarray:
+        """W a for a of shape (H,) or (H, k): the block times
+        [a / t; -(c . a) / t^2]."""
+        t = self._observed()
+        a = a / t  # 1/t scales the H-sized operand, not the p-sized result
+        coef = np.empty((a.shape[0] + 1,) + a.shape[1:])
+        coef[:-1] = a
+        coef[-1] = self.grid.counts.dot(a)
+        coef[-1] /= -t
+        return self.block.dot(coef)
+
+    def transpose_times(self, v: np.ndarray) -> np.ndarray:
+        """W' v for v of shape (p,) or (p, k): [S' v; x_sum' v] centered on
+        that (H + 1)-sized side."""
+        t = self._observed()
+        r = self.block.T.dot(v)
+        out = r[:-1]
+        out -= np.multiply.outer(self.grid.counts, r[-1] / t)
+        out /= t
+        return out
+
+    def kernel_times(self, v: np.ndarray, scale: float) -> np.ndarray:
+        """scale * W (W' v) for a p-vector v, (p,), in two products with the
+        block (the slice kernel is W W' / H): [S' v; x_sum' v] is centered
+        and scaled on the (H + 1)-sized side, then made [g; -(c . g) / t] in
+        place, so nothing p-sized is built besides the result."""
+        t, counts = self._observed(), self.grid.counts
+        r = self.block.T.dot(v)
+        g = r[:-1]
+        g -= counts * (r[-1] / t)
+        g *= scale / (t * t)
+        r[-1] = counts.dot(g) / -t
+        return self.block.dot(r)
+
+    def column_dot(self, h: int, vectors: np.ndarray) -> np.ndarray:
+        """W[:, h]' vectors for a (p, d) ``vectors``, (d,), from two dots with
+        the block's columns, (S_h' V - c_h x_sum' V / t) / t; the column is
+        never formed."""
+        block, t = self.block, self._observed()
+        out = block[:, h].dot(vectors)
+        out -= (self.grid.counts[h] / t) * block[:, -1].dot(vectors)
+        out /= t
+        return out
+
+    def column(self, h: int) -> np.ndarray:
+        """Column h of W, (p,)."""
+        block, t = self.block, self._observed()
+        return (block[:, h] - (self.grid.counts[h] / t) * block[:, -1]) / t
 
     def kernel_matrix(self) -> np.ndarray:
         """Dense p x p slice kernel: (1/H) sum_h c_h c_h^T, exactly symmetric.

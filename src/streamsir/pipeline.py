@@ -19,12 +19,12 @@ One ``observe(x, y)`` call runs the full update chain:
 
 The sparse coefficient matrix of step 5 is the direction estimate.  Nothing
 in the chain stores a p x p matrix unless the perturbation tracker is
-selected.  The default ccipca tracker sees the slice factor only as an
-operator on the kernel's p x (H + 1) block of slice sums and covariate sum:
-each ccipca component costs two matrix-vector products with the block, the
-response two dot products with its columns, and no p x H or p-sized mean
-temporary is built per observation, so the default configuration streams
-comfortably at p in the thousands.
+selected.  The default ccipca tracker sees the slice factor only through
+the kernel's products with its p x (H + 1) block of slice sums and
+covariate sum: each ccipca component costs two matrix-vector products with
+the block, the response two dot products with its columns, and no p x H or
+p-sized mean temporary is built per observation, so the default
+configuration streams comfortably at p in the thousands.
 
 Every p-sized array on the default path (the sum block, the eigenvectors
 and the coefficients) is column-major with H + 1 or d columns, so each stage
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import zipfile
@@ -151,6 +152,13 @@ class SIRConfig:
             integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not (integer and value >= 1):
                 raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("learning_rate", "gravity", "threshold"):
+            value = getattr(self, name)
+            # True would run as 1.0 while the config says True, and "0.1"
+            # would fail its range check with a bare TypeError
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real or (value is None and name == "learning_rate")):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         self.tracker_config()  # validates the tracker name
         if self.learning_rate is not None and not 0.0 < self.learning_rate < 1.0:
             raise ConfigurationError("learning_rate must lie in (0, 1)")
@@ -207,7 +215,11 @@ class OnlineSparseSIR:
 
         Invalid x or y raises ``DataError``, and coefficients whose
         prediction b' x is not finite raise ``ConvergenceError``; both leave
-        the model unchanged.
+        the model unchanged.  The prediction that finds diverged
+        coefficients may itself overflow, so numpy warns of the overflow
+        before the error unless the caller ignores it, as ``fit_stream``
+        does: an ``np.errstate`` per row would cost about 5% of a p = 100
+        observation.
         """
         kernel, coef = self.kernel, self.coef
         x, h = kernel.check(x, y)
@@ -218,22 +230,21 @@ class OnlineSparseSIR:
                 f"t = {kernel.t + 1} is {prediction}"
             )
         kernel.absorb(x, h)
-        factor = kernel.factor()
-        smallest = self.eigen.advance(kernel, factor, h)
-        response, dead = self._response_from(factor, h, smallest)
+        smallest = self.eigen.advance(kernel, h)
+        response, dead = self._response_from(h, smallest)
         self.degenerate_responses += dead
         if not all_finite(response):
             raise DataError(f"synthetic response at t = {kernel.t} is not finite")
         coef.advance(x, response, prediction)
         return self
 
-    def _response_from(self, factor, h: int, smallest: float) -> tuple[np.ndarray, int]:
+    def _response_from(self, h: int, smallest: float) -> tuple[np.ndarray, int]:
         """Target for slice ``h`` and the number of its coordinates zeroed
         at the eigenvalue floor; ``smallest`` is the smallest eigenvalue."""
         # The extra 1/t anneals the target: its direction is fixed by the
         # slice statistics while its scale decays, so the coefficient stage
         # settles instead of rattling around a constant-variance floor.
-        proj = factor.column_dot(h, self.eigen.vectors)  # (d,)
+        proj = self.kernel.column_dot(h, self.eigen.vectors)  # (d,)
         floor = _EIGENVALUE_FLOOR
         lams = self.eigen.values
         scale = self.kernel.t * self.kernel.grid.n_slices
@@ -247,7 +258,7 @@ class OnlineSparseSIR:
         """The d-vector target the coefficient stage would regress on for a
         response ``y`` under the current state.  Pure read, no update."""
         h = self.kernel.grid.slice_of(y)
-        return self._response_from(self.kernel.factor(), h, float(self.eigen.values.min()))[0]
+        return self._response_from(h, float(self.eigen.values.min()))[0]
 
     # -- results ------------------------------------------------------------------
 
@@ -532,15 +543,18 @@ def fit_stream(
     ``observe`` sees diverged coefficients only through the next row's
     prediction, so coefficients that overflow on the last row are checked
     here, once, for a model that has them: ``ConvergenceError``, not
-    ``nan`` directions.
+    ``nan`` directions.  A diverging fit overflows that prediction, or the
+    coefficients themselves, on its way to the error; the error is the
+    report, so numpy's overflow warning is ignored for the whole loop.
     """
     X, y = as_rows(X, y, "stream X")
     if progress_every < 1:
         raise ConfigurationError("progress_every must be a positive integer")
-    for i in range(X.shape[0]):
-        model.observe(X[i], y[i])
-        if progress is not None and model.t % progress_every == 0:
-            progress(model.diagnostics())
+    with np.errstate(over="ignore"):
+        for i in range(X.shape[0]):
+            model.observe(X[i], y[i])
+            if progress is not None and model.t % progress_every == 0:
+                progress(model.diagnostics())
     coef = getattr(model, "coef", None)
     if coef is not None and not all_finite(coef.betas):
         raise ConvergenceError(

@@ -68,7 +68,7 @@ class TruncatedGradient:
     Parameters
     ----------
     n_features, n_targets : coefficient matrix shape (p, d).
-    rate : gradient step size (gamma).  Must lie in (0, 1).
+    rate : gradient step size (gamma).  Must lie in [0, 1).
     gravity : per-step truncation strength (g); 0 disables truncation.
     threshold : coordinates above this magnitude are never truncated.
     period : truncation runs every ``period`` steps with the accumulated

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from streamsir import pipeline
+from streamsir import KernelTracker, SliceGrid, pipeline
 
 
 def slice_index_oracle(y: float, cuts) -> int:
@@ -83,6 +83,18 @@ def top_eigen_oracle(S, d: int = 1) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(np.asarray(S, dtype=float))
     order = np.argsort(vals)[::-1][:d]
     return vals[order], vecs[:, order]
+
+
+def kernel_of(w) -> KernelTracker:
+    """A ``KernelTracker`` whose slice factor is the p x H array ``w``: its
+    block is [w, 0], its slice counts are zero and t = 1, so each of its
+    products with the factor is a product with ``w``."""
+    w = np.asarray(w, dtype=float)
+    p, n_slices = w.shape
+    kernel = KernelTracker(SliceGrid(np.arange(1.0, n_slices)), p)
+    kernel.cross_sum[:] = w
+    kernel.t = 1
+    return kernel
 
 
 def random_stream(rng, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,21 +211,21 @@ def perturbation_step_reference(eigen, kernel_dense, t: int) -> None:
 
 def eigen_chain_reference(eigen, kernel, h: int) -> None:
     """The eigen stage of one observation in slice ``h`` as a four-way test
-    of the tracker name: the step on its input (the factor operator for
-    every strategy but perturbation, which takes the dense kernel, and for
-    ipca also the slice) and sign alignment.  This is the chain
-    ``EigenTracker.advance`` must reproduce bit for bit."""
+    of the tracker name: the step on its input (the kernel, whose products
+    with the factor every strategy but perturbation reads, perturbation the
+    dense kernel, and ipca also the slice) and sign alignment.  This is the
+    chain ``EigenTracker.advance`` must reproduce bit for bit."""
     t_prev = kernel.t - 1
     previous = eigen.vectors.copy()
     strategy = eigen.config.strategy
     if strategy == "ccipca":
-        eigen.ccipca_step(kernel.factor(), t_prev)
+        eigen.ccipca_step(kernel, t_prev)
     elif strategy == "sgd":
-        eigen.sgd_step(kernel.factor(), t_prev)
+        eigen.sgd_step(kernel, t_prev)
     elif strategy == "perturbation":
         eigen.perturbation_step(kernel.kernel_matrix(), t_prev)
     else:  # ipca
-        eigen.ipca_step(kernel.factor(), h)
+        eigen.ipca_step(kernel, h)
     eigen.align_signs(previous)
 
 

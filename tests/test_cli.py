@@ -384,12 +384,12 @@ def test_benchmark_single_rep_has_blank_sd(tmp_path):
 
 
 def test_benchmark_failed_cells_become_na_rows(tmp_path):
-    # n below the warmup budget: the streaming methods, sparse and dense,
-    # cannot run, the batch method can, and the command still succeeds
-    # with NA rows
+    # 25 slices need a 125-row warmup: the streaming methods, sparse and
+    # dense, cannot run, the batch method can, and the command still
+    # succeeds with NA rows
     out_dir = tmp_path / "bench-na"
     code = main([
-        "benchmark", "--p", "10", "--n", "80", "--reps", "2",
+        "benchmark", "--p", "10", "--n", "300", "--H", "25", "--reps", "2",
         "--methods", "sparse-ccipca,osir-perturbation,osir-sgd,batch-sir",
         "--out", str(out_dir),
     ])
@@ -411,6 +411,31 @@ def test_benchmark_failed_cells_become_na_rows(tmp_path):
         assert summaries[code]["mean_distance"] == "NA"
         assert summaries[code]["failed"] == "2"
     assert summaries["M7"]["ok"] == "2"
+
+
+@pytest.mark.parametrize("n", ["80", "100"])
+def test_benchmark_refuses_a_warmup_that_leaves_nothing_to_stream(tmp_path, capsys, n):
+    # every streaming cell would fail the same way, so the command refuses
+    # before any work, naming both flags
+    out_dir = tmp_path / "b"
+    code = main(["benchmark", "--p", "10", "--n", n, "--reps", "1",
+                 "--methods", "M3,M7", "--out", str(out_dir)])
+    assert code == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert payload["message"] == (
+        f"--warmup 100 leaves no observations to stream out of --n {n}")
+    assert not out_dir.exists()
+
+
+def test_benchmark_of_batch_methods_alone_ignores_the_warmup(tmp_path):
+    # no batch method streams, so a warmup above --n leaves them nothing to refuse
+    out_dir = tmp_path / "b"
+    assert main(["benchmark", "--p", "10", "--n", "80", "--reps", "1",
+                 "--methods", "M7,M8", "--out", str(out_dir)]) == 0
+    rows = _read_dicts(out_dir / "results.csv")
+    assert [r["code"] for r in rows] == ["M7", "M8"]
+    assert all(r["error"] == "" for r in rows)
 
 
 def test_benchmark_nan_gravity_fails_every_cell(tmp_path):

@@ -28,12 +28,12 @@ from streamsir import (
     sample,
 )
 from streamsir import eigen as eigen_module
-from streamsir.kernel import SliceFactor
 from .helpers import (
     PINV_CUTOFF,
     assert_same_state,
     ccipca_step_reference,
     eigen_chain_reference,
+    kernel_of,
     perturbation_step_reference,
     principal_angle,
     random_stream,
@@ -124,6 +124,7 @@ def test_ccipca_converges_on_a_stationary_rank_one_factor():
     c = rng.standard_normal(6)
     stationary = np.zeros((6, 4))
     stationary[:, 2] = c
+    stationary = kernel_of(stationary)
     # start from a deliberately different basis
     init = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((6, 4))), 1, _cfg())
     for t in range(1, 10_001):
@@ -139,7 +140,7 @@ def test_ccipca_zero_factor_shrinks_norm_only():
     tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((5, 3))), 2, _cfg())
     before_values = tracker.values.copy()
     before_dirs = tracker.vectors.copy()
-    tracker.ccipca_step(np.zeros((5, 3)), 4)
+    tracker.ccipca_step(kernel_of(np.zeros((5, 3))), 4)
     np.testing.assert_allclose(tracker.values, 0.8 * before_values, atol=1e-12)
     np.testing.assert_allclose(tracker.vectors, before_dirs, atol=1e-12)
 
@@ -148,7 +149,7 @@ def test_ccipca_reseeds_a_collapsed_component():
     rng = np.random.default_rng(4)
     tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((5, 4))), 2, _cfg())
     tracker.values[1] = 0.0
-    tracker.ccipca_step(rng.standard_normal((5, 4)), 3)
+    tracker.ccipca_step(kernel_of(rng.standard_normal((5, 4))), 3)
     assert tracker.reinit_count == 1
     assert tracker.values[1] > 0.0
 
@@ -164,8 +165,7 @@ def _constant_kernel(p=8, n_slices=4):
 
 
 @pytest.mark.parametrize("case", ["zero_factor", "collapsed_component"])
-@pytest.mark.parametrize("form", ["operator", "ndarray"])
-def test_ccipca_reseeding_matches_the_materialized_algebra(case, form):
+def test_ccipca_reseeding_matches_the_materialized_algebra(case):
     rng = np.random.default_rng(13)
     start = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((8, 4))), 2, _cfg())
     if case == "zero_factor":
@@ -179,9 +179,8 @@ def test_ccipca_reseeding_matches_the_materialized_algebra(case, form):
         t = kernel.t - 1
     fused = copy.deepcopy(start)
     dense = copy.deepcopy(start)
-    factor = kernel.factor() if form == "operator" else kernel.slice_cov
     for _ in range(2):
-        fused.ccipca_step(factor, t)
+        fused.ccipca_step(kernel, t)
         ccipca_step_reference(dense, kernel.slice_cov, t)
     assert fused.reinit_count == dense.reinit_count > 0
     for attr in ("values", "vectors"):
@@ -203,7 +202,7 @@ def test_ccipca_tracks_a_model_one_stream():
     tracker = EigenTracker.from_kernel(kernel, 1, _cfg())
     for i in range(200, 5000):
         kernel.update(X[i], y[i])
-        tracker.ccipca_step(kernel.slice_cov, kernel.t - 1)
+        tracker.ccipca_step(kernel, kernel.t - 1)
     _, ref = top_eigen_oracle(kernel.kernel_matrix())
     affinity = abs(float(tracker.vectors[:, 0] @ ref[:, 0]))
     assert affinity > 0.99
@@ -807,7 +806,7 @@ def test_sgd_vanishing_rate_freezes_the_state():
         _stub_kernel(rng.standard_normal((5, 4))), 2, _cfg("sgd")
     )
     vals, vecs = tracker.values.copy(), tracker.vectors.copy()
-    tracker.sgd_step(rng.standard_normal((5, 4)), 10**15)
+    tracker.sgd_step(kernel_of(rng.standard_normal((5, 4))), 10**15)
     np.testing.assert_allclose(tracker.values, vals, atol=1e-10)
     np.testing.assert_allclose(tracker.vectors, vecs, atol=1e-10)
 
@@ -815,7 +814,7 @@ def test_sgd_vanishing_rate_freezes_the_state():
 def test_sgd_value_fixed_point_on_a_stationary_column():
     rng = np.random.default_rng(8)
     c = rng.standard_normal(5)
-    factor = c[:, None]  # single slice
+    factor = kernel_of(c[:, None])  # single slice
     tracker = EigenTracker.from_kernel(_stub_kernel(rng.standard_normal((5, 1))), 1, _cfg("sgd"))
     lam_star = float(c @ tracker.vectors[:, 0]) ** 2
     tracker.values[:] = lam_star
@@ -830,7 +829,7 @@ def test_sgd_orthonormalizes_on_schedule(monkeypatch):
     # offsets mimic entry after a warmup batch; a unit-order rate on raw
     # random factors would diverge, which no caller produces
     for t in range(100, 131):
-        tracker.sgd_step(rng.standard_normal((6, 4)), t)
+        tracker.sgd_step(kernel_of(rng.standard_normal((6, 4))), t)
         if tracker.step % 10 == 0:
             gram = tracker.vectors.T @ tracker.vectors
             np.testing.assert_allclose(gram, np.eye(2), atol=1e-8)
@@ -846,7 +845,7 @@ def test_sgd_tracks_a_model_one_stream():
     tracker = EigenTracker.from_kernel(kernel, 1, _cfg("sgd"))
     for i in range(200, 5000):
         kernel.update(X[i], y[i])
-        tracker.sgd_step(kernel.slice_cov, kernel.t - 1)
+        tracker.sgd_step(kernel, kernel.t - 1)
     _, ref = top_eigen_oracle(kernel.kernel_matrix())
     assert abs(float(tracker.vectors[:, 0] @ ref[:, 0])) > 0.95
 
@@ -858,7 +857,7 @@ def test_ipca_zero_residual_keeps_the_basis():
     factor = np.zeros((3, 2))
     factor[0, 0] = 2.0
     tracker = EigenTracker(np.array([1.0]), np.eye(3)[:, :1], _cfg("ipca"))
-    tracker.ipca_step(factor, 0)
+    tracker.ipca_step(kernel_of(factor), 0)
     assert abs(tracker.vectors[0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert tracker.values[0] == pytest.approx(2.0, abs=1e-12)  # 2^2 / H with H=2
 
@@ -867,7 +866,7 @@ def test_ipca_orthogonal_column_extends_the_basis():
     factor = np.zeros((3, 1))
     factor[1, 0] = 1.0  # e2, orthogonal to the current e1 basis
     tracker = EigenTracker(np.array([1.0]), np.eye(3)[:, :1], _cfg("ipca"))
-    tracker.ipca_step(factor, 0)
+    tracker.ipca_step(kernel_of(factor), 0)
     assert abs(tracker.vectors[1, 0]) == pytest.approx(1.0, abs=1e-12)
     assert tracker.values[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -880,7 +879,7 @@ def test_ipca_refreshes_the_slice_it_is_given():
     factor[2, 1] = 2.0
     for h, axis, value in [(0, 1, 0.5), (1, 2, 2.0)]:  # value: |column|^2 / H
         tracker = EigenTracker(np.array([1.0]), np.eye(3)[:, :1], _cfg("ipca"))
-        tracker.ipca_step(factor, h)
+        tracker.ipca_step(kernel_of(factor), h)
         assert abs(tracker.vectors[axis, 0]) == pytest.approx(1.0, abs=1e-12)
         assert tracker.values[0] == pytest.approx(value, abs=1e-12)
 
@@ -891,7 +890,7 @@ def test_ipca_vectors_stay_orthonormal():
         _stub_kernel(rng.standard_normal((6, 4))), 2, _cfg("ipca")
     )
     for _ in range(100):
-        tracker.ipca_step(rng.standard_normal((6, 4)), int(rng.integers(4)))
+        tracker.ipca_step(kernel_of(rng.standard_normal((6, 4))), int(rng.integers(4)))
         gram = tracker.vectors.T @ tracker.vectors
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-8)
         assert np.all(np.diff(tracker.values) <= 1e-12)
@@ -906,7 +905,7 @@ def test_ipca_tracks_a_model_one_stream():
     kernel.replay(X[:200], y[:200])
     tracker = EigenTracker.from_kernel(kernel, 1, _cfg("ipca"))
     for i in range(200, 5000):
-        tracker.ipca_step(kernel.slice_cov, kernel.update(X[i], y[i]))
+        tracker.ipca_step(kernel, kernel.update(X[i], y[i]))
     _, ref = top_eigen_oracle(kernel.kernel_matrix())
     assert abs(float(tracker.vectors[:, 0] @ ref[:, 0])) > 0.95
 
@@ -960,7 +959,7 @@ def test_advance_is_the_per_strategy_chain(strategy):
     tracker, reference = trackers
     for i in range(101, 400):
         h = kernels[0].update(X[i], y[i])
-        tracker.advance(kernels[0], kernels[0].factor(), h)
+        tracker.advance(kernels[0], h)
         eigen_chain_reference(reference, kernels[1], kernels[1].update(X[i], y[i]))
     for attr in ("values", "vectors"):
         np.testing.assert_array_equal(getattr(tracker, attr), getattr(reference, attr))
@@ -970,8 +969,9 @@ def test_advance_is_the_per_strategy_chain(strategy):
 @pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "ccipca"])
 def test_advance_calls_the_step_by_name_and_aligns_signs(strategy, monkeypatch):
     # a step that flips every vector: advance must find it under its
-    # attribute name at call time, feed it its input (ipca the slice, the
-    # others the step count) and undo the flip
+    # attribute name at call time, feed it its input (perturbation the dense
+    # kernel, the others the kernel itself; ipca the slice, the others the
+    # step count) and undo the flip
     rng = np.random.default_rng(13)
     X, y = random_stream(rng, 60, 6)
     kernel = KernelTracker(SliceGrid.from_warmup(y, 4), 6)
@@ -979,21 +979,22 @@ def test_advance_calls_the_step_by_name_and_aligns_signs(strategy, monkeypatch):
     tracker = EigenTracker.from_kernel(kernel, 2, _cfg(strategy))
     inputs = []
 
-    def flipping_step(self, factor, *rest):
-        inputs.append((factor, *rest))
+    def flipping_step(self, source, *rest):
+        inputs.append((source, *rest))
         self.vectors = -self.vectors
         return 0
 
     monkeypatch.setattr(EigenTracker, f"{strategy}_step", flipping_step)
     before = tracker.vectors.copy()
     h = kernel.update(X[0], y[0])
-    tracker.advance(kernel, kernel.factor(), h)
+    tracker.advance(kernel, h)
     assert len(inputs) == 1
-    (factor, *rest), = inputs
+    (source, *rest), = inputs
     assert rest == [h if strategy == "ipca" else kernel.t - 1]
-    shape = (6, 6) if strategy == "perturbation" else (6, 4)
-    assert np.asarray(factor).shape == shape
-    assert isinstance(factor, SliceFactor) == (strategy != "perturbation")
+    if strategy == "perturbation":
+        assert source.shape == (6, 6)
+    else:
+        assert source is kernel
     np.testing.assert_array_equal(tracker.vectors, before)
 
 
@@ -1012,9 +1013,9 @@ def test_ccipca_step_aligns_its_own_signs(monkeypatch):
     inputs = []
     step = EigenTracker.ccipca_step
 
-    def spy(self, factor, t):
-        inputs.append(factor)
-        return step(self, factor, t)
+    def spy(self, source, t):
+        inputs.append(source)
+        return step(self, source, t)
 
     monkeypatch.setattr(EigenTracker, "ccipca_step", spy)
     h = kernel.update(X[0], y[0])
@@ -1023,22 +1024,22 @@ def test_ccipca_step_aligns_its_own_signs(monkeypatch):
         twin = copy.deepcopy(tracker)
         twin.vectors[:, 1] *= sign
         before = twin.vectors.copy()
-        smallest = twin.advance(kernel, kernel.factor(), h)
+        smallest = twin.advance(kernel, h)
         assert smallest == twin.values.min()
         assert np.all(np.einsum("ij,ij->j", before, twin.vectors) > 0.0)
         assert twin.reinit_count == 1
         twins.append(twin)
-    assert len(inputs) == 2 and all(isinstance(f, SliceFactor) for f in inputs)
+    assert len(inputs) == 2 and all(source is kernel for source in inputs)
     np.testing.assert_array_equal(twins[0].vectors[:, 1], -twins[1].vectors[:, 1])
     tracker = twins[0]
 
-    def flipping_step(self, factor, t):
+    def flipping_step(self, source, t):
         self.vectors = -self.vectors
         return 0.0
 
     monkeypatch.setattr(EigenTracker, "ccipca_step", flipping_step)
     flipped = -tracker.vectors
-    tracker.advance(kernel, kernel.factor(), kernel.update(X[1], y[1]))
+    tracker.advance(kernel, kernel.update(X[1], y[1]))
     np.testing.assert_array_equal(tracker.vectors, flipped)
 
 
@@ -1065,6 +1066,6 @@ def test_advance_rebinds_the_basis_and_leaves_the_old_one_intact(strategy, monke
     for i in range(60, 160):
         old = tracker.vectors
         snapshot = old.copy()
-        tracker.advance(kernel, kernel.factor(), kernel.update(X[i], y[i]))
+        tracker.advance(kernel, kernel.update(X[i], y[i]))
         assert not np.shares_memory(tracker.vectors, old)
         np.testing.assert_array_equal(old, snapshot)

@@ -128,15 +128,25 @@ def test_kernel_and_sir_matrices_are_exactly_symmetric(p):
 
 
 def test_factor_operator_agrees_with_the_dense_factor():
+    # the products with the factor read the block in place and never form
+    # it; each must agree with the same product on slice_cov
     rng = np.random.default_rng(8)
     tracker, _, _, _ = _fresh_tracker(rng)
     dense = tracker.slice_cov
-    factor = tracker.factor()
-    a, v = rng.standard_normal(dense.shape[1]), rng.standard_normal(dense.shape[0])
-    np.testing.assert_allclose(factor @ a, dense @ a, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(factor.T @ v, dense.T @ v, rtol=0, atol=1e-14)
-    for h in range(dense.shape[1]):
-        np.testing.assert_array_equal(factor.column(h), dense[:, h])
+    p, n_slices = dense.shape
+    a, v = rng.standard_normal(n_slices), rng.standard_normal(p)
+    A, V = rng.standard_normal((n_slices, 2)), rng.standard_normal((p, 2))
+    np.testing.assert_allclose(tracker.times(a), dense @ a, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(tracker.times(A), dense @ A, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(tracker.transpose_times(v), dense.T @ v, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(tracker.transpose_times(V), dense.T @ V, rtol=0, atol=1e-14)
+    scale = 1.0 / n_slices
+    np.testing.assert_allclose(
+        tracker.kernel_times(v, scale), scale * (dense @ (dense.T @ v)), rtol=0, atol=1e-14
+    )
+    for h in range(n_slices):
+        np.testing.assert_allclose(tracker.column_dot(h, V), dense[:, h] @ V, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(tracker.column(h), dense[:, h])
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,6 +197,16 @@ def test_empty_tracker_has_no_statistics():
         tracker.slice_cov
     with pytest.raises(EmptyStateError):
         tracker.kernel_matrix()
+    # the products with the factor divide by t as slice_cov does
+    for product in (
+        lambda: tracker.times(np.ones(2)),
+        lambda: tracker.transpose_times(np.ones(3)),
+        lambda: tracker.kernel_times(np.ones(3), 0.5),
+        lambda: tracker.column_dot(0, np.ones((3, 1))),
+        lambda: tracker.column(0),
+    ):
+        with pytest.raises(EmptyStateError):
+            product()
     np.testing.assert_array_equal(tracker.mean, np.zeros(3))
 
 

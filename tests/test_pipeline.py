@@ -31,7 +31,6 @@ from streamsir import (
     true_betas,
 )
 from streamsir import pipeline
-from streamsir.kernel import SliceFactor
 from streamsir.pipeline import CHECKPOINT_FORMAT, DEFAULT_WARMUP
 from streamsir.truncated import active_features
 
@@ -125,6 +124,20 @@ def test_integer_config_fields_reject_non_integers(field):
     with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer, got True"):
         SIRConfig(**{field: True})
     assert getattr(SIRConfig(**{field: np.int64(2)}), field) == 2
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, "0.1", None, [0.1]])
+@pytest.mark.parametrize("field", ["learning_rate", "gravity", "threshold"])
+def test_float_config_fields_reject_bools_and_non_numbers(field, bad):
+    # True would run as 1.0 while the config says True; "0.1" would reach a
+    # comparison and fail with a bare TypeError.  learning_rate alone may be
+    # None, its "resolve from p" value
+    if field == "learning_rate" and bad is None:
+        assert SIRConfig(learning_rate=None).learning_rate is None
+        return
+    with pytest.raises(ConfigurationError, match=f"^{field} must be a real number, got "):
+        SIRConfig(**{field: bad})
+    assert getattr(SIRConfig(**{field: np.float32(0.25)}), field) == 0.25
 
 
 # -- artificial response ------------------------------------------------------------
@@ -227,8 +240,9 @@ def test_factor_free_ccipca_matches_the_materialized_algebra(d, offset):
 
 
 def _factor_calls(monkeypatch, tracker: str) -> Counter:
-    """Calls of every factor builder and of the slice lookup made by two
-    ``observe`` calls of a ``tracker`` model."""
+    """Calls of the builders of a p x H or p x p array (``slice_cov``,
+    ``kernel_matrix``) and of the slice lookup made by two ``observe`` calls
+    of a ``tracker`` model."""
     X, y = _model_one(n=102)
     model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig(tracker=tracker, **BENCH))
     calls = Counter()
@@ -246,22 +260,20 @@ def _factor_calls(monkeypatch, tracker: str) -> Counter:
     monkeypatch.setattr(
         KernelTracker, "kernel_matrix", counted("kernel_matrix", KernelTracker.kernel_matrix)
     )
-    monkeypatch.setattr(SliceFactor, "__array__", counted("__array__", SliceFactor.__array__))
     monkeypatch.setattr(SliceGrid, "slice_of", counted("slice_of", SliceGrid.slice_of))
-    monkeypatch.setattr(KernelTracker, "factor", counted("factor", KernelTracker.factor))
     model.observe(X[100], y[100])
     model.observe(X[101], y[101])
     return calls
 
 
 def test_ccipca_observe_builds_no_slice_factor(monkeypatch):
-    assert _factor_calls(monkeypatch, "ccipca") == {"slice_of": 2, "factor": 2}
+    assert _factor_calls(monkeypatch, "ccipca") == {"slice_of": 2}
 
 
 @pytest.mark.parametrize("tracker", ["sgd", "ipca"])
 def test_sgd_and_ipca_observe_build_no_slice_factor(monkeypatch, tracker):
-    # both run on the factor operator's thin products, as ccipca does
-    assert _factor_calls(monkeypatch, tracker) == {"slice_of": 2, "factor": 2}
+    # both run on the kernel's thin products with the factor, as ccipca does
+    assert _factor_calls(monkeypatch, tracker) == {"slice_of": 2}
 
 
 def _state(model) -> dict:
@@ -384,9 +396,11 @@ def test_diverged_coefficients_raise_and_leave_the_state_unchanged(tmp_path, tra
     model.check_counters()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_diverging_stream_raises_instead_of_returning_nan():
     # the coefficient step is LMS on uncentered x: with every covariate
-    # shifted by 1e4, rate |mean|^2 > 1 and the recursion diverges
+    # shifted by 1e4, rate |mean|^2 > 1 and the recursion diverges; the
+    # error is the report, with no overflow warning before it
     X, y = sample(SimModelSpec(1, 10), 400, rng=0)
     with pytest.raises(ConvergenceError, match="diverged"):
         fit_online(X + 1e4, y)
