@@ -25,6 +25,7 @@ from .errors import (
     DataError,
     DegenerateDataError,
     as_rows,
+    check_directions,
 )
 from .pipeline import unit_columns
 
@@ -112,8 +113,7 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     """
     M, _, Xc = slice_mean_matrix(X, y, n_slices)
     n, p = Xc.shape
-    if not 1 <= d <= min(p, n_slices):
-        raise ConfigurationError(f"need 1 <= d <= min(p, H) = {min(p, n_slices)}")
+    check_directions(d, p, n_slices)
     G = _between_slice_cov(M, Xc, n_slices)
     cov = Xc.T @ Xc / n
     if p >= n:
@@ -236,8 +236,7 @@ def batch_lasso_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     """
     M, labels, Xc = slice_mean_matrix(X, y, n_slices)
     n, p = Xc.shape
-    if not 1 <= d <= min(p, n_slices):
-        raise ConfigurationError(f"need 1 <= d <= min(p, H) = {min(p, n_slices)}")
+    check_directions(d, p, n_slices)
     targets, eta, lams, _ = _lasso_targets(M, labels, Xc, n_slices, d)
     mus = np.sqrt(np.log(p) / (n * lams))
     B = np.empty((p, d))

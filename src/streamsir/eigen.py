@@ -13,11 +13,10 @@ the perturbation strategy alone, the dense matrix):
                     p >= 40, no eigendecomposition: one p x p solve, plus,
                     when the tracked vector and the eigenvalue bounds
                     carried between steps leave the pair's resonance
-                    open, Rayleigh quotient iteration (from p = 100 a
-                    Krylov start and, as a rule, one solve), and a
-                    Cholesky factorization only where those bounds no
-                    longer prove which shift is resonant; kept as the
-                    accuracy yardstick at small p.
+                    open, Rayleigh quotient iteration (one or two
+                    solves), and a Cholesky factorization only where
+                    those bounds no longer prove which shift is
+                    resonant; kept as the accuracy yardstick at small p.
 * ``sgd``           stochastic gradient ascent on the Rayleigh quotient
                     with a first-order deflation term; periodic
                     Gram-Schmidt repair.
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDataError
+from .errors import ConfigurationError, DegenerateDataError, check_directions
 
 STRATEGIES = ("ccipca", "perturbation", "sgd", "ipca")
 
@@ -76,33 +75,10 @@ _SHIFT_NUDGE = 4 * _EPS
 # by at most this over the eigengap.  Over criterion 4's first M5 stream
 # (p = 500, 800 steps) the tracker ends 3e-12 from the eigh reference at
 # 1e-10, 4e-15 at 1e-12 and 4e-16 here; the iteration, cubically convergent,
-# gets there from the tracked vector in one or two solves and from a Krylov
-# start in one, and gives up after ``_RAYLEIGH_STEPS`` steps, a Krylov start
-# counting as one.
+# gets there from the tracked vector in one or two solves, and gives up after
+# ``_RAYLEIGH_STEPS`` solves.
 _RESIDUAL_TOL = 1e-13
 _RAYLEIGH_STEPS = 4
-# Rayleigh quotient iteration starts from the top Ritz pair of the average on
-# the Krylov space of the tracked vector, built from this many products with
-# it.  From the tracked vector itself one solve left the residual short of
-# ``_RESIDUAL_TOL`` on 1074 of 5400 steps of the study's p = 100 streams (M1
-# and M5, three seeds) and on 771 of 800 of criterion 4's first p = 500 stream,
-# which then took a second solve.  From six products at most one solve followed
-# on every step that reached the iteration: 1184 on those p = 100 streams and
-# 2289 on criterion 4's first three p = 500 streams; from four, 280 of the 2289
-# took a second.
-_KRYLOV_PRODUCTS = 6
-# The Krylov start replaces the first solve from this many features on.  Its
-# cost is mostly per-call overhead, about 70 us up to p = 120, where a copy and
-# solve takes 21 us at p = 40, 57 at 60, 79 to 95 at 80 to 100 and 112 at 120
-# (best of 15 timeit repeats, one thread); ``np.linalg.qr`` and ``eigh`` of a
-# 6 x 6 matrix alone take about 26 us, so no Ritz start pays at p = 40.  Time
-# per observation through ``fit_online`` (model 1, 1000 rows, medians of five
-# alternating runs, one thread), with eigh / a first solve / a Krylov start:
-# 206 / 148 / 198 us at p = 40, 293 / 142 / 170 at 50, 367 / 198 / 255 at 60,
-# 565 / 160 / 165 at 80 and 843 / 241 / 236 at 100.  No benchmark workload
-# runs the perturbation tracker below p = 100, so these timings alone set
-# this gate and ``_SOLVE_MIN_P``.
-_KRYLOV_MIN_P = 100
 # The perturbation step's solves replace its eigh for one direction from
 # this many features on (see ``_solves_pay``).
 _SOLVE_MIN_P = 40
@@ -182,10 +158,7 @@ class EigenTracker:
         """
         factor = kernel.slice_cov
         p, n_slices = factor.shape
-        if not 1 <= d <= min(p, n_slices):
-            raise ConfigurationError(
-                f"need 1 <= d <= min(p, H) = {min(p, n_slices)}, got {d}"
-            )
+        check_directions(d, p, n_slices)
         u, s, _ = np.linalg.svd(factor, full_matrices=False)
         values = s[:d] ** 2 / n_slices
         vectors = u[:, :d]
@@ -309,8 +282,7 @@ class EigenTracker:
         direction, p >= 40), the pseudo-inverse is applied by solves
         (``_shift_solves``): one solve, preceded, when ``second_bound`` and
         the tracked vector's Rayleigh quotient leave the pair's resonance
-        open, by Rayleigh quotient iteration (from p = 100 a Krylov start
-        and, as a rule, one solve; below, one or two solves).  Which shift
+        open, by Rayleigh quotient iteration (one or two solves).  Which shift
         is resonant is proved by ``top_bound`` and ``second_bound`` or, when
         they are too loose, by a Cholesky factorization that renews them.
         Otherwise, and in the cases the solves cannot settle, it comes from
@@ -422,16 +394,18 @@ def _solves_pay(p: int, d: int) -> bool:
 
     For one direction a step takes one solve with lam I - A.  Where the
     tracked vector and the carried eigenvalue bounds leave the pair's
-    resonance open, Rayleigh quotient iteration comes first: one or two
-    solves below ``_KRYLOV_MIN_P``, and from there a Krylov start and, as a
-    rule, one solve.  A Cholesky factorization runs only where the carried
+    resonance open, Rayleigh quotient iteration comes first, with one or
+    two solves.  A Cholesky factorization runs only where the carried
     bounds no longer prove which shift is resonant.  Time per observation
     through ``fit_online``, solves over eigh (one thread of a 2-core Xeon,
     model 1, medians of interleaved runs, three sets, when every step took
     a factorization): 1.37, 1.39 and 1.47 at p = 20; 1.00, 0.93 and 1.32 at
     30; 0.74, 0.64 and 0.70 at 40; 0.48, 0.70 and 0.60 at 100.  With the
-    step as it is now, 0.72 at p = 40 and 0.28 at 100 (the timings at
-    ``_KRYLOV_MIN_P``).  With two or more directions the
+    step as it is now (1000 rows, medians of five alternating runs), eigh
+    against solves: 206 against 148 us at p = 40, 293 / 142 at 50, 367 /
+    198 at 60, 565 / 160 at 80 and 843 / 241 at 100.  No benchmark
+    workload runs the perturbation tracker below p = 100, so these timings
+    alone set ``_SOLVE_MIN_P``.  With two or more directions the
     certificate settles the first alone, so every step would pay for the
     solves and then for ``eigh``.  So the solves run for one direction from
     ``_SOLVE_MIN_P`` features on.
@@ -491,11 +465,9 @@ def _shift_solves(average, values, vectors, gv, bounds):
       eigenvalue within |r| of mu is the top one, so ``cut`` still bounds
       the cut-off; the bound proves the claim, and no factorization runs;
     * otherwise Rayleigh quotient iteration refines (mu, q) until |r| is at
-      most ``_RESIDUAL_TOL`` of the largest shift, or the first case holds.
-      From ``_KRYLOV_MIN_P`` features on, its first step is the top Ritz
-      pair of A on the Krylov space of the tracked vector
-      (``_krylov_start``), not a solve, and one solve from there reaches
-      the tolerance as a rule.
+      most ``_RESIDUAL_TOL`` of the largest shift, or the first case holds,
+      each step one solve with A - (mu + nudge) I, the nudge
+      ``_SHIFT_NUDGE`` of the largest shift.
       The top shift is the one resonant shift when |lam - mu| + |r| is
       within C's lower bound, or within the one that a failed Cholesky
       factorization of A - sI gives (``_has_eigenvalue_below``).  b =
@@ -533,12 +505,9 @@ def _shift_solves(average, values, vectors, gv, bounds):
                     break
                 if steps == _RAYLEIGH_STEPS:
                     return None
-                if steps or p < _KRYLOV_MIN_P:
-                    iterate = average.copy()
-                    _diagonal(iterate)[:] -= mu + _SHIFT_NUDGE * width
-                    mu, q, res = _rayleigh(average, np.linalg.solve(iterate, q))
-                else:
-                    mu, q, res = _rayleigh(average, _krylov_start(average, q))
+                iterate = average.copy()
+                _diagonal(iterate)[:] -= mu + _SHIFT_NUDGE * width
+                mu, q, res = _rayleigh(average, np.linalg.solve(iterate, q))
                 steps += 1
             g = gv[:, j]
             # the top shift is resonant once the largest shift is this or more
@@ -607,35 +576,6 @@ def _rayleigh(average, x) -> tuple[float, np.ndarray, float]:
     mu = float(q.dot(aq))
     aq -= mu * q
     return mu, q, math.sqrt(aq.dot(aq))
-
-
-def _krylov_start(average, q) -> np.ndarray:
-    """The top Ritz vector of A on the Krylov space of the unit q, spanned
-    by q, Aq, A^2 q, ... from ``_KRYLOV_PRODUCTS`` products with A.  Each
-    new direction is orthogonalized against the basis twice (classical
-    Gram-Schmidt, twice is enough).  A direction that keeps no more than
-    ``_RESIDUAL_TOL`` of its product's norm ends the basis: the space is
-    then invariant to the tolerance the iteration works to, since the top
-    Ritz pair's residual is at most that direction's norm."""
-    basis = np.empty((q.size, _KRYLOV_PRODUCTS), order="F")
-    images = np.empty_like(basis)
-    basis[:, 0] = q
-    for size in range(1, _KRYLOV_PRODUCTS + 1):
-        w = average @ basis[:, size - 1]
-        images[:, size - 1] = w
-        if size == _KRYLOV_PRODUCTS:
-            break
-        scale = math.sqrt(w.dot(w))
-        span = basis[:, :size]
-        for _ in range(2):
-            w -= span @ (span.T @ w)
-        norm = math.sqrt(w.dot(w))
-        if norm <= _RESIDUAL_TOL * scale:
-            break
-        basis[:, size] = w / norm
-    span = basis[:, :size]
-    _, ritz = np.linalg.eigh(span.T @ images[:, :size])
-    return span @ ritz[:, -1]
 
 
 def _has_eigenvalue_below(average, level: float) -> bool:

@@ -28,6 +28,25 @@ def as_rows(X, y, what: str = "X") -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def check_directions(d, p: int, n_slices: int) -> None:
+    """Raise ``ConfigurationError`` unless 1 <= d <= min(p, H): the slice
+    kernel of p features and H slices has rank at most min(p, H)."""
+    if not 1 <= d <= min(p, n_slices):
+        raise ConfigurationError(
+            f"need 1 <= d <= min(p, H) = {min(p, n_slices)}, got {d}"
+        )
+
+
+def check_positive_integer(name: str, value) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is an integer of at
+    least 1.  A bool or a float is refused too: a count given 2.5 would run
+    as 2, or as a modulus at multiples of 5, and one given True as 1, while
+    the caller's setting still says 2.5 or True."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 1):
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+
+
 class StreamsirError(Exception):
     """Base class for all package errors."""
 

@@ -44,7 +44,15 @@ from .errors import (
 
 
 def _as_response(y) -> float:
-    y = float(y)
+    """``y`` as a float; anything but one finite real number raises
+    ``DataError``.  numpy before 2.3 converts a one-element array, so any
+    other input than a float has its shape read first."""
+    try:
+        if not isinstance(y, float) and np.ndim(y):
+            raise TypeError
+        y = float(y)
+    except (TypeError, ValueError):
+        raise DataError(f"response must be one real number, got {y!r}") from None
     if not math.isfinite(y):
         raise DataError(f"response must be finite, got {y!r}")
     return y
@@ -143,10 +151,14 @@ class KernelTracker:
     # -- updates ------------------------------------------------------------
 
     def check(self, x, y) -> tuple[np.ndarray, int]:
-        """``x`` as a float p-vector and the slice index of ``y``; a vector of
-        another length, a non-finite entry (found by ``all_finite``) or a
-        non-finite response raises ``DataError``.  Changes no state."""
-        x = np.asarray(x, dtype=float).ravel()
+        """``x`` as a float p-vector and the slice index of ``y``; input that
+        does not convert to floats, a vector of another length, a non-finite
+        entry (found by ``all_finite``) or a response that is not one finite
+        number raises ``DataError``.  Changes no state."""
+        try:
+            x = np.asarray(x, dtype=float).ravel()
+        except (TypeError, ValueError):
+            raise DataError("covariates must be real numbers") from None
         if x.size != self.n_features:
             raise DataError(
                 f"expected covariate vector of length {self.n_features}, got {x.size}"

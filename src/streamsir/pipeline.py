@@ -64,7 +64,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .eigen import EigenTracker, TrackerConfig
-from .errors import ConfigurationError, ConvergenceError, DataError, all_finite, as_rows
+from .errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DataError,
+    all_finite,
+    as_rows,
+    check_positive_integer,
+)
 from .kernel import KernelTracker, SliceGrid
 from .truncated import TruncatedGradient
 
@@ -146,12 +153,7 @@ class SIRConfig:
 
     def __post_init__(self):
         for name in ("n_slices", "n_directions", "period"):
-            value = getattr(self, name)
-            # a stage given 2.5 would run as 2 while the config still says
-            # 2.5, and one given True as 1 while the config says True
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not (integer and value >= 1):
-                raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+            check_positive_integer(name, getattr(self, name))
         for name in ("learning_rate", "gravity", "threshold"):
             value = getattr(self, name)
             # True would run as 1.0 while the config says True, and "0.1"
@@ -548,8 +550,7 @@ def fit_stream(
     report, so numpy's overflow warning is ignored for the whole loop.
     """
     X, y = as_rows(X, y, "stream X")
-    if progress_every < 1:
-        raise ConfigurationError("progress_every must be a positive integer")
+    check_positive_integer("progress_every", progress_every)
     with np.errstate(over="ignore"):
         for i in range(X.shape[0]):
             model.observe(X[i], y[i])

@@ -1,5 +1,7 @@
 """Batch reference estimators: dense eigensolver, classical and sparse SIR."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from streamsir import (
     ConvergenceError,
     DataError,
     DegenerateDataError,
+    EigenTracker,
+    KernelTracker,
     SimModelSpec,
+    SliceGrid,
+    TrackerConfig,
     batch_lasso_sir,
     batch_sir,
     dense_top_eigen,
@@ -141,6 +147,20 @@ def test_sir_unit_columns_and_validation():
         batch_sir(X, y, 5, 6)  # d > H
     with pytest.raises(DataError):
         batch_sir(X[:10], y, 5, 1)
+
+
+@pytest.mark.parametrize("d", [0, 6])
+def test_batch_and_streaming_refuse_the_same_d_alike(d):
+    X, y = sample(SimModelSpec(1, 8), 200, rng=5)
+    kernel = KernelTracker(SliceGrid.from_warmup(y, 5), 8)
+    kernel.replay(X, y)
+    for fit in (
+        lambda: batch_sir(X, y, 5, d),
+        lambda: batch_lasso_sir(X, y, 5, d),
+        lambda: EigenTracker.from_kernel(kernel, d, TrackerConfig()),
+    ):
+        with pytest.raises(ConfigurationError, match=re.escape(f"min(p, H) = 5, got {d}")):
+            fit()
 
 
 @pytest.mark.parametrize("estimator", [batch_sir, lasso_sir_targets, batch_lasso_sir])

@@ -1,6 +1,5 @@
 """Online eigen-trackers against dense-solver oracles."""
 
-import contextlib
 import copy
 import math
 from types import SimpleNamespace
@@ -261,20 +260,8 @@ def _solves_forced():
     return mock.patch.object(eigen_module, "_solves_pay", lambda p, d: True)
 
 
-@contextlib.contextmanager
-def _krylov_starts(p_min=0):
-    """Start Rayleigh quotient iteration from a Krylov pair from ``p_min``
-    features on, and count the starts."""
-    with mock.patch.object(eigen_module, "_KRYLOV_MIN_P", p_min), mock.patch.object(
-        eigen_module, "_krylov_start", wraps=eigen_module._krylov_start
-    ) as starts:
-        yield starts
-
-
 def _fallbacks():
-    """Count the perturbation steps that fall back to the eigendecomposition.
-    ``np.linalg.eigh`` also runs on the Krylov start's projected matrix,
-    which is p x p itself once the Krylov space fills a small p."""
+    """Count the perturbation steps that fall back to the eigendecomposition."""
     return mock.patch.object(
         eigen_module, "_eigh_shift_inverse", wraps=eigen_module._eigh_shift_inverse
     )
@@ -286,14 +273,9 @@ def _assert_matches_the_reference(stream):
     the final eigen states and directions agree to 1e-12.  With one
     direction the solves, not the eigendecomposition they fall back to,
     carried nine steps in ten; they certify the top pair alone, so with two
-    every step falls back.  Fallbacks are the eigh calls on a p x p
-    matrix: the Krylov start's projected matrix is at most
-    ``_KRYLOV_PRODUCTS`` square, below every p streamed here."""
-    with _solves_forced(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as calls:
+    every step falls back."""
+    with _solves_forced(), _fallbacks() as fallbacks:
         model = stream()
-    p = model.eigen.vectors.shape[0]
-    assert p > eigen_module._KRYLOV_PRODUCTS
-    eigh = sum(call.args[0].shape == (p, p) for call in calls.call_args_list)
     with mock.patch.object(EigenTracker, "perturbation_step", perturbation_step_reference):
         reference = stream()
     for name in ("values", "vectors", "averaged_kernel"):
@@ -303,9 +285,9 @@ def _assert_matches_the_reference(stream):
         )
     np.testing.assert_allclose(model.directions(), reference.directions(), rtol=0, atol=1e-12)
     if model.eigen.n_directions == 1:
-        assert 10 * eigh < model.eigen.step
+        assert 10 * fallbacks.call_count < model.eigen.step
     else:
-        assert eigh == model.eigen.step
+        assert fallbacks.call_count == model.eigen.step
 
 
 def test_perturbation_matches_the_eigh_reference_on_criterion_2_streams():
@@ -356,16 +338,15 @@ _PLANTED = {"free": (0, False), "one": (1, False), "exact": (1, False),
     case=st.sampled_from(sorted(_PLANTED)),
     d=st.integers(1, 2),
     t=st.integers(20, 2000),
-    krylov=st.booleans(),
 )
-def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, case, d, t, krylov):
+def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, case, d, t):
     # A = Q diag(mu) Q' with eigenvalues at least 0.5 apart; the first
     # tracked value is placed against eigenvalue k so that the cut-off C
     # (1e-3 of the largest shift) sees the planted case: far from every
     # eigenvalue, within C/2 of one, exactly on one, within C of two, or
     # within C of one whose neighbour sits C/2 from it but over C from the
     # value.  A second direction, when drawn, sits midway between two
-    # eigenvalues.  The iteration starts from a Krylov pair or a solve.
+    # eigenvalues.
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
     mu = np.cumsum(rng.uniform(0.5, 1.5, p))
@@ -402,7 +383,7 @@ def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, cas
     tracker = EigenTracker(values, vectors, _cfg("perturbation"))
     tracker.averaged_kernel = average.copy()
     reference = copy.deepcopy(tracker)
-    with _solves_forced(), _krylov_starts(0 if krylov else math.inf), _fallbacks() as fallbacks:
+    with _solves_forced(), _fallbacks() as fallbacks:
         tracker.perturbation_step(kernel_dense, t)
     # the solves settle the top pair alone, so a second direction, or a
     # value placed against any eigenvalue but the top one, falls back too;
@@ -426,10 +407,9 @@ def test_perturbation_matches_the_eigh_reference_on_planted_spectra(seed, p, cas
     offset=st.floats(-2.0, 2.0),
     null=st.booleans(),
     t=st.integers(20, 2000),
-    krylov=st.booleans(),
 )
 def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
-    seed, p, place, start, offset, null, t, krylov
+    seed, p, place, start, offset, null, t
 ):
     # A = Q diag(mu) Q' with eigenvalues at least 0.2 apart, the smallest
     # exactly 0 when ``null``.  The tracked value sits ``offset`` times about
@@ -465,11 +445,9 @@ def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
     gv = (average - kernel_dense) @ tracker.vectors
 
     unbounded = (math.inf, math.inf)
-    krylov_from = 0 if krylov else math.inf  # the iteration's first step
-    with _krylov_starts(krylov_from):
-        settled = eigen_module._shift_solves(
-            average, tracker.values, tracker.vectors, gv, unbounded
-        ) is not None
+    settled = eigen_module._shift_solves(
+        average, tracker.values, tracker.vectors, gv, unbounded
+    ) is not None
     if null and place == "top" and start == "near" and not 0.9 <= abs(offset) <= 1.1:
         # clear of the cut-off, the top pair settles; the bounds on the
         # cut-off are tight when the smallest eigenvalue is 0, as a slice
@@ -483,7 +461,7 @@ def test_perturbation_certificate_agrees_with_the_spectrum_whenever_it_settles(
     resonant = np.flatnonzero(np.abs(shifts) <= PINV_CUTOFF * np.abs(shifts).max())
     assert resonant.tolist() in ([], [p - 1])
     reference = copy.deepcopy(tracker)
-    with _solves_forced(), _krylov_starts(krylov_from), _fallbacks() as fallbacks:
+    with _solves_forced(), _fallbacks() as fallbacks:
         tracker.perturbation_step(kernel_dense, t)
     assert not fallbacks.called
     perturbation_step_reference(reference, kernel_dense, t)
@@ -565,32 +543,22 @@ def _diagonal_tracker(lam, vector, diagonal):
     return tracker
 
 
-def test_perturbation_krylov_start_stops_on_an_invariant_space():
+def test_perturbation_iteration_settles_a_resonant_pair_in_an_invariant_plane():
+    # the tracked value on the top eigenvalue 5 and its vector in the span of
+    # the two top eigenvectors: the pair is resonant and unsettled, so the
+    # step reaches Rayleigh quotient iteration, which settles it without the
+    # eigendecomposition
     diagonal = np.array([5.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.0])
-    average = np.diag(diagonal)
-    # an exact eigenvector spans a one-dimensional invariant space: its
-    # first product leaves a zero direction, the null one a zero product
-    for k in (0, 3, 7):
-        start = eigen_module._krylov_start(average, np.eye(8)[k])
-        assert np.all(np.isfinite(start))
-        np.testing.assert_array_equal(np.abs(start), np.eye(8)[k])
-    # a vector in the span of two eigenvectors: the space stops at two
-    # dimensions, whose top Ritz vector is the top eigenvector, of unit norm
-    # as the orthonormal basis leaves it
     vector = np.zeros(8)
     vector[:2] = 1.0, 0.1
-    vector /= np.linalg.norm(vector)
-    start = eigen_module._krylov_start(average, vector)
-    np.testing.assert_allclose(np.abs(start), np.eye(8)[0], rtol=0, atol=1e-12)
-    # resonant with the top eigenvalue, the pair is unsettled, so the step
-    # reaches the Krylov start
-    tracker = _diagonal_tracker(5.0, vector, diagonal)
+    tracker = _diagonal_tracker(5.0, vector / np.linalg.norm(vector), diagonal)
     reference = copy.deepcopy(tracker)
     noise = np.random.default_rng(0).standard_normal((8, 8))
-    kernel_dense = average + 0.01 * (noise + noise.T)
-    with _solves_forced(), _fallbacks() as fallbacks, _krylov_starts() as krylov:
+    kernel_dense = np.diag(diagonal) + 0.01 * (noise + noise.T)
+    with _solves_forced(), _fallbacks() as fallbacks, \
+            mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
         tracker.perturbation_step(kernel_dense, 50)
-    assert krylov.call_count == 1 and not fallbacks.called
+    assert solve.call_count >= 2 and not fallbacks.called  # the iteration, then the step
     perturbation_step_reference(reference, kernel_dense, 50)
     for name in ("values", "vectors", "averaged_kernel"):
         assert np.all(np.isfinite(getattr(tracker, name))), name
@@ -599,10 +567,10 @@ def test_perturbation_krylov_start_stops_on_an_invariant_space():
         )
 
 
-def test_perturbation_krylov_start_that_raises_leaves_the_tracker_unchanged(monkeypatch):
+def test_perturbation_iteration_that_raises_leaves_the_tracker_unchanged(monkeypatch):
     # the tracked value on the top eigenvalue and its vector 1e-2 off the
     # top eigenvector: the pair is resonant and unsettled, so the step
-    # reaches the Krylov start, whose eigh raises, and the fallback's too
+    # reaches the iteration, whose solve raises, and the fallback's eigh too
     rng = np.random.default_rng(23)
     diagonal = np.linspace(4.0, 0.0, 12)
     vector = np.eye(12)[0] + 1e-2 * rng.standard_normal(12)
@@ -610,15 +578,21 @@ def test_perturbation_krylov_start_that_raises_leaves_the_tracker_unchanged(monk
     tracker.top_bound, tracker.second_bound = 4.0 + 1e-9, diagonal[1] + 1e-9
     before = copy.deepcopy(tracker)
     kernel_dense = np.diag(diagonal) + 0.01 * np.outer(vector, vector)
+    attempts = []
+
+    def singular(*args, **kwargs):
+        attempts.append(1)
+        raise np.linalg.LinAlgError("Singular matrix")
 
     def unconverged(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(eigen_module, "_solves_pay", lambda p, d: True)
+    monkeypatch.setattr(np.linalg, "solve", singular)
     monkeypatch.setattr(np.linalg, "eigh", unconverged)
-    with _krylov_starts() as krylov, pytest.raises(np.linalg.LinAlgError):
+    with _fallbacks() as fallbacks, pytest.raises(np.linalg.LinAlgError):
         tracker.perturbation_step(kernel_dense, 50)
-    assert krylov.called
+    assert len(attempts) == 1 and fallbacks.called
     for name in ("values", "vectors", "averaged_kernel", "top_bound", "second_bound"):
         np.testing.assert_array_equal(getattr(tracker, name), getattr(before, name), err_msg=name)
     assert tracker.step == before.step
@@ -698,18 +672,6 @@ def test_carried_bounds_skip_nine_cholesky_factorizations_in_ten():
     assert cholesky.call_count <= 0.1 * model.eigen.step
 
 
-def test_perturbation_solves_at_most_five_times_in_four_steps_on_the_study_stream():
-    # one solve where the carried bounds settle the pair from the tracked
-    # vector, and otherwise, as a rule, a Krylov start and one iteration
-    # solve before it; without the lower-bound test and the Krylov start a
-    # step takes 1.52 solves here
-    X, y = _study_stream()
-    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
-        model = fit_online(X, y, SIRConfig(tracker="perturbation"), warmup_size=100)
-    assert model.eigen.step == 900
-    assert solve.call_count <= 1.25 * model.eigen.step
-
-
 def _bounded_tracker(lam, v, eigenvalues, rng):
     """A tracker of (lam, v) on A = Q diag(eigenvalues) Q' for a random
     orthogonal Q, its bounds 1e-9 above the two largest eigenvalues, and
@@ -736,7 +698,7 @@ def test_perturbation_settles_a_pair_from_the_carried_second_bound(seed):
     # 0.3 part of the second.  Its residual leaves lam within the cut-off of
     # mu's eigenvalue as far as mu alone shows, but the carried bound on
     # the second eigenvalue settles the pair before any iteration: one
-    # solve, no Krylov start, no Cholesky factorization.
+    # solve, no Cholesky factorization.
     rng = np.random.default_rng(seed)
     p, lam = 12, 4.5
     eigenvalues = np.concatenate([np.sort(rng.uniform(0.0, 2.0, p - 2)), [3.0, 5.0]])
@@ -753,11 +715,10 @@ def test_perturbation_settles_a_pair_from_the_carried_second_bound(seed):
     reference = copy.deepcopy(tracker)
     with _solves_forced(), _fallbacks() as fallbacks, \
             mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve, \
-            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky, \
-            _krylov_starts() as krylov:
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
         tracker.perturbation_step(kernel_dense, 40)
     assert solve.call_count == 1
-    assert not (cholesky.called or krylov.called or fallbacks.called)
+    assert not (cholesky.called or fallbacks.called)
     perturbation_step_reference(reference, kernel_dense, 40)
     for name in ("values", "vectors", "averaged_kernel"):
         np.testing.assert_allclose(

@@ -17,6 +17,7 @@ from streamsir import (
     ConvergenceError,
     DataError,
     DegenerateDataError,
+    DenseOnlineSIR,
     EigenTracker,
     KernelTracker,
     OnlineSparseSIR,
@@ -380,6 +381,33 @@ def test_rejected_observation_leaves_the_state_unchanged(tmp_path, bad, tracker)
     model.check_counters()
 
 
+# rows that do not convert to a covariate vector and one response
+_MALFORMED_ROWS = {
+    "one-element y": lambda X, y: (X[150], y[150:151]),
+    "two-element y": lambda X, y: (X[150], y[150:152]),
+    "list y": lambda X, y: (X[150], [y[150]]),
+    "None y": lambda X, y: (X[150], None),
+    "string y": lambda X, y: (X[150], "a"),
+    "string x": lambda X, y: (np.full(X.shape[1], "a"), y[150]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_MALFORMED_ROWS))
+def test_malformed_rows_raise_data_errors(bad):
+    X, y = _model_one(n=200)
+    x, yi = _MALFORMED_ROWS[bad](X, y)
+    sparse = fit_online(X[:150], y[:150], SIRConfig(**BENCH), 100)
+    dense = DenseOnlineSIR.warmup(X[:100], y[:100], 10, 1, "sgd")
+    for model in (sparse, dense):
+        t = model.t
+        with pytest.raises(DataError):
+            model.observe(x, yi)
+        assert model.t == t
+    if bad.endswith(" y"):
+        with pytest.raises(DataError):
+            sparse.artificial_response(yi)
+
+
 @pytest.mark.parametrize("tracker", STRATEGIES)
 def test_diverged_coefficients_raise_and_leave_the_state_unchanged(tmp_path, tracker):
     X, y = _model_one(n=200)
@@ -473,8 +501,11 @@ def test_stream_validation():
     model = OnlineSparseSIR.warmup(X[:100], y[:100], SIRConfig())
     with pytest.raises(DataError):
         fit_stream(model, X[100:], y[100:150])
-    with pytest.raises(ConfigurationError):
-        fit_stream(model, X[100:], y[100:], progress=print, progress_every=0)
+    # True would run as 1, and 2.5 report only at multiples of 5
+    for every in (0, True, 2.5):
+        with pytest.raises(ConfigurationError, match="progress_every must be a positive integer"):
+            fit_stream(model, X[100:], y[100:], progress=print, progress_every=every)
+    assert model.t == 100
     with pytest.raises(ConfigurationError):
         fit_online(X, y, warmup_size=200)
     with pytest.raises(DataError, match="one response per row"):
