@@ -340,6 +340,7 @@ def cmd_fit(args):
         checkpoints.append({
             "t": info["t"],
             "nonzeros": info["nonzeros"],
+            "coef_norm": f"{max(info['coef_norms']):.10g}",
             "top_eigenvalue": f"{info['eigenvalues'][0]:.10g}",
             "reinits": info["reinit_count"],
             "degenerate_responses": info["degenerate_responses"],
@@ -359,7 +360,8 @@ def cmd_fit(args):
         for name, coefs in zip(names, betas):
             writer.writerow([name] + [f"{v:.10g}" for v in coefs])
     _write_csv(out_dir / "checkpoints.csv",
-               ("t", "nonzeros", "top_eigenvalue", "reinits", "degenerate_responses"),
+               ("t", "nonzeros", "coef_norm", "top_eigenvalue", "reinits",
+                "degenerate_responses"),
                checkpoints)
     if args.save_model:
         model.save(out_dir / "model.npz")

@@ -174,13 +174,13 @@ class EigenTracker:
 
     # -- one streaming observation ---------------------------------------------
 
-    def advance(self, kernel, h: int) -> float:
+    def advance(self, kernel, h: int) -> None:
         """The eigen stage of one observation, after ``kernel`` absorbed it
         into grid slice ``h``: the strategy's step on the input it needs
         (ccipca, sgd and ipca the kernel's products with the factor, ipca
         also the slice, perturbation the dense kernel), then sign
-        alignment, which ccipca does inside its step.  Returns the smallest
-        tracked eigenvalue.
+        alignment, which ccipca does inside its step.  Returns nothing: the
+        new state is ``values`` and ``vectors``.
 
         The sgd, perturbation and ipca steps never write into ``vectors``:
         each rebinds it to a new array, so the array it replaced is the
@@ -188,7 +188,8 @@ class EigenTracker:
         t = kernel.t - 1
         strategy = self.config.strategy
         if strategy == "ccipca":
-            return self.ccipca_step(kernel, t)
+            self.ccipca_step(kernel, t)
+            return
         previous = self.vectors
         if strategy == "sgd":
             self.sgd_step(kernel, t)
@@ -197,11 +198,10 @@ class EigenTracker:
         else:  # ipca
             self.ipca_step(kernel, h)
         self.align_signs(previous)
-        return float(self.values.min())
 
     # -- strategy updates -----------------------------------------------------
 
-    def ccipca_step(self, kernel, t: int) -> float:
+    def ccipca_step(self, kernel, t: int) -> None:
         """Candid covariance-free update from the current p x H factor W of
         the ``KernelTracker`` ``kernel``.
 
@@ -219,14 +219,12 @@ class EigenTracker:
         aligns its own signs (``align_signs``' rule).
         A component whose eigenvalue lies below 1e-12, before or after its
         update, is collapsed: it is re-seeded from the largest remaining
-        deflated column and counted in ``reinit_count``.  Returns the
-        smallest eigenvalue.
+        deflated column and counted in ``reinit_count``.
         """
         keep, blend = t / (t + 1.0), 1.0 / (t + 1.0)
         per_slice = blend / kernel.grid.n_slices
         scratch = np.empty(self.vectors.shape[0])
         units = []  # columns of ``vectors`` already updated this step
-        smallest = math.inf
         for j in range(self.n_directions):
             lam = float(self.values[j])
             unit = self.vectors[:, j]
@@ -235,7 +233,7 @@ class EigenTracker:
                 seed = self._reseed_from(kernel, units)
                 lam = math.sqrt(seed.dot(seed))
                 if lam < _NORM_FLOOR:
-                    self.values[j] = smallest = 0.0
+                    self.values[j] = 0.0
                     continue
                 start = seed / lam
             a = start
@@ -252,15 +250,12 @@ class EigenTracker:
                 v = self._reseed_from(kernel, units)
                 norm = math.sqrt(v.dot(v))
                 if norm < _NORM_FLOOR:
-                    self.values[j] = smallest = 0.0
+                    self.values[j] = 0.0
                     continue
             self.values[j] = norm
             np.divide(v, -norm if unit.dot(v) < 0.0 else norm, out=unit)
             units.append(unit)
-            if norm < smallest:
-                smallest = norm
         self.step += 1
-        return smallest
 
     def _reseed_from(self, kernel, units) -> np.ndarray:
         self.reinit_count += 1

@@ -18,11 +18,25 @@ def all_finite(v: np.ndarray) -> bool:
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
+def real_array(v, what: str) -> np.ndarray:
+    """``v`` as a float array; input that does not convert to floats, or
+    complex input, whose imaginary part the conversion would drop, raises
+    ``DataError`` saying that ``what`` must be real numbers."""
+    try:
+        v = np.asarray(v)
+        if v.dtype.kind == "c":
+            raise TypeError
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{what} must be real numbers") from None
+
+
 def as_rows(X, y, what: str = "X") -> tuple[np.ndarray, np.ndarray]:
-    """``X`` as a float (n, p) array and ``y`` as a float n-vector; any other
-    shape raises ``DataError`` naming the batch as ``what``."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    """``X`` as a float (n, p) array and ``y`` as a float n-vector
+    (``real_array``); any other shape raises ``DataError`` naming the batch
+    as ``what``."""
+    X = real_array(X, what)
+    y = real_array(y, "responses").ravel()
     if X.ndim != 2 or X.shape[0] != y.size:
         raise DataError(f"{what} must be (n, p) with one response per row")
     return X, y

@@ -40,6 +40,7 @@ from .errors import (
     EmptyStateError,
     all_finite,
     as_rows,
+    real_array,
 )
 
 
@@ -152,13 +153,11 @@ class KernelTracker:
 
     def check(self, x, y) -> tuple[np.ndarray, int]:
         """``x`` as a float p-vector and the slice index of ``y``; input that
-        does not convert to floats, a vector of another length, a non-finite
-        entry (found by ``all_finite``) or a response that is not one finite
-        number raises ``DataError``.  Changes no state."""
-        try:
-            x = np.asarray(x, dtype=float).ravel()
-        except (TypeError, ValueError):
-            raise DataError("covariates must be real numbers") from None
+        does not convert to floats or is complex (``real_array``), a vector of
+        another length, a non-finite entry (found by ``all_finite``) or a
+        response that is not one finite number raises ``DataError``.
+        Changes no state."""
+        x = real_array(x, "covariates").ravel()
         if x.size != self.n_features:
             raise DataError(
                 f"expected covariate vector of length {self.n_features}, got {x.size}"
@@ -253,15 +252,15 @@ class KernelTracker:
         r[-1] = counts.dot(g) / -t
         return self.block.dot(r)
 
-    def column_dot(self, h: int, vectors: np.ndarray) -> np.ndarray:
-        """W[:, h]' vectors for a (p, d) ``vectors``, (d,), from two dots with
-        the block's columns, (S_h' V - c_h x_sum' V / t) / t; the column is
-        never formed."""
-        block, t = self.block, self._observed()
-        out = block[:, h].dot(vectors)
-        out -= (self.grid.counts[h] / t) * block[:, -1].dot(vectors)
-        out /= t
-        return out
+    def column_dot(self, h: int, vectors: np.ndarray) -> list[float]:
+        """W[:, h]' v_j for each column v_j of a (p, d) ``vectors``, as d
+        floats, from two dots with the block's columns: (S_h' v_j -
+        (c_h / t) (x_sum' v_j)) / t; the column is never formed, and the
+        d-sized arithmetic runs on Python floats."""
+        t = self._observed()
+        ratio = self.grid.counts.item(h) / t
+        sums = self.block[:, h].dot(vectors).tolist()
+        return [(s - ratio * m) / t for s, m in zip(sums, self.x_sum.dot(vectors).tolist())]
 
     def column(self, h: int) -> np.ndarray:
         """Column h of W, (p,)."""

@@ -3,19 +3,26 @@
 One ``observe(x, y)`` call runs the full update chain:
 
 1. x and y are checked once, by ``KernelTracker.check``, which also finds
-   the slice index; then the coefficient stage's prediction b' x is formed,
-   and a non-finite one (the coefficients diverged) raises
-   ``ConvergenceError``.  Both happen before any stage changes, so a
+   the slice index; then the coefficient stage's prediction b_j' x is
+   formed as d floats, and a non-finite one (the coefficients diverged)
+   raises ``ConvergenceError``.  Both happen before any stage changes, so a
    rejected observation leaves the model as it was.
 2. the slice statistics absorb the observation,
 3. the eigen-tracker takes one step on the updated slice statistics through
    ``EigenTracker.advance`` (signs stabilized against the previous step so
    downstream targets never flip),
-4. a d-vector artificial response is formed from the observation's slice
-   (one that is not finite raises ``DataError``),
+4. a d-vector artificial response is formed from the observation's slice,
+   in one loop over the directions that zeroes a coordinate whose
+   eigenvalue is at the floor (a response that is not finite raises
+   ``DataError``),
 5. the truncated-gradient stage takes one unchecked step
    (``TruncatedGradient.advance``) toward regressing that response on x,
    reusing the prediction of step 1 unless it truncates first.
+
+Only the p-sized and (H + 1)-sized work runs in numpy.  The d-sized
+quantities between (prediction, projections, response, residual) are
+Python floats, each operation the one numpy would do in the same order, so
+the outputs are bitwise those of the array form.
 
 The sparse coefficient matrix of step 5 is the direction estimate.  Nothing
 in the chain stores a p x p matrix unless the perturbation tracker is
@@ -37,7 +44,9 @@ the block.  Memory order is an implementation detail, not part of the API.
 baseline (``baselines.DenseOnlineSIR``): it checks the warmup batch,
 applies the warmup-size rule and starts the slice statistics and the eigen
 tracker, so the two estimators differ only in how they read out
-directions, and ``unit_columns`` normalizes both read-outs.
+directions, and ``unit_columns`` normalizes both read-outs.  The column
+norms it divides by come from ``column_norms``, as do
+``zero_direction_flags`` and the ``coef_norms`` of ``diagnostics``.
 
 ``fit_stream`` is the one loop that feeds rows to ``observe``; ``fit_online``
 and the command line stream through it.  ``OnlineSparseSIR.diagnostics``
@@ -220,54 +229,58 @@ class OnlineSparseSIR:
         the model unchanged.  The prediction that finds diverged
         coefficients may itself overflow, so numpy warns of the overflow
         before the error unless the caller ignores it, as ``fit_stream``
-        does: an ``np.errstate`` per row would cost about 5% of a p = 100
-        observation.
+        does once for its whole loop: an ``np.errstate`` per row would cost
+        about 1.1 us, 6% of a p = 100 observation (numpy 2.4, timeit).
         """
         kernel, coef = self.kernel, self.coef
         x, h = kernel.check(x, y)
-        prediction = coef.betas.T.dot(x)
-        if not all_finite(prediction):
+        prediction = coef.betas.T.dot(x).tolist()
+        if not all(map(math.isfinite, prediction)):
             raise ConvergenceError(
                 f"coefficients diverged: their prediction for observation "
                 f"t = {kernel.t + 1} is {prediction}"
             )
         kernel.absorb(x, h)
-        smallest = self.eigen.advance(kernel, h)
-        response, dead = self._response_from(h, smallest)
+        self.eigen.advance(kernel, h)
+        response, dead = self._response_from(h)
         self.degenerate_responses += dead
-        if not all_finite(response):
+        if not all(map(math.isfinite, response)):
             raise DataError(f"synthetic response at t = {kernel.t} is not finite")
         coef.advance(x, response, prediction)
         return self
 
-    def _response_from(self, h: int, smallest: float) -> tuple[np.ndarray, int]:
-        """Target for slice ``h`` and the number of its coordinates zeroed
-        at the eigenvalue floor; ``smallest`` is the smallest eigenvalue."""
+    def _response_from(self, h: int) -> tuple[list[float], int]:
+        """Target for slice ``h``, as d floats, and the number of its
+        coordinates zeroed at the eigenvalue floor: coordinate j is
+        W[:, h]' v_j / (t H lam_j), or 0.0 where lam_j is at or below
+        ``_EIGENVALUE_FLOOR``."""
         # The extra 1/t anneals the target: its direction is fixed by the
         # slice statistics while its scale decays, so the coefficient stage
         # settles instead of rattling around a constant-variance floor.
-        proj = self.kernel.column_dot(h, self.eigen.vectors)  # (d,)
-        floor = _EIGENVALUE_FLOOR
-        lams = self.eigen.values
-        scale = self.kernel.t * self.kernel.grid.n_slices
-        if smallest > floor:  # nothing to clamp: bitwise the general case
-            return proj / (scale * lams), 0
-        response = proj / (scale * np.maximum(lams, floor))
-        dead = lams <= floor
-        return np.where(dead, 0.0, response), int(dead.sum())
+        kernel, floor = self.kernel, _EIGENVALUE_FLOOR
+        scale = kernel.t * kernel.grid.n_slices
+        response, dead = [], 0
+        projections = kernel.column_dot(h, self.eigen.vectors)
+        for proj, lam in zip(projections, self.eigen.values.tolist()):
+            if lam <= floor:
+                response.append(0.0)
+                dead += 1
+            else:
+                response.append(proj / (scale * lam))
+        return response, dead
 
     def artificial_response(self, y) -> np.ndarray:
         """The d-vector target the coefficient stage would regress on for a
         response ``y`` under the current state.  Pure read, no update."""
-        h = self.kernel.grid.slice_of(y)
-        return self._response_from(h, float(self.eigen.values.min()))[0]
+        return np.array(self._response_from(self.kernel.grid.slice_of(y))[0])
 
     # -- results ------------------------------------------------------------------
 
     @property
     def zero_direction_flags(self) -> np.ndarray:
-        betas = self.coef.betas
-        return np.add.reduce(betas * betas, axis=0) == 0.0  # as directions() finds a zero norm
+        """Which directions are all-zero coefficient columns, the ones
+        ``directions()`` returns as zeros."""
+        return np.array([norm == 0.0 for norm in column_norms(self.coef.betas)])
 
     def directions(self) -> np.ndarray:
         """Current direction estimate, (p, d), with unit columns, as a new
@@ -280,12 +293,14 @@ class OnlineSparseSIR:
         """The model's state at a glance, as a new dict: the observation
         count ``t``, a copy of the tracked ``eigenvalues``, the ``nonzeros``
         count of features with any nonzero coefficient (``nonzero_count``),
-        the eigen tracker's ``reinit_count`` and the
+        the ``coef_norms`` |b_j| of the coefficient columns
+        (``column_norms``), the eigen tracker's ``reinit_count`` and the
         ``degenerate_responses`` zeroed at the eigenvalue floor."""
         return {
             "t": self.t,
             "eigenvalues": self.eigen.values.copy(),
             "nonzeros": self.coef.nonzero_count(),
+            "coef_norms": np.array(column_norms(self.coef.betas)),
             "reinit_count": self.eigen.reinit_count,
             "degenerate_responses": self.degenerate_responses,
         }
@@ -454,12 +469,42 @@ def warmup_stages(X, y, config: SIRConfig) -> tuple[np.ndarray, KernelTracker, E
     return X, kernel, eigen
 
 
+def column_norms(B: np.ndarray) -> list[float]:
+    """The Euclidean norm of each column of ``B``, as floats: the square root
+    of its sum of squares, np.linalg.norm's own arithmetic for real input.
+    A finite column whose sum of squares overflows to inf, or underflows to
+    0 though an entry is nonzero, is divided by its largest magnitude m
+    first, and its norm is m times the quotient's; so only an all-zero
+    column has norm 0."""
+    norms = [math.sqrt(s) for s in np.add.reduce(B * B, axis=0).tolist()]
+    if math.inf in norms or 0.0 in norms:  # else every sum of squares holds
+        for j, norm in enumerate(norms):
+            if norm in (0.0, math.inf) and (scaled := _peak_scaled(B[:, j])):
+                peak, column = scaled
+                norms[j] = peak * math.sqrt(column.dot(column))
+    return norms
+
+
+def _peak_scaled(column: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(m, column / m) for the largest magnitude m of a finite ``column``
+    with a nonzero entry; None for any other column."""
+    peak = float(np.abs(column).max())
+    return (peak, column / peak) if 0.0 < peak < math.inf else None
+
+
 def unit_columns(B: np.ndarray) -> np.ndarray:
-    """``B`` with unit columns, as a new array; an all-zero column stays zero.
-    The norms are np.linalg.norm's own arithmetic for real input, without
-    its wrapper."""
-    norms = np.sqrt(np.add.reduce(B * B, axis=0))
-    return B / np.where(norms > 0, norms, 1.0)  # x / 1 is x, bit for bit
+    """``B`` with unit columns, as a new array; an all-zero column stays
+    zero.  Each column is divided once by its norm (``column_norms``); one
+    whose norm lies beyond the float range is divided by its largest
+    magnitude first."""
+    norms = column_norms(B)
+    out = B / np.array([norm if norm > 0.0 else 1.0 for norm in norms])  # x / 1 is x
+    if math.inf in norms:
+        for j, norm in enumerate(norms):
+            if norm == math.inf and (scaled := _peak_scaled(B[:, j])):
+                column = scaled[1]
+                out[:, j] = column / math.sqrt(column.dot(column))
+    return out
 
 
 def _member(value) -> str:

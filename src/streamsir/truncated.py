@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, all_finite
+from .errors import ConfigurationError, DataError, all_finite, real_array
 
 
 def active_features(betas: np.ndarray) -> int:
@@ -109,38 +109,41 @@ class TruncatedGradient:
         self.truncation_zeros = 0  # coordinates zeroed across all truncations
 
     def update(self, x, targets) -> None:
-        """One step.  x and targets are checked (shape, ``all_finite``) before
-        any state changes, as the pipeline's kernel stage checks x: the stage
-        is public and can be driven on its own."""
-        x = np.asarray(x, dtype=float).ravel()
+        """One step.  x and targets are checked (real, shape, ``all_finite``)
+        before any state changes, as the pipeline's kernel stage checks x:
+        the stage is public and can be driven on its own."""
+        x = real_array(x, "covariates").ravel()
         if x.size != self.n_features:
             raise DataError(
                 f"expected covariate vector of length {self.n_features}, got {x.size}"
             )
-        targets = np.asarray(targets, dtype=float).ravel()
+        targets = real_array(targets, "targets").ravel()
         if targets.size != self.n_targets:
             raise DataError(
                 f"expected {self.n_targets} targets, got {targets.size}"
             )
         if not (all_finite(x) and all_finite(targets)):
             raise DataError("inputs must be finite")
-        self.advance(x, targets, self.betas.T.dot(x))
+        self.advance(x, targets.tolist(), self.betas.T.dot(x).tolist())
 
-    def advance(self, x: np.ndarray, targets: np.ndarray, prediction: np.ndarray) -> None:
-        """``update`` without the checks, for a float p-vector ``x``, a float
-        d-vector of ``targets`` and the ``prediction`` betas' x under the
-        current betas, which a truncating step computes again."""
+    def advance(self, x: np.ndarray, targets, prediction) -> None:
+        """``update`` without the checks, for a float p-vector ``x`` and two
+        sequences of d floats: the ``targets`` and the ``prediction`` b_j' x
+        under the current betas, which a truncating step computes again.
+        Column j of ``betas`` grows in place by ((target_j - prediction_j)
+        2 rate) x."""
         self.step += 1
         if self.gravity > 0.0 and self.step % self.period == 0:
             self.betas, zeroed = _truncate(
                 self.betas, self.gravity * self.rate * self.period, self.threshold
             )
             self.truncation_zeros += zeroed
-            prediction = self.betas.T.dot(x)
-        resid = targets - prediction  # (d,)
-        resid *= 2.0 * self.rate
-        rows = self.betas.T  # (d, p) view; row j is column j of betas
-        rows += resid[:, None] * x
+            prediction = self.betas.T.dot(x).tolist()
+        gain = 2.0 * self.rate
+        betas = self.betas
+        for j, (target, guess) in enumerate(zip(targets, prediction)):
+            column = betas[:, j]
+            column += ((target - guess) * gain) * x
 
     def nonzero_count(self) -> int:
         """``active_features`` of the coefficients."""

@@ -128,6 +128,7 @@ def test_fit_recovers_model_one_direction(tmp_path, capsys):
     assert [int(c["t"]) for c in checkpoints] == [100, 300, 600, 900, 1000]
     for c in checkpoints:
         assert 0 <= int(c["nonzeros"]) <= 20
+        assert float(c["coef_norm"]) >= 0.0
         assert float(c["top_eigenvalue"]) > 0.0
 
     loaded = OnlineSparseSIR.load(out_dir / "model.npz")
@@ -137,6 +138,7 @@ def test_fit_recovers_model_one_direction(tmp_path, capsys):
     assert checkpoints[-1] == {
         "t": str(info["t"]),
         "nonzeros": str(info["nonzeros"]),
+        "coef_norm": f"{max(info['coef_norms']):.10g}",
         "top_eigenvalue": f"{info['eigenvalues'][0]:.10g}",
         "reinits": str(info["reinit_count"]),
         "degenerate_responses": str(info["degenerate_responses"]),

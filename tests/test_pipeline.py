@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -352,7 +353,7 @@ def test_observe_stays_within_round_off_of_the_materialized_chain(p, d, monkeypa
 
 
 @pytest.mark.parametrize(
-    "bad", ["non-finite x", "wrong-length x", "NaN y", "-inf x", "inf y"]
+    "bad", ["non-finite x", "wrong-length x", "NaN y", "-inf x", "inf y", "complex x"]
 )
 @pytest.mark.parametrize("tracker", STRATEGIES)
 def test_rejected_observation_leaves_the_state_unchanged(tmp_path, bad, tracker):
@@ -367,6 +368,8 @@ def test_rejected_observation_leaves_the_state_unchanged(tmp_path, bad, tracker)
         x[0] = -np.inf
     elif bad == "inf y":
         yi = np.inf
+    elif bad == "complex x":  # a float conversion would drop the imaginary part
+        x = x + 0.5j
     else:
         yi = np.nan
     model.save(tmp_path / "before.npz")
@@ -406,6 +409,19 @@ def test_malformed_rows_raise_data_errors(bad):
     if bad.endswith(" y"):
         with pytest.raises(DataError):
             sparse.artificial_response(yi)
+
+
+@pytest.mark.parametrize("part", ["X", "y"])
+def test_fit_online_refuses_complex_data(part):
+    # converting to floats would drop the imaginary part, with no more than
+    # a ComplexWarning
+    X, y = _model_one(n=300)
+    if part == "X":
+        X = X + 0.5j
+    else:
+        y = y + 0.5j
+    with pytest.raises(DataError, match="must be real numbers"):
+        fit_online(X, y, SIRConfig(**BENCH))
 
 
 @pytest.mark.parametrize("tracker", STRATEGIES)
@@ -552,9 +568,35 @@ def test_zero_column_is_flagged_not_normalized():
     model.coef.betas[:, 0] = 0.0
     model.coef.betas[2, 1] = -1.5
     np.testing.assert_array_equal(model.zero_direction_flags, [True, False])
+    np.testing.assert_array_equal(model.diagnostics()["coef_norms"], [0.0, 1.5])
     out = model.directions()
     np.testing.assert_array_equal(out[:, 0], np.zeros(10))
     assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200, 3e307])
+def test_directions_of_a_column_whose_sum_of_squares_overflows_or_underflows(size):
+    # the squares of 1e200 overflow to inf and those of 1e-200 underflow to
+    # 0, yet the column is finite and nonzero: it still reads out as a unit
+    # column, is not flagged, and its norm is reported (at 3e307 the norm
+    # itself lies beyond the float range, so it reads inf)
+    X, y = sample(SimModelSpec(3, 10), 150, rng=2)
+    model = OnlineSparseSIR.warmup(X, y, SIRConfig(n_slices=5, n_directions=2))
+    shape = np.arange(-4.0, 6.0)  # one zero entry, signs of both kinds
+    model.coef.betas[:, 0] = size * shape
+    model.coef.betas[:, 1] = shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's, on the squares
+        out = model.directions()
+        flags = model.zero_direction_flags
+        norms = model.diagnostics()["coef_norms"]
+    unit = shape / np.linalg.norm(shape)
+    np.testing.assert_allclose(out[:, 0], unit, rtol=1e-15, atol=0)
+    assert out[:, 1].tobytes() == unit.tobytes()
+    assert flags.tolist() == [False, False]
+    with np.errstate(over="ignore"):
+        expected = [size * np.linalg.norm(shape), np.linalg.norm(shape)]
+    np.testing.assert_allclose(norms, expected, rtol=1e-15)
 
 
 def test_directions_match_the_masked_division_bit_for_bit():
@@ -647,9 +689,12 @@ def test_progress_follows_the_observation_count_across_calls(monkeypatch):
 
     def report(info):
         expected = model.diagnostics()
-        assert set(expected) == {"t", "eigenvalues", "nonzeros", "reinit_count",
-                                 "degenerate_responses"}
+        assert set(expected) == {"t", "eigenvalues", "nonzeros", "coef_norms",
+                                 "reinit_count", "degenerate_responses"}
         np.testing.assert_array_equal(info["eigenvalues"], expected.pop("eigenvalues"))
+        norms = expected.pop("coef_norms")
+        np.testing.assert_array_equal(info.pop("coef_norms"), norms)
+        np.testing.assert_array_equal(norms, np.linalg.norm(model.coef.betas, axis=0))
         info["eigenvalues"][:] = -1.0  # a copy: the tracker keeps its values
         assert {k: v for k, v in info.items() if k != "eigenvalues"} == expected
         seen.append(info)

@@ -178,7 +178,16 @@ def test_update_validation():
         model.update(np.array([1.0, np.nan, 0.0]), [0.0, 0.0])
     with pytest.raises(DataError):
         model.update(np.ones(3), [0.0, -np.inf])
+    # a float conversion would drop an imaginary part with a ComplexWarning,
+    # or, for a complex scalar, raise a bare TypeError
+    with pytest.raises(DataError, match="covariates must be real numbers"):
+        model.update(np.ones(3) + 0.5j, [0.0, 0.0])
+    with pytest.raises(DataError, match="targets must be real numbers"):
+        model.update(np.ones(3), np.array([1.0, 1.0 + 0.5j]))
+    with pytest.raises(DataError, match="targets must be real numbers"):
+        TruncatedGradient(3, 1, rate=0.01).update(np.ones(3), 1.0 + 0.5j)
     assert model.step == 0
+    np.testing.assert_array_equal(model.betas, np.zeros((3, 2)))
 
 
 def test_update_accepts_finite_inputs_whose_squares_overflow():
