@@ -26,6 +26,7 @@ from .errors import (
     DegenerateDataError,
     as_rows,
     check_directions,
+    finite_array,
 )
 from .pipeline import unit_columns
 
@@ -34,9 +35,10 @@ def dense_top_eigen(S: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-d eigenpairs of a symmetric matrix, eigenvalues descending.
 
     Raises DataError if S is not (numerically) symmetric, so silent use on
-    an unsymmetrized product is impossible.
+    an unsymmetrized product is impossible, or if ``errors.finite_array``
+    refuses it.
     """
-    S = np.asarray(S, dtype=float)
+    S = finite_array(S, "matrix")
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DataError(f"expected a square matrix, got shape {S.shape}")
     scale = max(1.0, float(np.abs(S).max()) if S.size else 0.0)
@@ -75,8 +77,6 @@ def slice_mean_matrix(X, y, n_slices: int) -> tuple[np.ndarray, np.ndarray, np.n
     centered covariates.
     """
     X, y = as_rows(X, y)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DataError("inputs must be finite")
     labels = _slice_assignments(y, n_slices)
     Xc = X - X.mean(axis=0)
     M = np.zeros((X.shape[1], n_slices))
@@ -186,13 +186,22 @@ def lasso_coordinate_descent(X: np.ndarray, y: np.ndarray, penalty: float) -> np
 
     Runs until the duality gap drops below ``_LASSO_TOL`` (for penalty 0,
     until the gradient's sup-norm does).  Raises ConvergenceError with the
-    last gap if ``_LASSO_MAX_SWEEPS`` sweeps do not get there.
+    last gap if ``_LASSO_MAX_SWEEPS`` sweeps do not get there.  A batch that
+    ``errors.as_rows`` refuses raises ``DataError``, and a negative or NaN
+    penalty ``ConfigurationError``, before the first sweep.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = as_rows(X, y)
+    if not penalty >= 0:  # a NaN penalty makes every gap NaN
+        raise ConfigurationError(f"penalty must be non-negative, got {penalty!r}")
+    return _coordinate_descent(X, y, penalty)
+
+
+def _coordinate_descent(X: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
+    """``lasso_coordinate_descent`` without the checks, for a float (n, p)
+    ``X``, a float n-vector ``y`` and a penalty of at least 0.  ``y`` is
+    contiguous, as the checks leave it: a strided one may round the dot
+    products differently."""
     n, p = X.shape
-    if penalty < 0:
-        raise ConfigurationError("penalty must be non-negative")
     col_sq = (X * X).sum(axis=0) / n
     beta = np.zeros(p)
     resid = y - X @ beta
@@ -241,5 +250,5 @@ def batch_lasso_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     mus = np.sqrt(np.log(p) / (n * lams))
     B = np.empty((p, d))
     for i in range(d):
-        B[:, i] = lasso_coordinate_descent(Xc, targets[:, i], float(mus[i]))
+        B[:, i] = _coordinate_descent(Xc, targets[:, i].copy(), float(mus[i]))
     return B

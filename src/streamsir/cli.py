@@ -46,9 +46,6 @@ from .pipeline import (DEFAULT_WARMUP, OnlineSparseSIR, SIRConfig, _split_warmup
 from .simulate import SimModelSpec, sample, subspace_distance, true_betas
 from .truncated import active_features
 
-# The CLI's truncation strength; ``SIRConfig`` itself defaults to none.
-DEFAULT_GRAVITY = 3e-4
-
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -460,7 +457,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     # Parent parsers: each flag that fit, benchmark and sweep share is declared
-    # once, with its default from SIRConfig, DEFAULT_WARMUP or DEFAULT_GRAVITY.
+    # once, with its default from SIRConfig or DEFAULT_WARMUP.
     stream = argparse.ArgumentParser(add_help=False)  # fit, benchmark, sweep
     stream.add_argument("--H", type=int, default=SIRConfig.n_slices, help="slice count")
     stream.add_argument("--warmup", type=int, default=DEFAULT_WARMUP,
@@ -472,7 +469,7 @@ def build_parser():
     truncation = argparse.ArgumentParser(add_help=False)  # fit, benchmark
     truncation.add_argument("--gamma", type=float, default=SIRConfig.learning_rate,
                             help="coefficient learning rate (default: min(1e-3, 0.3/p))")
-    truncation.add_argument("--gravity", type=float, default=DEFAULT_GRAVITY,
+    truncation.add_argument("--gravity", type=float, default=SIRConfig.gravity,
                             help="truncation strength per step")
     truncation.add_argument("--theta", type=float, default=SIRConfig.threshold,
                             help="truncation magnitude ceiling")
@@ -520,7 +517,7 @@ def build_parser():
     sweep.add_argument("--p", type=int, required=True)
     sweep.add_argument("--gamma-grid", default=None,
                        help="learning rates (default: min(1e-3, 0.3/p))")
-    sweep.add_argument("--gravity-grid", default=str(DEFAULT_GRAVITY))
+    sweep.add_argument("--gravity-grid", default=str(SIRConfig.gravity))
     sweep.add_argument("--theta-grid", default=str(SIRConfig.threshold))
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)

@@ -1,8 +1,15 @@
-"""Exception types, and the input checks, shared across the package.
+"""Exception types, and the one owner of the checks on caller input.
 
 Everything user-facing raises one of these so callers (and the CLI) can
 distinguish "you configured it wrong" from "the data broke an assumption"
 from "an iterative routine gave up".
+
+Every array argument the package accepts passes ``finite_array`` (real,
+finite, optionally of a given size) or ``as_rows`` (a batch of rows and
+their responses) before any work or state change, and every count argument
+passes ``check_positive_integer``; no other module converts such an
+argument or tests it for finiteness itself.  (A checkpoint file is checked
+by ``OnlineSparseSIR.load``, entry by entry.)
 """
 
 import math
@@ -11,10 +18,11 @@ import numpy as np
 
 
 def all_finite(v: np.ndarray) -> bool:
-    """Whether every entry of the float vector ``v`` is finite.  A nan or
-    infinite entry makes v'v (a sum of squares) non-finite; only then does
-    the elementwise test run, to accept finite entries whose squares
-    overflow, for which ``np.vdot``, unlike ``@``, warns of nothing."""
+    """Whether every entry of the float array ``v`` is finite.  A nan or
+    infinite entry makes v'v (a sum of squares; ``np.vdot`` flattens ``v``)
+    non-finite; only then does the elementwise test run, to accept finite
+    entries whose squares overflow, for which ``np.vdot``, unlike ``@``,
+    warns of nothing."""
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
@@ -31,14 +39,31 @@ def real_array(v, what: str) -> np.ndarray:
         raise DataError(f"{what} must be real numbers") from None
 
 
+def finite_array(v, what: str, size: int | None = None) -> np.ndarray:
+    """``v`` as a float array (``real_array``) of the same shape; an entry
+    that is not finite (found by ``all_finite``), or, when ``size`` is
+    given, another number of entries than ``size``, raises ``DataError``.
+    A caller that wants a vector ravels the result."""
+    v = real_array(v, what)
+    if size is not None and v.size != size:
+        raise DataError(f"expected {size} {what}, got {v.size}")
+    if not all_finite(v):
+        raise DataError(f"{what} must be finite")
+    return v
+
+
 def as_rows(X, y, what: str = "X") -> tuple[np.ndarray, np.ndarray]:
     """``X`` as a float (n, p) array and ``y`` as a float n-vector
-    (``real_array``); any other shape raises ``DataError`` naming the batch
-    as ``what``."""
+    (``real_array``); any other shape, or a non-finite entry in either,
+    raises ``DataError`` naming the batch as ``what`` and, for a non-finite
+    entry, the first row that holds one."""
     X = real_array(X, what)
     y = real_array(y, "responses").ravel()
     if X.ndim != 2 or X.shape[0] != y.size:
         raise DataError(f"{what} must be (n, p) with one response per row")
+    if not (all_finite(X) and all_finite(y)):
+        row = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(y)))
+        raise DataError(f"{what} row {row} holds a non-finite covariate or response")
     return X, y
 
 

@@ -38,9 +38,9 @@ from .errors import (
     DataError,
     DegenerateDataError,
     EmptyStateError,
-    all_finite,
     as_rows,
-    real_array,
+    check_positive_integer,
+    finite_array,
 )
 
 
@@ -73,9 +73,7 @@ class SliceGrid:
     """
 
     def __init__(self, cuts: np.ndarray):
-        cuts = np.asarray(cuts, dtype=float).ravel()
-        if not np.all(np.isfinite(cuts)):
-            raise DataError("cut points must be finite")
+        cuts = finite_array(cuts, "cut points").ravel()
         if not np.all(np.diff(cuts) > 0):
             raise ConfigurationError("cut points must be strictly increasing")
         self.cuts = cuts
@@ -93,17 +91,16 @@ class SliceGrid:
         1/H, ..., (H-1)/H with the usual linear (midpoint-style)
         interpolation.  Duplicate quantiles mean the warmup responses
         cannot support H distinct slices, which raises
-        ``DegenerateDataError``.
+        ``DegenerateDataError``; an ``n_slices`` that is not a positive
+        integer, or above the number of responses, raises
+        ``ConfigurationError``.
         """
-        y = np.asarray(y, dtype=float).ravel()
-        if n_slices < 1:
-            raise ConfigurationError(f"need at least one slice, got {n_slices}")
+        check_positive_integer("n_slices", n_slices)
+        y = finite_array(y, "warmup responses").ravel()
         if y.size < n_slices:
             raise ConfigurationError(
                 f"warmup has {y.size} responses, fewer than {n_slices} slices"
             )
-        if not np.all(np.isfinite(y)):
-            raise DataError("warmup responses must be finite")
         levels = np.arange(1, n_slices) / n_slices
         cuts = np.quantile(y, levels) if levels.size else np.empty(0)
         if np.unique(cuts).size != cuts.size:
@@ -139,8 +136,7 @@ class KernelTracker:
     """
 
     def __init__(self, grid: SliceGrid, n_features: int):
-        if n_features < 1:
-            raise ConfigurationError(f"need at least one feature, got {n_features}")
+        check_positive_integer("n_features", n_features)
         self.grid = grid
         self.n_features = int(n_features)
         self.t = 0
@@ -152,18 +148,11 @@ class KernelTracker:
     # -- updates ------------------------------------------------------------
 
     def check(self, x, y) -> tuple[np.ndarray, int]:
-        """``x`` as a float p-vector and the slice index of ``y``; input that
-        does not convert to floats or is complex (``real_array``), a vector of
-        another length, a non-finite entry (found by ``all_finite``) or a
-        response that is not one finite number raises ``DataError``.
-        Changes no state."""
-        x = real_array(x, "covariates").ravel()
-        if x.size != self.n_features:
-            raise DataError(
-                f"expected covariate vector of length {self.n_features}, got {x.size}"
-            )
-        if not all_finite(x):
-            raise DataError("covariates must be finite")
+        """``x`` as a float p-vector and the slice index of ``y``; covariates
+        that ``errors.finite_array`` refuses (not real, not finite, not p of
+        them) or a response that is not one finite number raise
+        ``DataError``.  Changes no state."""
+        x = finite_array(x, "covariates", self.n_features).ravel()
         return x, self.grid.slice_of(y)
 
     def absorb(self, x: np.ndarray, h: int) -> None:

@@ -149,14 +149,15 @@ class SIRConfig:
     coefficient recursion stays mean-square stable only for a rate well
     below 1 / trace of the covariate covariance (1/p for unit variances).
     Each field is set by the command-line flag of the same meaning: --H,
-    --d, --tracker, --gamma, --gravity, --theta and --period.
+    --d, --tracker, --gamma, --gravity, --theta and --period, whose
+    defaults are the fields' own.
     """
 
     n_slices: int = 10
     n_directions: int = 1
     tracker: str = TrackerConfig.strategy
     learning_rate: float | None = None
-    gravity: float = 0.0
+    gravity: float = 3e-4
     threshold: float = math.inf
     period: int = 10
 
@@ -586,6 +587,10 @@ def fit_stream(
     a multiple of ``progress_every``.  A caller that wants more, such as the
     subspace distance to known directions, computes it in ``progress`` from
     the model it holds.
+
+    A batch that ``errors.as_rows`` refuses, a non-finite entry in any row
+    included, raises ``DataError`` before the first row is streamed, so the
+    model is left as it was.
 
     ``observe`` sees diverged coefficients only through the next row's
     prediction, so coefficients that overflow on the last row are checked

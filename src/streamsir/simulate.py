@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, finite_array
 
 _MIN_FEATURES = {1: 2, 2: 10, 3: 7}
 
@@ -121,10 +121,11 @@ def subspace_distance(B: np.ndarray, B_hat: np.ndarray) -> float:
     1 - |det(Q_B' Q_Bhat)|.  It is 0 iff the spans coincide, 1 iff some
     direction of one span is orthogonal to all of the other, and invariant
     to column sign, permutation, and any invertible recombination.
-    Rank-deficient input yields distance 1.0 (with a warning).
+    Rank-deficient input yields distance 1.0 (with a warning); input that
+    ``errors.finite_array`` refuses raises ``DataError``.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    B_hat = np.atleast_2d(np.asarray(B_hat, dtype=float))
+    B = np.atleast_2d(finite_array(B, "reference directions"))
+    B_hat = np.atleast_2d(finite_array(B_hat, "estimated directions"))
     if B.ndim != 2 or B_hat.ndim != 2:
         raise DataError("direction matrices must be 2-d")
     if B.shape[0] == 1 and B.shape[1] > 1:
@@ -139,8 +140,6 @@ def subspace_distance(B: np.ndarray, B_hat: np.ndarray) -> float:
         raise DataError(
             f"direction matrices disagree on rank: {B.shape[1]} vs {B_hat.shape[1]}"
         )
-    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(B_hat))):
-        raise DataError("direction matrices must be finite")
 
     qb = _orthonormal_basis(B, "reference")
     qh = _orthonormal_basis(B_hat, "estimate")

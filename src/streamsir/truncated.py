@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, all_finite, real_array
+from .errors import ConfigurationError, check_positive_integer, finite_array
 
 
 def active_features(betas: np.ndarray) -> int:
@@ -36,10 +36,11 @@ def truncate(v, shrink: float, threshold: float = math.inf):
     -threshold <= v < 0 returns min(0, v + shrink); values beyond the
     threshold in magnitude pass through untouched.  Works elementwise on
     arrays and preserves scalar inputs.  Either bound may be inf; a NaN one
-    raises ``ConfigurationError``, as a negative one does.
+    raises ``ConfigurationError``, as a negative one does.  Values that
+    ``errors.finite_array`` refuses raise ``DataError``.
     """
     _check_non_negative(shrink=shrink, threshold=threshold)
-    out, _ = _truncate(np.asarray(v, dtype=float), shrink, threshold)
+    out, _ = _truncate(finite_array(v, "values"), shrink, threshold)
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -91,13 +92,12 @@ class TruncatedGradient:
         threshold: float = math.inf,
         period: int = 10,
     ):
-        if n_features < 1 or n_targets < 1:
-            raise ConfigurationError("need at least one feature and one target")
+        check_positive_integer("n_features", n_features)
+        check_positive_integer("n_targets", n_targets)
+        check_positive_integer("period", period)
         if not 0.0 <= rate < 1.0:
             raise ConfigurationError(f"rate must lie in [0, 1), got {rate}")
         _check_non_negative(gravity=gravity, threshold=threshold)
-        if period < 1:
-            raise ConfigurationError("period must be a positive integer")
         self.n_features = int(n_features)
         self.n_targets = int(n_targets)
         self.rate = float(rate)
@@ -109,21 +109,12 @@ class TruncatedGradient:
         self.truncation_zeros = 0  # coordinates zeroed across all truncations
 
     def update(self, x, targets) -> None:
-        """One step.  x and targets are checked (real, shape, ``all_finite``)
-        before any state changes, as the pipeline's kernel stage checks x:
-        the stage is public and can be driven on its own."""
-        x = real_array(x, "covariates").ravel()
-        if x.size != self.n_features:
-            raise DataError(
-                f"expected covariate vector of length {self.n_features}, got {x.size}"
-            )
-        targets = real_array(targets, "targets").ravel()
-        if targets.size != self.n_targets:
-            raise DataError(
-                f"expected {self.n_targets} targets, got {targets.size}"
-            )
-        if not (all_finite(x) and all_finite(targets)):
-            raise DataError("inputs must be finite")
+        """One step.  x and targets are checked (``errors.finite_array``:
+        real, finite, p and d of them) before any state changes, as the
+        pipeline's kernel stage checks x: the stage is public and can be
+        driven on its own."""
+        x = finite_array(x, "covariates", self.n_features).ravel()
+        targets = finite_array(targets, "targets", self.n_targets).ravel()
         self.advance(x, targets.tolist(), self.betas.T.dot(x).tolist())
 
     def advance(self, x: np.ndarray, targets, prediction) -> None:

@@ -261,6 +261,8 @@ def test_negative_penalty_rejected():
     X = np.eye(4)
     with pytest.raises(ConfigurationError):
         lasso_coordinate_descent(X, np.ones(4), -0.5)
+    with pytest.raises(ConfigurationError):  # once ran the whole sweep budget
+        lasso_coordinate_descent(X, np.ones(4), np.nan)
 
 
 def test_sparse_directions_in_high_dimension():

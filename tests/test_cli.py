@@ -38,7 +38,7 @@ from streamsir import (
     true_betas,
 )
 from streamsir import pipeline
-from streamsir.cli import DEFAULT_GRAVITY, build_parser, main, resolve_methods
+from streamsir.cli import build_parser, main, resolve_methods
 from streamsir.pipeline import DEFAULT_WARMUP
 from streamsir.errors import ConfigurationError
 
@@ -251,8 +251,7 @@ def test_fit_whose_last_row_overflows_the_coefficients_exits_1(tmp_path, capsys)
     rows = [[r[0]] + [repr(float(v) + 1e4) for v in r[1:]] for r in rows]
     data = np.array(rows, dtype=float)
     y, X = data[:, 0], data[:, 1:]
-    model = OnlineSparseSIR.warmup(X[:DEFAULT_WARMUP], y[:DEFAULT_WARMUP],
-                                   SIRConfig(gravity=DEFAULT_GRAVITY))
+    model = OnlineSparseSIR.warmup(X[:DEFAULT_WARMUP], y[:DEFAULT_WARMUP], SIRConfig())
     with np.errstate(over="ignore"):
         for last in range(DEFAULT_WARMUP, y.size):
             model.observe(X[last], y[last])
@@ -580,7 +579,7 @@ def test_sweep_default_rate_is_the_rate_rule(tmp_path, p, gamma):
     row, = _read_dicts(out)
     assert row["gamma"] == gamma
     assert float(gamma) == SIRConfig().resolve_rate(p)
-    assert row["distance"] == _sweep_fit_distance(1, p, 300, 0, SIRConfig(gravity=DEFAULT_GRAVITY))
+    assert row["distance"] == _sweep_fit_distance(1, p, 300, 0, SIRConfig())
 
 
 def test_sweep_cell_equals_fit_online_under_the_same_config(tmp_path):
@@ -659,10 +658,10 @@ def test_shared_flags_take_one_set_of_defaults():
     for command in ("fit", "benchmark"):
         args = parser.parse_args(argvs[command])
         assert (args.gamma, args.gravity, args.theta) == (
-            SIRConfig.learning_rate, DEFAULT_GRAVITY, SIRConfig.threshold)
+            SIRConfig.learning_rate, SIRConfig.gravity, SIRConfig.threshold)
     sweep = parser.parse_args(argvs["sweep"])
     assert sweep.gamma_grid is None
-    assert float(sweep.gravity_grid) == DEFAULT_GRAVITY
+    assert float(sweep.gravity_grid) == SIRConfig.gravity
     assert float(sweep.theta_grid) == SIRConfig.threshold
 
 
