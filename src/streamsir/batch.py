@@ -9,10 +9,6 @@ the streaming estimators in tests.
 Conventions: X is (n, p) with one observation per row and is centered
 internally.  n = c * H divisible slicing is the clean case; a remainder is
 folded into the last slice.
-
-``batch_sir`` is the package's only scipy caller (a generalized symmetric
-eigenproblem), so it imports ``scipy.linalg`` on its first call: importing
-streamsir and running the streaming estimators load numpy alone.
 """
 
 from __future__ import annotations
@@ -93,14 +89,20 @@ def sir_matrix(X, y, n_slices: int) -> np.ndarray:
 
 def _between_slice_cov(M: np.ndarray, Xc: np.ndarray, n_slices: int) -> np.ndarray:
     """``sir_matrix`` from a ``slice_mean_matrix`` result."""
+    _check_slice_means(M, Xc)
+    G = M @ M.T  # numpy forms this product with syrk: exactly symmetric
+    G /= n_slices
+    return G
+
+
+def _check_slice_means(M: np.ndarray, Xc: np.ndarray) -> None:
+    """Raise ``DegenerateDataError`` if every slice mean in ``M`` vanishes
+    against the scale of the centered covariates ``Xc``."""
     scale = max(1.0, float(np.abs(Xc).max()) if Xc.size else 0.0)
     if float(np.abs(M).max()) <= 1e-12 * scale:
         raise DegenerateDataError(
             "all slice means vanish; between-slice covariance is zero"
         )
-    G = M @ M.T  # numpy forms this product with syrk: exactly symmetric
-    G /= n_slices
-    return G
 
 
 def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
@@ -110,24 +112,34 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     eigenvectors.  When p >= n the sample covariance is singular and a small
     ridge (1e-6 * trace / p) is added; below that, a genuinely singular
     covariance raises rather than silently regularizing.
+
+    The solve is LAPACK's ``sygvd`` reduction written out in numpy: with
+    Cov = L L' (Cholesky) and G = M M' / H, the eigenvectors w of
+    Z Z' / H, Z = L^-1 M, give v = L'^-1 w.  ``np.linalg.eigh`` runs the
+    same ``syevd`` as ``sygvd``.  Z Z' rounds differently from the
+    L^-1 G L'^-1 of ``sygst``, so a column can come out with the opposite
+    sign to ``scipy.linalg.eigh(G, Cov)``'s; up to sign the two agree to
+    about 1e-15.
     """
     M, _, Xc = slice_mean_matrix(X, y, n_slices)
     n, p = Xc.shape
     check_directions(d, p, n_slices)
-    G = _between_slice_cov(M, Xc, n_slices)
+    _check_slice_means(M, Xc)
     cov = Xc.T @ Xc / n
     if p >= n:
         cov = ridged(cov)
-    import scipy.linalg  # here, not at the top: the streaming path needs numpy alone
-
     try:
-        vals, vecs = scipy.linalg.eigh(G, cov)
-    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
         raise DegenerateDataError(
             "sample covariance is singular; not enough observations for p features"
         )
+    Z = np.linalg.solve(L, M)
+    reduced = Z @ Z.T  # syrk, as for G: exactly symmetric
+    reduced /= n_slices
+    vals, vecs = np.linalg.eigh(reduced)
     order = np.argsort(vals)[::-1][:d]
-    return unit_columns(vecs[:, order])
+    return unit_columns(np.linalg.solve(L.T, vecs[:, order]))
 
 
 def ridged(cov: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -284,7 +285,8 @@ def _read_stream_csv(path, target):
     """Load a header-plus-rows CSV into (X, y, covariate names).
 
     Raises DataError naming the offending line for short rows and
-    non-numeric cells; an empty or header-only file is also an error.
+    non-numeric or non-finite cells; an empty or header-only file is also
+    an error.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -306,9 +308,15 @@ def _read_stream_csv(path, target):
                 raise DataError(
                     f"{path}:{lineno}: expected {len(header)} cells, found {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+            if not all(map(math.isfinite, row)):
+                j = next(j for j, v in enumerate(row) if not math.isfinite(v))
+                raise DataError(
+                    f"{path}:{lineno}: non-finite cell {cells[j].strip()!r} "
+                    f"in column {header[j]!r}")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: 0 data rows after the header")
     data = np.asarray(rows, dtype=np.float64)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDataError, check_directions
+from .errors import ConfigurationError, DegenerateDataError, check_directions, finite_array
 
 STRATEGIES = ("ccipca", "perturbation", "sgd", "ipca")
 
@@ -133,8 +133,10 @@ class EigenTracker:
     """
 
     def __init__(self, values: np.ndarray, vectors: np.ndarray, config: TrackerConfig):
-        self.values = np.array(values, dtype=float)
-        self.vectors = np.array(vectors, dtype=float, order="F")
+        """Copies of ``values`` and ``vectors`` become the state; either
+        refused by ``errors.finite_array`` raises ``DataError``."""
+        self.values = np.array(finite_array(values, "eigenvalues"))
+        self.vectors = np.array(finite_array(vectors, "eigenvectors"), order="F")
         self.config = config
         self.step = 0
         self.reinit_count = 0

@@ -66,6 +66,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 import zipfile
 from dataclasses import asdict, dataclass, fields
@@ -470,20 +471,34 @@ def warmup_stages(X, y, config: SIRConfig) -> tuple[np.ndarray, KernelTracker, E
     return X, kernel, eigen
 
 
+# The smallest normal float.  A subnormal float holds fewer than 53 bits, so
+# a sum of squares below it has lost bits to underflow.
+_SMALLEST_NORMAL = sys.float_info.min
+
+
 def column_norms(B: np.ndarray) -> list[float]:
     """The Euclidean norm of each column of ``B``, as floats: the square root
     of its sum of squares, np.linalg.norm's own arithmetic for real input.
-    A finite column whose sum of squares overflows to inf, or underflows to
-    0 though an entry is nonzero, is divided by its largest magnitude m
-    first, and its norm is m times the quotient's; so only an all-zero
-    column has norm 0."""
-    norms = [math.sqrt(s) for s in np.add.reduce(B * B, axis=0).tolist()]
-    if math.inf in norms or 0.0 in norms:  # else every sum of squares holds
-        for j, norm in enumerate(norms):
-            if norm in (0.0, math.inf) and (scaled := _peak_scaled(B[:, j])):
+    A finite column whose sum of squares overflows to inf, or underflows
+    below the smallest normal float though an entry is nonzero, is divided
+    by its largest magnitude m first, and its norm is m times the
+    quotient's; so only an all-zero column has norm 0."""
+    return _norms_and_rescues(B)[0]
+
+
+def _norms_and_rescues(B: np.ndarray) -> tuple[list[float], list[tuple[int, np.ndarray]]]:
+    """``column_norms(B)``, and (j, column j / m) for each column j it
+    divided by its largest magnitude m."""
+    sums = np.add.reduce(B * B, axis=0).tolist()
+    norms = [math.sqrt(s) for s in sums]
+    rescues = []
+    if min(sums) < _SMALLEST_NORMAL or math.inf in sums:  # else every sum holds
+        for j, s in enumerate(sums):
+            if not _SMALLEST_NORMAL <= s < math.inf and (scaled := _peak_scaled(B[:, j])):
                 peak, column = scaled
                 norms[j] = peak * math.sqrt(column.dot(column))
-    return norms
+                rescues.append((j, column))
+    return norms, rescues
 
 
 def _peak_scaled(column: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -496,15 +511,14 @@ def _peak_scaled(column: np.ndarray) -> tuple[float, np.ndarray] | None:
 def unit_columns(B: np.ndarray) -> np.ndarray:
     """``B`` with unit columns, as a new array; an all-zero column stays
     zero.  Each column is divided once by its norm (``column_norms``); one
-    whose norm lies beyond the float range is divided by its largest
-    magnitude first."""
-    norms = column_norms(B)
-    out = B / np.array([norm if norm > 0.0 else 1.0 for norm in norms])  # x / 1 is x
-    if math.inf in norms:
-        for j, norm in enumerate(norms):
-            if norm == math.inf and (scaled := _peak_scaled(B[:, j])):
-                column = scaled[1]
-                out[:, j] = column / math.sqrt(column.dot(column))
+    whose sum of squares is not a normal float is divided by its largest
+    magnitude first, since its norm may be inf, or subnormal and so short
+    of bits."""
+    norms, rescues = _norms_and_rescues(B)
+    # an all-zero column is divided by 1, which leaves it as it is
+    out = B / np.array(norms if 0.0 not in norms else [norm or 1.0 for norm in norms])
+    for j, column in rescues:
+        out[:, j] = column / math.sqrt(column.dot(column))
     return out
 
 

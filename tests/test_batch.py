@@ -149,6 +149,28 @@ def test_sir_unit_columns_and_validation():
         batch_sir(X[:10], y, 5, 1)
 
 
+@pytest.mark.parametrize("p,n", [(20, 200), (200, 1000), (20, 15), (200, 150)])
+def test_sir_directions_solve_the_generalized_eigenproblem(p, n):
+    # G v = lam Cov v, with Cov ridged when p >= n (the last two cases).
+    # The bound, fixed from the backward error of a Cholesky reduction and
+    # not from a measurement: p eps cond(Cov) (|G| + lam |Cov|) for a unit v.
+    X, y = sample(SimModelSpec(3, p), n, rng=6)
+    n_slices, d = (10, 4) if n > 100 else (5, 3)
+    B = batch_sir(X, y, n_slices, d)
+    G = sir_matrix(X, y, n_slices)
+    Xc = X - X.mean(axis=0)
+    cov = Xc.T @ Xc / n
+    if p >= n:
+        cov = batch.ridged(cov)
+    lams = [float(v @ G @ v) / float(v @ cov @ v) for v in B.T]
+    scale = p * np.finfo(float).eps * np.linalg.cond(cov)
+    for lam, v in zip(lams, B.T):
+        residual = np.linalg.norm(G @ v - lam * (cov @ v))
+        assert residual <= scale * (np.linalg.norm(G, 2) + lam * np.linalg.norm(cov, 2))
+    assert lams == sorted(lams, reverse=True)
+    assert lams[-1] > 0.0
+
+
 @pytest.mark.parametrize("d", [0, 6])
 def test_batch_and_streaming_refuse_the_same_d_alike(d):
     X, y = sample(SimModelSpec(1, 8), 200, rng=5)

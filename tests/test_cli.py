@@ -197,6 +197,8 @@ _BAD_STREAMS = [
     ("y,x1\n1.0,abc\n", ":2: non-numeric cell"),
     # blank lines are skipped but still counted toward the line number
     ("y,x1\n1.0,2.0\n\n1.0,bad\n", ":4: non-numeric cell"),
+    ("y,x1\n1.0,2.0\n1.0, nan\n", ":3: non-finite cell 'nan' in column 'x1'"),
+    ("y,x1\n-inf,2.0\n", ":2: non-finite cell '-inf' in column 'y'"),
 ]
 
 
@@ -211,6 +213,22 @@ def test_fit_rejects_malformed_csv(tmp_path, capsys, content, fragment):
     assert fragment in payload["message"]
     if fragment.startswith(":"):
         assert str(path) + fragment.split(" ")[0].rstrip(":") in payload["message"]
+
+
+def test_fit_names_the_line_of_a_non_finite_cell_past_the_warmup(tmp_path, capsys):
+    # line 251 is streamed row 149 after a warmup of 100; the report names
+    # the file and line, as for every other malformed cell
+    header, rows = _read_csv(_simulate(tmp_path, p=5, n=400))
+    rows[249][3] = "nan"
+    stream = tmp_path / "holed.csv"
+    with open(stream, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    code = main(["fit", "--input", str(stream), "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = _stderr_json(capsys)
+    assert payload["error"] == "DataError"
+    assert payload["message"] == f"{stream}:251: non-finite cell 'nan' in column 'x3'"
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_needs_rows_beyond_warmup(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from streamsir import (
     STRATEGIES,
     ConfigurationError,
+    DataError,
     DegenerateDataError,
     DenseOnlineSIR,
     EigenTracker,
@@ -102,6 +103,32 @@ def test_the_constructor_allocates_the_strategy_state(strategy):
     else:
         assert tracker.averaged_kernel is None
         assert tracker.top_bound is tracker.second_bound is None
+
+
+@pytest.mark.parametrize("which,entry,message", [
+    ("values", 0.5j, "eigenvalues must be real numbers"),
+    ("values", np.nan, "eigenvalues must be finite"),
+    ("vectors", 0.5j, "eigenvectors must be real numbers"),
+    ("vectors", np.inf, "eigenvectors must be finite"),
+])
+def test_the_constructor_refuses_complex_or_non_finite_state(which, entry, message):
+    # a float copy once dropped an imaginary part with a ComplexWarning, and
+    # a nan eigenvalue built a tracker without a word
+    state = {"values": np.array([2.0, 1.0]), "vectors": np.eye(3)[:, :2]}
+    if isinstance(entry, complex):
+        state[which] = state[which] + entry
+    else:
+        state[which].flat[-1] = entry
+    with pytest.raises(DataError, match=message):
+        EigenTracker(state["values"], state["vectors"], _cfg())
+
+
+def test_the_constructor_copies_its_state():
+    values, vectors = np.array([2.0]), np.eye(3)[:, :1]
+    tracker = EigenTracker(values, vectors, _cfg())
+    assert not np.shares_memory(tracker.values, values)
+    assert not np.shares_memory(tracker.vectors, vectors)
+    assert tracker.vectors.flags.f_contiguous
 
 
 def test_from_kernel_starts_perturbation_at_the_dense_kernel():

@@ -1,10 +1,10 @@
-"""Import graph: the streaming path loads numpy alone.
+"""Import graph: streamsir loads numpy alone.
 
-scipy is used by one function, ``batch_sir``, which imports it on its first
-call, and the CLI loads its process pool only for ``benchmark --jobs`` above
-1. Each check runs in a fresh interpreter that imports this checkout's
-``src``, because ``sys.modules`` of the test process already holds
-everything the rest of the suite imported.
+No module of the package imports scipy, batch SIR included, and the CLI
+loads its process pool only for ``benchmark --jobs`` above 1.  Each check
+runs in a fresh interpreter that imports this checkout's ``src``, because
+``sys.modules`` of the test process already holds everything the rest of
+the suite imported.
 """
 
 import os
@@ -42,7 +42,7 @@ def _run(script, tmp_path, prelude=""):
     return proc.stdout
 
 
-def test_package_and_cli_import_without_scipy_until_batch_sir(tmp_path):
+def test_package_cli_and_batch_sir_never_load_scipy(tmp_path):
     _run("""
         import sys
         import numpy as np
@@ -50,7 +50,8 @@ def test_package_and_cli_import_without_scipy_until_batch_sir(tmp_path):
         assert "scipy" not in sys.modules, "importing streamsir loaded scipy"
         X = np.random.default_rng(0).standard_normal((200, 5))
         streamsir.batch_sir(X, X[:, 0], 5, 1)
-        assert "scipy.linalg" in sys.modules
+        streamsir.batch_lasso_sir(X, X[:, 0], 5, 1)
+        assert "scipy" not in sys.modules, "batch SIR loaded scipy"
     """, tmp_path)
 
 
@@ -63,8 +64,9 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     """, tmp_path)
 
 
-def test_streaming_path_runs_with_scipy_refused(tmp_path):
-    out = _run("""
+def test_every_estimator_and_command_runs_with_scipy_refused(tmp_path):
+    _run("""
+        import csv
         from pathlib import Path
         import numpy as np
         from streamsir import (
@@ -95,12 +97,13 @@ def test_streaming_path_runs_with_scipy_refused(tmp_path):
         assert (tmp / "fit" / "directions.csv").exists()
         assert main(["sweep", "--model", "1", "--p", "10", "--n", "400",
                      "--out", str(tmp / "sweep.csv")]) == 0
+        assert np.isfinite(batch_sir(X, y, 5, 1)).all()
+        assert main(["benchmark", "--p", "10", "--n", "400", "--reps", "1",
+                     "--methods", "M1,M2,M3,M4,M5,M6,M7,M8",
+                     "--out", str(tmp / "bench")]) == 0
+        with open(tmp / "bench" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(r["code"] for r in rows) == [f"M{i}" for i in range(1, 9)]
+        assert not [r["error"] for r in rows if r["error"]]
         assert "scipy" not in sys.modules
-
-        try:
-            batch_sir(X, y, 5, 1)
-        except ModuleNotFoundError as exc:
-            assert exc.name.startswith("scipy"), exc.name
-            print("batch_sir refused")
     """, tmp_path, prelude=REFUSE_SCIPY)
-    assert "batch_sir refused" in out

@@ -599,6 +599,25 @@ def test_directions_of_a_column_whose_sum_of_squares_overflows_or_underflows(siz
     np.testing.assert_allclose(norms, expected, rtol=1e-15)
 
 
+@pytest.mark.parametrize("size", [1e-160, 1e-310, 1e-320])
+def test_directions_of_a_column_whose_sum_of_squares_is_subnormal(size):
+    # the squares of 1e-160 are subnormal, short of bits though not 0; at
+    # 1e-310 and 1e-320 the norm itself is subnormal.  Scaling by 2^600 is
+    # exact and makes every entry normal, so it gives the reference.
+    X, y = sample(SimModelSpec(3, 10), 150, rng=2)
+    model = OnlineSparseSIR.warmup(X, y, SIRConfig(n_slices=5, n_directions=2))
+    model.coef.betas[:, 0] = size * np.arange(-4.0, 6.0)
+    scaled = model.coef.betas[:, 0] * 2.0**600
+    out = model.directions()
+    norms = model.diagnostics()["coef_norms"]
+    np.testing.assert_allclose(out[:, 0], scaled / np.linalg.norm(scaled), rtol=1e-15, atol=0)
+    assert np.linalg.norm(out[:, 0]) == pytest.approx(1.0, abs=1e-15)
+    assert not model.zero_direction_flags[0]
+    # a subnormal norm is rounded to the subnormal grid, 2^-1074 apart
+    assert norms[0] == pytest.approx(np.linalg.norm(scaled) * 2.0**-600, rel=1e-15,
+                                     abs=2.0**-1074)
+
+
 def test_directions_match_the_masked_division_bit_for_bit():
     # each column is divided by its norm, a zero column by 1, which leaves
     # it as it is: the same bits as dividing only the nonzero columns
