@@ -24,6 +24,7 @@ from .errors import (
     check_directions,
     finite_array,
 )
+from .eigen import factor_top_eigen
 from .pipeline import unit_columns
 
 
@@ -113,13 +114,11 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     ridge (1e-6 * trace / p) is added; below that, a genuinely singular
     covariance raises rather than silently regularizing.
 
-    The solve is LAPACK's ``sygvd`` reduction written out in numpy: with
-    Cov = L L' (Cholesky) and G = M M' / H, the eigenvectors w of
-    Z Z' / H, Z = L^-1 M, give v = L'^-1 w.  ``np.linalg.eigh`` runs the
-    same ``syevd`` as ``sygvd``.  Z Z' rounds differently from the
-    L^-1 G L'^-1 of ``sygst``, so a column can come out with the opposite
-    sign to ``scipy.linalg.eigh(G, Cov)``'s; up to sign the two agree to
-    about 1e-15.
+    With Cov = L L' (Cholesky) and G = M M' / H, the top eigenvectors w of
+    Z Z' / H, Z = L^-1 M, give v = L'^-1 w.  Z Z' / H is a kernel given by
+    its p x H factor, so w comes from ``eigen.factor_top_eigen``, the thin
+    SVD of Z, and no p x p matrix is decomposed.  Column signs are
+    LAPACK's and carry no meaning.
     """
     M, _, Xc = slice_mean_matrix(X, y, n_slices)
     n, p = Xc.shape
@@ -134,12 +133,8 @@ def batch_sir(X, y, n_slices: int, d: int) -> np.ndarray:
         raise DegenerateDataError(
             "sample covariance is singular; not enough observations for p features"
         )
-    Z = np.linalg.solve(L, M)
-    reduced = Z @ Z.T  # syrk, as for G: exactly symmetric
-    reduced /= n_slices
-    vals, vecs = np.linalg.eigh(reduced)
-    order = np.argsort(vals)[::-1][:d]
-    return unit_columns(np.linalg.solve(L.T, vecs[:, order]))
+    _, w = factor_top_eigen(np.linalg.solve(L, M), d)
+    return unit_columns(np.linalg.solve(L.T, w))
 
 
 def ridged(cov: np.ndarray) -> np.ndarray:
@@ -159,8 +154,10 @@ def lasso_sir_targets(
 
     Returns (targets, eta, lams, G):
 
-    * ``G``       the between-slice covariance (p, p),
+    * ``G``       the between-slice covariance (p, p), M M' / H for the
+      slice-mean matrix M; formed only to be returned,
     * ``eta``     its top-d eigenvectors (p, d), ``lams`` the eigenvalues,
+      read off the thin SVD of M (``eigen.factor_top_eigen``),
     * ``targets`` an (n, d) matrix whose row i is m_{h(i)}' eta / lam, the
       slice-mean projection of observation i's slice, one column per
       direction.
@@ -169,22 +166,26 @@ def lasso_sir_targets(
     G @ eta == eta * lams and (1/n) Xc' targets == eta (up to roundoff).
     Regressing each target column on Xc therefore recovers a basis of the
     same subspace, and an l1 penalty on that regression yields sparse
-    directions.
+    directions.  A d outside 1..min(p, H) raises ``ConfigurationError``.
     """
-    return _lasso_targets(*slice_mean_matrix(X, y, n_slices), n_slices, d)
+    M, labels, Xc = slice_mean_matrix(X, y, n_slices)
+    check_directions(d, Xc.shape[1], n_slices)
+    targets, eta, lams = _lasso_targets(M, labels, Xc, d)
+    return targets, eta, lams, _between_slice_cov(M, Xc, n_slices)
 
 
-def _lasso_targets(M, labels, Xc, n_slices: int, d: int):
-    """``lasso_sir_targets`` from a ``slice_mean_matrix`` result."""
-    G = _between_slice_cov(M, Xc, n_slices)
-    lams, eta = dense_top_eigen(G, d)
-    if lams[min(d, lams.size) - 1] <= 1e-12:
+def _lasso_targets(M, labels, Xc, d: int):
+    """``(targets, eta, lams)`` of ``lasso_sir_targets`` from a
+    ``slice_mean_matrix`` result and a checked d: the top-d eigenpairs of
+    G = M M' / H come from M itself, so G is never formed."""
+    _check_slice_means(M, Xc)
+    lams, eta = factor_top_eigen(M, d)
+    if lams[-1] <= 1e-12:
         raise DegenerateDataError(
             "between-slice covariance has rank below the requested d"
         )
     proj = M.T @ eta / lams  # (H, d), row h is m_h' eta / lam
-    targets = proj[labels]
-    return targets, eta, lams, G
+    return proj[labels], eta, lams
 
 
 # ``lasso_coordinate_descent`` stops once its duality gap is below this, and
@@ -258,7 +259,7 @@ def batch_lasso_sir(X, y, n_slices: int, d: int) -> np.ndarray:
     M, labels, Xc = slice_mean_matrix(X, y, n_slices)
     n, p = Xc.shape
     check_directions(d, p, n_slices)
-    targets, eta, lams, _ = _lasso_targets(M, labels, Xc, n_slices, d)
+    targets, _, lams = _lasso_targets(M, labels, Xc, d)
     mus = np.sqrt(np.log(p) / (n * lams))
     B = np.empty((p, d))
     for i in range(d):

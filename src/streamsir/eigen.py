@@ -23,13 +23,16 @@ the perturbation strategy alone, the dense matrix):
 * ``ipca``          rank-(d+1) incremental decomposition: project the
                     factor column of the observation's slice onto the
                     current basis plus its residual direction and re-solve
-                    a (d+1) x (d+1) problem.
+                    the kernel compressed onto those d + 1 vectors.
 
 ccipca, sgd and ipca need only thin products with the factor and one of
 its columns, which their steps take from the ``KernelTracker`` itself, so
-the factor is never formed.  All trackers are initialized from the same
-warmup statistics via a thin SVD of the p x H factor, which equals the
-dense eigendecomposition of the kernel matrix without materializing it.
+the factor is never formed.  A kernel given by a factor F, as F F' / H, has
+one eigen route: ``factor_top_eigen``, the thin SVD of F, which equals the
+dense eigendecomposition of the kernel without materializing it.  All
+trackers start from it on the warmup's p x H factor, ipca re-solves its
+compressed (d+1) x H factor with it, and batch SIR and Lasso-SIR
+(``batch``) take their between-slice eigenpairs from it.
 ``EigenTracker.advance`` runs the whole eigen stage of one streaming
 observation for any strategy, from the slice statistics and the
 observation's grid slice alone: no strategy reads the response.  A
@@ -116,6 +119,16 @@ class TrackerConfig:
             )
 
 
+def factor_top_eigen(factor: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-d eigenpairs of F F' / H for the k x H ``factor`` F, eigenvalues
+    descending, from its thin SVD F = U S V': the values are s^2 / H and the
+    vectors the first d columns of U, in O(k H min(k, H)) and with no k x k
+    matrix formed.  Column signs are LAPACK's.  The caller checks d: at
+    most min(k, H) pairs exist."""
+    u, s, _ = np.linalg.svd(factor, full_matrices=False)
+    return s[:d] ** 2 / factor.shape[1], u[:, :d]
+
+
 class EigenTracker:
     """Top-d eigenpair state plus one strategy's update rule.
 
@@ -154,16 +167,14 @@ class EigenTracker:
         """Initialize from warmup statistics.
 
         The top-d eigenpairs of (1/H) C C' are read off the thin SVD of the
-        p x H factor C, so no p x p matrix is formed unless the strategy
-        itself requires one: perturbation's running average starts at the
-        dense kernel, with its eigenvalue bounds at +inf.
+        p x H factor C (``factor_top_eigen``), so no p x p matrix is formed
+        unless the strategy itself requires one: perturbation's running
+        average starts at the dense kernel, with its eigenvalue bounds at
+        +inf.
         """
         factor = kernel.slice_cov
-        p, n_slices = factor.shape
-        check_directions(d, p, n_slices)
-        u, s, _ = np.linalg.svd(factor, full_matrices=False)
-        values = s[:d] ** 2 / n_slices
-        vectors = u[:, :d]
+        check_directions(d, *factor.shape)
+        values, vectors = factor_top_eigen(factor, d)
         if values[0] <= _NORM_FLOOR:
             raise DegenerateDataError(
                 "slice kernel is numerically zero; covariates carry no "
@@ -353,8 +364,9 @@ class EigenTracker:
         observation.
 
         The column is split into its projection onto the current basis and a
-        residual direction; the (d+1)-dim compressed kernel is re-solved
-        exactly and the top d pairs kept.
+        residual direction.  The factor compressed onto that basis B,
+        z = B'W with d + 1 rows, gives the top d pairs of the compressed
+        kernel z z' / H through ``factor_top_eigen``, and B maps them back.
         """
         col = kernel.column(h)
         resid = col - self.vectors @ (self.vectors.T @ col)
@@ -364,11 +376,8 @@ class EigenTracker:
         else:
             basis = self.vectors
         z = kernel.transpose_times(basis).T  # (d+1, H) compressed factor
-        small = z @ z.T / kernel.grid.n_slices
-        vals, vecs = np.linalg.eigh(small)  # z @ z.T is exactly symmetric
-        order = np.argsort(vals)[::-1][: self.n_directions]
-        self.values = vals[order]
-        self.vectors = basis @ vecs[:, order]
+        self.values, vecs = factor_top_eigen(z, self.n_directions)
+        self.vectors = basis @ vecs
         self.step += 1
 
     # -- shared helpers ---------------------------------------------------------

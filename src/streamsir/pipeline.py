@@ -630,8 +630,7 @@ def fit_stream(
 def _split_warmup(X, y, warmup_size: int):
     """``(X_warmup, y_warmup, X_stream, y_stream)``: the first ``warmup_size``
     rows and the rest, of which there must be at least one."""
-    if warmup_size < 1:
-        raise ConfigurationError(f"warmup_size must be at least 1, got {warmup_size}")
+    check_positive_integer("warmup_size", warmup_size)
     X, y = as_rows(X, y)
     if warmup_size >= X.shape[0]:
         raise ConfigurationError(
@@ -644,7 +643,7 @@ def fit_online(
     X, y, config: SIRConfig = SIRConfig(), warmup_size: int = DEFAULT_WARMUP
 ) -> OnlineSparseSIR:
     """Warm up on the first ``warmup_size`` rows and stream the rest through
-    ``fit_stream``; a warmup below 1 row or one that leaves no row to
-    stream raises ``ConfigurationError``."""
+    ``fit_stream``; a ``warmup_size`` that is not a positive integer, or
+    one that leaves no row to stream, raises ``ConfigurationError``."""
     X0, y0, X1, y1 = _split_warmup(X, y, warmup_size)
     return fit_stream(OnlineSparseSIR.warmup(X0, y0, config), X1, y1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, finite_array
+from .errors import ConfigurationError, DataError, check_positive_integer, finite_array
 
 _MIN_FEATURES = {1: 2, 2: 10, 3: 7}
 
@@ -36,6 +36,7 @@ class SimModelSpec:
     def __post_init__(self):
         if self.model_id not in (1, 2, 3):
             raise ConfigurationError(f"unknown model id {self.model_id}")
+        check_positive_integer("n_features", self.n_features)
         if self.n_features < _MIN_FEATURES[self.model_id]:
             raise ConfigurationError(
                 f"model {self.model_id} needs at least "
@@ -80,8 +81,7 @@ def sample(spec: SimModelSpec, n: int, rng=None) -> tuple[np.ndarray, np.ndarray
     normal, which reproduces cov = rho^|i-j| without forming a p x p factor;
     x overwrites z in place, so a draw allocates one n x p array.
     """
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got {n}")
+    check_positive_integer("n", n)
     rng = np.random.default_rng(rng)
     p = spec.n_features
     x = rng.standard_normal((n, p))  # z, overwritten column by column

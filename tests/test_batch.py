@@ -178,6 +178,7 @@ def test_batch_and_streaming_refuse_the_same_d_alike(d):
     kernel.replay(X, y)
     for fit in (
         lambda: batch_sir(X, y, 5, d),
+        lambda: lasso_sir_targets(X, y, 5, d),
         lambda: batch_lasso_sir(X, y, 5, d),
         lambda: EigenTracker.from_kernel(kernel, d, TrackerConfig()),
     ):
@@ -199,6 +200,23 @@ def test_each_estimator_checks_and_slices_the_sample_once(monkeypatch, estimator
     X, y = sample(SimModelSpec(1, 8), 200, rng=5)
     estimator(X, y, 5, 1)
     assert calls == {"as_rows": 1, "_slice_assignments": 1}
+
+
+@pytest.mark.parametrize("estimator", [batch_sir, lasso_sir_targets, batch_lasso_sir])
+def test_batch_estimators_decompose_no_p_by_p_matrix(monkeypatch, estimator):
+    # the between-slice eigenpairs come from a thin SVD of a p x H factor;
+    # an eigh here would be of a p x p matrix
+    calls = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    X, y = sample(SimModelSpec(3, 60), 400, rng=5)
+    estimator(X, y, 10, 2)
+    assert calls == []
 
 
 # -- slice-target construction ------------------------------------------------------------

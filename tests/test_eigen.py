@@ -89,6 +89,30 @@ def test_init_validation():
         EigenTracker.from_kernel(_stub_kernel(np.zeros((4, 3))), 1, _cfg())
 
 
+@pytest.mark.parametrize("shape, d", [
+    ((4, 7), 3),  # k < H
+    ((6, 6), 6),  # k = H, d = H
+    ((20, 5), 2),  # k > H
+    ((20, 5), 5),  # d = H
+    ("rank 3", 3),  # a 9 x 6 factor of rank 3
+])
+def test_factor_top_eigen_matches_the_dense_kernel(shape, d):
+    rng = np.random.default_rng(12)
+    if shape == "rank 3":
+        F = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 6))
+    else:
+        F = rng.standard_normal(shape)
+    H = F.shape[1]
+    values, vectors = eigen_module.factor_top_eigen(F, d)
+    vals, vecs = np.linalg.eigh(F @ F.T / H)
+    vals, vecs = vals[::-1][:d], vecs[:, ::-1][:, :d]
+    assert values.shape == (d,) and vectors.shape == (F.shape[0], d)
+    assert np.all(np.diff(values) <= 0)
+    np.testing.assert_allclose(values, vals, rtol=1e-12)
+    signs = np.sign(np.sum(vectors * vecs, axis=0))
+    np.testing.assert_allclose(vectors * signs, vecs, atol=1e-12)
+
+
 def test_tracker_config_validation():
     with pytest.raises(ConfigurationError):
         TrackerConfig(strategy="power-iteration")

@@ -129,14 +129,19 @@ _COUNTS = {
     "TruncatedGradient period": lambda n: TruncatedGradient(4, 1, rate=0.1, period=n),
     "KernelTracker n_features": lambda n: KernelTracker(SliceGrid(np.array([0.0])), n),
     "SliceGrid.from_warmup n_slices": lambda n: SliceGrid.from_warmup(np.arange(20.0), n),
+    "fit_online warmup_size": lambda n: fit_online(_X, _Y, SIRConfig(n_slices=2), warmup_size=n),
+    "sample n": lambda n: sample(_SPEC, n),
+    "SimModelSpec n_features": lambda n: true_betas(SimModelSpec(1, n)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, True, 0])
+@pytest.mark.parametrize("value", [2.5, 2.0, 1e3, True, 0])
 @pytest.mark.parametrize("count", sorted(_COUNTS))
 def test_counts_must_be_positive_integers(count, value):
     # 2.5 once ran as 2 and True as 1, while the caller's setting said
-    # otherwise; a float feature count raised a bare TypeError
+    # otherwise; a float feature count, warmup size or sample size raised
+    # a bare TypeError, and True as the warmup size ran a 1-row warmup.
+    # The accepted count is 10, the smallest warmup of two slices.
     with pytest.raises(ConfigurationError, match="must be a positive integer"):
         _COUNTS[count](value)
-    _COUNTS[count](np.int64(2))
+    _COUNTS[count](np.int64(10))

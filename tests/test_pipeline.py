@@ -532,7 +532,7 @@ def test_stream_validation():
 def test_fit_online_rejects_a_warmup_below_one(warmup_size):
     # X[:-5] as the warmup and then X[-5:] streamed would see rows twice
     X, y = _model_one(n=300)
-    with pytest.raises(ConfigurationError, match="warmup_size must be at least 1"):
+    with pytest.raises(ConfigurationError, match="warmup_size must be a positive integer"):
         fit_online(X, y, SIRConfig(**BENCH), warmup_size=warmup_size)
 
 
